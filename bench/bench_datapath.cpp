@@ -121,7 +121,7 @@ void report(const char* workload, const Measured& m) {
 // ---------------------------------------------------------------------------
 Measured run_sdr_clean(int iterations, int warmup, int inflight,
                        std::size_t msg_bytes) {
-  if (telemetry::spanning()) telemetry::spans().track("sdr_clean");
+  telemetry::spans().track("sdr_clean");
   sim::Simulator sim;
   sim::Channel::Config cfg;
   cfg.bandwidth_bps = 400 * Gbps;
@@ -221,7 +221,7 @@ Measured run_sdr_clean(int iterations, int warmup, int inflight,
 // rewind and timeout retransmission — the commodity-NIC baseline path.
 // ---------------------------------------------------------------------------
 Measured run_rc_lossy(int iterations, int warmup, std::size_t msg_bytes) {
-  if (telemetry::spanning()) telemetry::spans().track("rc_lossy");
+  telemetry::spans().track("rc_lossy");
   sim::Simulator sim;
   sim::Channel::Config cfg;
   cfg.bandwidth_bps = 400 * Gbps;
@@ -306,7 +306,7 @@ Measured run_rc_lossy(int iterations, int warmup, std::size_t msg_bytes) {
 // reported honestly rather than forced to zero.
 // ---------------------------------------------------------------------------
 Measured run_sdr_lossy_sr(int iterations, int warmup, std::size_t msg_bytes) {
-  if (telemetry::spanning()) telemetry::spans().track("sdr_lossy_sr");
+  telemetry::spans().track("sdr_lossy_sr");
   sim::Simulator sim;
   sim::Channel::Config cfg;
   cfg.bandwidth_bps = 100 * Gbps;

@@ -33,8 +33,8 @@ namespace sdr::bench {
 /// `--telemetry-period=<sim-seconds>`, default 1e-3) from argv. When the
 /// flag is absent the session is inert and the bench runs with telemetry
 /// disabled — the zero-overhead path. When present it enables the metric
-/// registry, arms the packet tracer, and on destruction writes
-/// `metrics.jsonl`, `trace.jsonl`, and `timeseries.csv` into the directory.
+/// registry and on destruction writes `metrics.jsonl` and `timeseries.csv`
+/// into the directory.
 ///
 /// Two further flags are independent of `--telemetry-out`:
 ///   --trace-perfetto=<file>  arm the causal span recorder and write a
@@ -43,6 +43,8 @@ namespace sdr::bench {
 ///   --profile                arm the hot-loop profiler and print a
 ///                            wall-clock self-time table per subsystem
 ///                            category to stderr at destruction.
+/// Both cover the calling thread only: sweep trials run with private,
+/// disarmed recorders (src/sweep/sweep.hpp).
 ///
 /// Benches that drive a simulator can additionally sample a periodic time
 /// series via `TelemetrySession::attach_sampler(sim)`.
@@ -75,7 +77,6 @@ class TelemetrySession {
 
     active_ = true;
     telemetry::registry().enable();
-    telemetry::tracer().arm();
     sampler_ = std::make_unique<telemetry::Sampler>(telemetry::registry(),
                                                     period_s_);
     instance_ = this;
@@ -116,13 +117,10 @@ class TelemetrySession {
     // instances (which such a run leaves empty by design).
     write_file("metrics.jsonl", adopted_ ? sweep_metrics_jsonl_
                                          : telemetry::registry().to_jsonl());
-    write_file("trace.jsonl", adopted_ ? sweep_trace_jsonl_
-                                       : telemetry::tracer().to_jsonl());
     write_file("timeseries.csv",
                adopted_ ? sweep_timeseries_csv_ : sampler_->to_csv());
-    std::fprintf(stderr, "[telemetry] wrote metrics.jsonl, trace.jsonl, "
-                         "timeseries.csv to %s\n", out_dir_.c_str());
-    telemetry::tracer().disarm();
+    std::fprintf(stderr, "[telemetry] wrote metrics.jsonl, timeseries.csv "
+                         "to %s\n", out_dir_.c_str());
     telemetry::registry().disable();
   }
 
@@ -152,7 +150,6 @@ class TelemetrySession {
     if (!active_) return;
     adopted_ = true;
     sweep_metrics_jsonl_ += result.merged_metrics_jsonl();
-    sweep_trace_jsonl_ += result.merged_trace_jsonl();
     sweep_timeseries_csv_ += result.merged_timeseries_csv();
   }
 
@@ -178,7 +175,6 @@ class TelemetrySession {
   bool profile_{false};
   bool adopted_{false};
   std::string sweep_metrics_jsonl_;
-  std::string sweep_trace_jsonl_;
   std::string sweep_timeseries_csv_;
   std::unique_ptr<telemetry::Sampler> sampler_;
 };

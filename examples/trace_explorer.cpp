@@ -32,9 +32,9 @@ using namespace sdr;  // NOLINT — example code
 
 namespace {
 
-const char* annotate(telemetry::TraceEventType type) {
-  using T = telemetry::TraceEventType;
-  switch (type) {
+const char* annotate(telemetry::EventKind kind) {
+  using T = telemetry::EventKind;
+  switch (kind) {
     case T::kPosted: return "SDR posts the chunk to a data QP";
     case T::kCts: return "receiver clear-to-send arrives";
     case T::kTx: return "packet enters the lossy channel";
@@ -52,8 +52,8 @@ const char* annotate(telemetry::TraceEventType type) {
     case T::kEcRepair: return "EC decode repairs the submessage";
     case T::kEcFallback: return "EC falls back to retransmission";
     case T::kMsgComplete: return "message fully received";
+    default: return "";  // flight-recorder kinds never become span instants
   }
-  return "";
 }
 
 std::string span_label(const telemetry::Span& s) {
@@ -116,9 +116,9 @@ bool chunk_is_interesting(const telemetry::SpanRecorder& sp,
       ++attempts;
       if (s.outcome != telemetry::SpanOutcome::kComplete) return true;
     } else if (s.kind == telemetry::SpanKind::kInstant &&
-               (s.what == telemetry::TraceEventType::kRtoFired ||
-                s.what == telemetry::TraceEventType::kRetransmit ||
-                s.what == telemetry::TraceEventType::kNackSent)) {
+               (s.what == telemetry::EventKind::kRtoFired ||
+                s.what == telemetry::EventKind::kRetransmit ||
+                s.what == telemetry::EventKind::kNackSent)) {
       return true;
     }
   }
@@ -140,7 +140,7 @@ int main(int argc, char** argv) {
   telemetry::SpanRecorder span_rec;
   registry.enable();
   span_rec.arm();
-  telemetry::ScopedTelemetry scoped(&registry, nullptr, &span_rec);
+  telemetry::ScopedTelemetry scoped(&registry, &span_rec);
 
   sim::Simulator sim;
   sim::Channel::Config link;

@@ -287,14 +287,6 @@ std::string SeedReport::failure_text() const {
   return out;
 }
 
-const std::string& SeedReport::timeline() const {
-  static const std::string kEmpty;
-  for (const ArmResult& arm : arms) {
-    if (!arm.ok() && !arm.timeline.empty()) return arm.timeline;
-  }
-  return kEmpty;
-}
-
 std::uint64_t SeedReport::digest() const {
   std::uint64_t h = kFnvOffset;
   for (const ArmResult& arm : arms) {
@@ -352,8 +344,6 @@ SeedReport check_seed(std::uint64_t seed, const CheckOptions& opts,
   report.scenario = shrink_scenario(generate_scenario(seed), shrink_level);
 
   RunnerOptions ropts;
-  ropts.capture_trace = opts.capture_trace;
-  ropts.trace_capacity = opts.trace_capacity;
   ropts.capture_flight = opts.capture_flight;
   ropts.flight_capacity = opts.flight_capacity;
   ropts.capture_spans = opts.capture_spans;
@@ -415,7 +405,7 @@ BatchResult check_seeds(std::uint64_t base_seed, std::size_t count,
   sweep::SweepOptions sopts;
   sopts.jobs = jobs;
   sopts.base_seed = base_seed;
-  // The harness arms its own per-arm tracers; sweep-level capture would
+  // The harness arms its own per-arm recorders; sweep-level capture would
   // only add noise (and the jsonl must stay identical across jobs counts).
   sopts.capture_telemetry = false;
 

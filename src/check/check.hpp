@@ -37,8 +37,6 @@ struct CheckOptions {
   /// Compare SR completion time against the analytic model when the
   /// scenario falls inside the model's assumptions.
   bool model_oracle{true};
-  bool capture_trace{true};
-  std::size_t trace_capacity{1u << 13};
   /// Per-arm flight recorders (bounded rings of protocol state
   /// transitions); their JSON dump is written next to the seed repro line
   /// when an oracle fails.
@@ -66,8 +64,6 @@ struct SeedReport {
   bool ok() const;
   /// All failures, arm-prefixed, one per line; empty string when ok().
   std::string failure_text() const;
-  /// Rendered trace timeline of the first failing arm (empty when ok()).
-  const std::string& timeline() const;
   /// Order- and platform-stable digest of delivered bytes + completion
   /// times across arms; drives the serial-vs-parallel equivalence oracle.
   std::uint64_t digest() const;

@@ -166,43 +166,45 @@ reliability::LinkProfile profile_for(const Scenario& s) {
   return p;
 }
 
-std::string render_timeline(const std::vector<telemetry::TraceEvent>& events,
-                            std::size_t tail) {
-  std::string out;
-  const std::size_t begin = events.size() > tail ? events.size() - tail : 0;
-  if (begin > 0) {
-    out += "  ... (" + std::to_string(begin) + " earlier events)\n";
-  }
-  char buf[160];
-  for (std::size_t i = begin; i < events.size(); ++i) {
-    const telemetry::TraceEvent& e = events[i];
-    std::snprintf(buf, sizeof(buf), "  t=%.9f %-14s qp=%u", e.t.seconds(),
-                  telemetry::to_string(e.type), e.qp);
-    out += buf;
-    if (e.msg != telemetry::kNoMsg) out += " msg=" + std::to_string(e.msg);
-    if (e.chunk != telemetry::kNoChunk) {
-      out += " chunk=" + std::to_string(e.chunk);
+/// One arm's private instrumentation, installed for the arm's lifetime.
+/// The flight recorder is always armed (arming allocates nothing) so every
+/// instrumented hook reaches emit(), whose event-order check feeds the
+/// oracle in finish(); the span recorder is armed on request.
+class ArmTelemetry {
+ public:
+  ArmTelemetry(const RunnerOptions& opts, const std::string& arm)
+      : opts_(opts), scoped_(nullptr, &spans_, &flight_) {
+    flight_.arm(opts.flight_capacity);
+    if (opts.capture_spans) {
+      spans_.arm(opts.span_capacity);
+      spans_.track(arm);
     }
-    if (e.bytes != 0) out += " bytes=" + std::to_string(e.bytes);
-    out += "\n";
+    telemetry::event_order() = {};
   }
-  return out;
-}
 
-/// Shared post-run oracles on the trace: timestamps must never regress
-/// (ring order is emission order, which follows the simulator clock).
-void check_trace_monotone(const std::vector<telemetry::TraceEvent>& events,
-                          ArmResult& r) {
-  for (std::size_t i = 1; i < events.size(); ++i) {
-    if (events[i].t < events[i - 1].t) {
-      r.failures.push_back(
-          "trace timestamps regressed at event " + std::to_string(i) +
-          ": t=" + std::to_string(events[i].t.seconds()) + " after t=" +
-          std::to_string(events[i - 1].t.seconds()));
-      return;
+  /// Event-order oracle (hooks stamp events with the simulator clock, so
+  /// sim time never runs backwards between two of them), then the
+  /// requested postmortem captures.
+  void finish(ArmResult& r) {
+    const telemetry::EventOrder& order = telemetry::event_order();
+    if (order.regressions != 0) {
+      r.failures.push_back("event timestamps regressed " +
+                           std::to_string(order.regressions) +
+                           " time(s) in " + std::to_string(order.events) +
+                           " events");
+    }
+    if (opts_.capture_flight) r.flight_json = flight_.to_json();
+    if (opts_.capture_spans) {
+      spans_.append_chrome_events(r.chrome_events, opts_.span_pid_base);
     }
   }
-}
+
+ private:
+  const RunnerOptions& opts_;
+  telemetry::FlightRecorder flight_;
+  telemetry::SpanRecorder spans_;
+  telemetry::ScopedTelemetry scoped_;
+};
 
 void check_scripted_consumed(const Fabric& fabric, ArmResult& r) {
   if (fabric.scripted == nullptr) return;
@@ -360,19 +362,7 @@ ArmResult run_protocol_arm(const Scenario& s, const RunnerOptions& opts,
   r.name = ec ? "ec"
               : (s.sr_flavor == SrFlavor::kNack ? "sr_nack" : "sr_rto");
   const std::size_t pool_before = common::payload_pool().live_slots();
-  telemetry::Tracer trace;
-  if (opts.capture_trace) trace.arm(opts.trace_capacity);
-  telemetry::FlightRecorder flight;
-  if (opts.capture_flight) flight.arm(opts.flight_capacity);
-  telemetry::SpanRecorder span_rec;
-  if (opts.capture_spans) {
-    span_rec.arm(opts.span_capacity);
-    span_rec.track(r.name);
-  }
-  telemetry::ScopedTelemetry scoped(
-      nullptr, opts.capture_trace ? &trace : nullptr,
-      opts.capture_spans ? &span_rec : nullptr,
-      opts.capture_flight ? &flight : nullptr);
+  ArmTelemetry instruments(opts, r.name);
   {
     Fabric fabric(s, ec ? kEcArmSalt : kSrArmSalt);
     core::Context ctx_a(*fabric.a, core::DevAttr{});
@@ -498,15 +488,7 @@ ArmResult run_protocol_arm(const Scenario& s, const RunnerOptions& opts,
                          std::to_string(pool_before) + " live slots before, " +
                          std::to_string(pool_after) + " after");
   }
-  if (opts.capture_trace) {
-    const std::vector<telemetry::TraceEvent> events = trace.collect();
-    check_trace_monotone(events, r);
-    if (!r.ok()) r.timeline = render_timeline(events, opts.timeline_tail);
-  }
-  if (opts.capture_flight) r.flight_json = flight.to_json();
-  if (opts.capture_spans) {
-    span_rec.append_chrome_events(r.chrome_events, opts.span_pid_base);
-  }
+  instruments.finish(r);
   return r;
 }
 
@@ -535,19 +517,7 @@ ArmResult run_rc_arm(const Scenario& s, const RunnerOptions& opts) {
   ArmResult r;
   r.name = s.rc_go_back_n ? "rc_gbn" : "rc_sr";
   const std::size_t pool_before = common::payload_pool().live_slots();
-  telemetry::Tracer trace;
-  if (opts.capture_trace) trace.arm(opts.trace_capacity);
-  telemetry::FlightRecorder flight;
-  if (opts.capture_flight) flight.arm(opts.flight_capacity);
-  telemetry::SpanRecorder span_rec;
-  if (opts.capture_spans) {
-    span_rec.arm(opts.span_capacity);
-    span_rec.track(r.name);
-  }
-  telemetry::ScopedTelemetry scoped(
-      nullptr, opts.capture_trace ? &trace : nullptr,
-      opts.capture_spans ? &span_rec : nullptr,
-      opts.capture_flight ? &flight : nullptr);
+  ArmTelemetry instruments(opts, r.name);
   {
     Fabric fabric(s, kRcArmSalt);
     verbs::CompletionQueue tx_cq(1 << 12), rx_cq(1 << 12);
@@ -693,15 +663,7 @@ ArmResult run_rc_arm(const Scenario& s, const RunnerOptions& opts) {
                          std::to_string(pool_before) + " live slots before, " +
                          std::to_string(pool_after) + " after");
   }
-  if (opts.capture_trace) {
-    const std::vector<telemetry::TraceEvent> events = trace.collect();
-    check_trace_monotone(events, r);
-    if (!r.ok()) r.timeline = render_timeline(events, opts.timeline_tail);
-  }
-  if (opts.capture_flight) r.flight_json = flight.to_json();
-  if (opts.capture_spans) {
-    span_rec.append_chrome_events(r.chrome_events, opts.span_pid_base);
-  }
+  instruments.finish(r);
   return r;
 }
 

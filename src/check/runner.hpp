@@ -12,7 +12,7 @@
 //     (go-back-N or selective repeat) carrying the same bytes.
 //
 // Every arm checks its own per-run oracles (completion by deadline,
-// byte-exact delivery, pool/event leaks at teardown, trace monotonicity,
+// byte-exact delivery, pool/event leaks at teardown, event-time order,
 // scripted-drop consumption; the RC arm additionally checks CQE/ePSN
 // ordering) and returns the delivered bytes so check.cpp can run the
 // differential SR == EC == RC comparison.
@@ -27,15 +27,10 @@
 namespace sdr::check {
 
 struct RunnerOptions {
-  /// Arm a private per-arm tracer; the trace feeds the monotonicity oracle
-  /// and the failing-timeline rendering.
-  bool capture_trace{true};
-  std::size_t trace_capacity{1u << 13};
-  /// How many trailing trace events to render into ArmResult::timeline on
-  /// failure.
-  std::size_t timeline_tail{40};
-  /// Arm a private per-arm flight recorder; its JSON dump lands in
-  /// ArmResult::flight_json (postmortems next to the seed repro line).
+  /// Keep the per-arm flight recorder's JSON dump in
+  /// ArmResult::flight_json (postmortems next to the seed repro line). The
+  /// recorder itself is always armed: it keeps the event stream on for the
+  /// event-order oracle.
   bool capture_flight{false};
   std::size_t flight_capacity{128};
   /// Arm a private per-arm span recorder; the arm's Chrome trace events
@@ -56,8 +51,6 @@ struct ArmResult {
   /// Per-message completion times (sim seconds), -1 when never completed.
   std::vector<double> done_at_s;
   std::uint64_t retransmissions{0};
-  /// Rendered tail of the packet-lifecycle trace; filled on failure only.
-  std::string timeline;
   /// Flight-recorder JSON dump of this arm (capture_flight runs only).
   std::string flight_json;
   /// Chrome trace events of this arm (capture_spans runs only) — bare

@@ -107,10 +107,12 @@ Status EcSender::write(const std::uint8_t* data, std::size_t length,
   }
 
   ++stats_.messages;
-  if (telemetry::flight_recording()) {
-    telemetry::flight().record(telemetry::FlightLayer::kEc,
-                               qp_.control_qp_num(), "write", sim_.now(), base,
-                               length, L);
+  if (telemetry::observing()) {
+    // msg = base (first data submessage), a = bytes, b = submessages.
+    telemetry::emit({.t = sim_.now(), .kind = telemetry::EventKind::kWrite,
+                     .layer = telemetry::Layer::kEc,
+                     .conn = qp_.control_qp_num(), .msg = base, .a = length,
+                     .b = L});
   }
   messages_.emplace(base, std::move(msg));
   return Status::ok();
@@ -155,20 +157,14 @@ void EcSender::enter_fallback(MsgState& msg, std::uint64_t base,
   for (std::uint32_t sub : failed) {
     if (sub >= msg.submessages || msg.sub_done[sub]) continue;
     if (!msg.timers[sub].empty()) continue;  // already in fallback
-    if (telemetry::tracing()) {
-      telemetry::tracer().emit(sim_.now(),
-                               telemetry::TraceEventType::kEcFallback, 0,
-                               base, sub);
-    }
-    if (telemetry::spanning()) {
-      telemetry::spans().on_instant(sim_.now(),
-                                    telemetry::TraceEventType::kEcFallback,
-                                    base, sub);
-    }
-    if (telemetry::flight_recording()) {
-      telemetry::flight().record(telemetry::FlightLayer::kEc,
-                                 qp_.control_qp_num(), "enter_fallback",
-                                 sim_.now(), base, sub, config_.k);
+    if (telemetry::observing()) {
+      // a = submessage, b = k.
+      telemetry::emit({.t = sim_.now(),
+                       .kind = telemetry::EventKind::kEcFallback,
+                       .layer = telemetry::Layer::kEc,
+                       .conn = qp_.control_qp_num(), .msg = base,
+                       .chunk = static_cast<std::uint32_t>(sub), .a = sub,
+                       .b = config_.k});
     }
     msg.acked[sub].resize(config_.k);
     msg.timers[sub].assign(config_.k, sim::EventId{});
@@ -190,25 +186,15 @@ void EcSender::fallback_send(MsgState& msg, std::uint64_t base,
                            chunk_bytes_);
   if (retransmission) {
     ++stats_.fallback_retransmissions;
-    if (telemetry::tracing()) {
-      telemetry::tracer().emit(sim_.now(),
-                               telemetry::TraceEventType::kRetransmit, 0,
-                               msg.data_handles[sub]->msg_number(),
-                               static_cast<std::uint32_t>(chunk),
-                               telemetry::kNoImm, chunk_bytes_);
-    }
-    if (telemetry::spanning()) {
-      telemetry::spans().on_retransmit(sim_.now(),
-                                       msg.data_handles[sub]->msg_number(),
-                                       static_cast<std::uint32_t>(chunk),
-                                       chunk_bytes_);
-    }
-    if (telemetry::flight_recording()) {
-      telemetry::flight().record(telemetry::FlightLayer::kEc,
-                                 qp_.control_qp_num(), "retransmit",
-                                 sim_.now(),
-                                 msg.data_handles[sub]->msg_number(), sub,
-                                 chunk);
+    if (telemetry::observing()) {
+      // msg = the submessage's own, a = submessage, b = chunk.
+      telemetry::emit({.t = sim_.now(),
+                       .kind = telemetry::EventKind::kRetransmit,
+                       .layer = telemetry::Layer::kEc,
+                       .conn = qp_.control_qp_num(),
+                       .msg = msg.data_handles[sub]->msg_number(),
+                       .chunk = static_cast<std::uint32_t>(chunk),
+                       .bytes = chunk_bytes_, .a = sub, .b = chunk});
     }
   }
 }
@@ -277,11 +263,13 @@ void EcSender::finish(std::uint64_t base) {
   if (msg_completion_hist_.live() && msg.write_at_s >= 0.0) {
     msg_completion_hist_.record(sim_.now().seconds() - msg.write_at_s);
   }
-  if (telemetry::flight_recording()) {
-    telemetry::flight().record(telemetry::FlightLayer::kEc,
-                               qp_.control_qp_num(), "msg_done", sim_.now(),
-                               base, msg.submessages,
-                               stats_.fallback_retransmissions);
+  if (telemetry::observing()) {
+    // a = submessages, b = the sender's fallback retransmissions so far.
+    telemetry::emit({.t = sim_.now(), .kind = telemetry::EventKind::kMsgDone,
+                     .layer = telemetry::Layer::kEc,
+                     .conn = qp_.control_qp_num(), .msg = base,
+                     .a = msg.submessages,
+                     .b = stats_.fallback_retransmissions});
   }
   for (std::size_t s = 0; s < msg.submessages; ++s) {
     for (sim::EventId id : msg.timers[s]) {
@@ -465,11 +453,13 @@ void EcReceiver::on_chunk_event(const core::RecvEvent& event) {
     if (chunk_completion_hist_.live() && msg.posted_at_s >= 0.0) {
       chunk_completion_hist_.record(sim_.now().seconds() - msg.posted_at_s);
     }
-    if (telemetry::flight_recording()) {
-      telemetry::flight().record(telemetry::FlightLayer::kEc,
-                                 qp_.control_qp_num(), "sub_recovered",
-                                 sim_.now(), base, sub, msg.subs_recovered,
-                                 msg.submessages);
+    if (telemetry::observing()) {
+      // a = submessage, b = recovered so far, c = submessages.
+      telemetry::emit({.t = sim_.now(),
+                       .kind = telemetry::EventKind::kSubRecovered,
+                       .layer = telemetry::Layer::kEc,
+                       .conn = qp_.control_qp_num(), .msg = base, .a = sub,
+                       .b = msg.subs_recovered, .c = msg.submessages});
     }
     if (msg.fallback) {
       // Tell the sender to stop retransmitting this submessage.
@@ -531,21 +521,13 @@ bool EcReceiver::try_recover(MsgState& msg, std::size_t sub) {
     return false;
   }
   ++stats_.decoded_submessages;
-  if (telemetry::tracing()) {
-    telemetry::tracer().emit(sim_.now(), telemetry::TraceEventType::kEcRepair,
-                             0, msg.data_handles[sub]->msg_number(),
-                             static_cast<std::uint32_t>(sub));
-  }
-  if (telemetry::spanning()) {
-    telemetry::spans().on_instant(sim_.now(),
-                                  telemetry::TraceEventType::kEcRepair,
-                                  msg.data_handles[sub]->msg_number(),
-                                  static_cast<std::uint32_t>(sub));
-  }
-  if (telemetry::flight_recording()) {
-    telemetry::flight().record(telemetry::FlightLayer::kEc,
-                               qp_.control_qp_num(), "ec_repair", sim_.now(),
-                               msg.data_handles[sub]->msg_number(), sub);
+  if (telemetry::observing()) {
+    // msg = the submessage's own, a = submessage.
+    telemetry::emit({.t = sim_.now(), .kind = telemetry::EventKind::kEcRepair,
+                     .layer = telemetry::Layer::kEc,
+                     .conn = qp_.control_qp_num(),
+                     .msg = msg.data_handles[sub]->msg_number(),
+                     .chunk = static_cast<std::uint32_t>(sub), .a = sub});
   }
   return true;
 }
@@ -574,18 +556,14 @@ void EcReceiver::on_fto(std::uint64_t base) {
   MsgState& msg = it->second;
   if (msg.complete) return;
   ++stats_.ftos_fired;
-  if (telemetry::tracing()) {
-    telemetry::tracer().emit(sim_.now(), telemetry::TraceEventType::kRtoFired,
-                             0, base);
-  }
-  if (telemetry::spanning()) {
-    telemetry::spans().on_rto(sim_.now(), base, telemetry::kNoChunk);
-  }
-  if (telemetry::flight_recording()) {
-    telemetry::flight().record(telemetry::FlightLayer::kEc,
-                               qp_.control_qp_num(), "fto_fired", sim_.now(),
-                               base, msg.submessages - msg.subs_recovered,
-                               stats_.ftos_fired);
+  if (telemetry::observing()) {
+    // The receiver's fallback timeout. a = submessages still unrecovered,
+    // b = FTOs fired so far.
+    telemetry::emit({.t = sim_.now(), .kind = telemetry::EventKind::kRtoFired,
+                     .layer = telemetry::Layer::kEc,
+                     .conn = qp_.control_qp_num(), .msg = base,
+                     .a = msg.submessages - msg.subs_recovered,
+                     .b = stats_.ftos_fired});
   }
   const bool first_fire = !msg.fallback;
   msg.fallback = true;
@@ -678,11 +656,13 @@ void EcReceiver::complete(MsgState& msg, std::uint64_t base) {
   if (msg_completion_hist_.live() && msg.posted_at_s >= 0.0) {
     msg_completion_hist_.record(sim_.now().seconds() - msg.posted_at_s);
   }
-  if (telemetry::flight_recording()) {
-    telemetry::flight().record(telemetry::FlightLayer::kEc,
-                               qp_.control_qp_num(), "msg_complete",
-                               sim_.now(), base, msg.submessages,
-                               stats_.decoded_submessages);
+  if (telemetry::observing()) {
+    // a = submessages, b = submessages decoded from parity so far.
+    telemetry::emit({.t = sim_.now(),
+                     .kind = telemetry::EventKind::kMsgComplete,
+                     .layer = telemetry::Layer::kEc,
+                     .conn = qp_.control_qp_num(), .msg = base,
+                     .a = msg.submessages, .b = stats_.decoded_submessages});
   }
   if (msg.fto_timer.valid()) sim_.cancel(msg.fto_timer);
   if (msg.global_timer.valid()) sim_.cancel(msg.global_timer);

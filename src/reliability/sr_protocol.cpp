@@ -91,10 +91,12 @@ Status SrSender::write(const std::uint8_t* data, std::size_t length,
   msg.write_at_s = sim_.now().seconds();
   msg.done = std::move(done);
   ++stats_.messages;
-  if (telemetry::flight_recording()) {
-    telemetry::flight().record(telemetry::FlightLayer::kSr,
-                               qp_.control_qp_num(), "write", sim_.now(),
-                               msg_number, length, msg.chunks);
+  if (telemetry::observing()) {
+    // a = bytes, b = chunks.
+    telemetry::emit({.t = sim_.now(), .kind = telemetry::EventKind::kWrite,
+                     .layer = telemetry::Layer::kSr,
+                     .conn = qp_.control_qp_num(), .msg = msg_number,
+                     .a = length, .b = msg.chunks});
   }
 
   for (std::size_t c = 0; c < msg.chunks; ++c) {
@@ -118,26 +120,17 @@ void SrSender::send_chunk(MsgState& msg, std::size_t chunk,
                           bool retransmission) {
   const std::size_t offset = chunk * chunk_bytes_;
   const std::size_t len = std::min(chunk_bytes_, msg.length - offset);
-  if (retransmission && telemetry::tracing()) {
+  if (retransmission && telemetry::observing()) {
     // Before the injection: the re-post can traverse the channel in the
-    // same sim-time instant, and the timeline should read
-    // retransmit -> posted -> tx.
-    telemetry::tracer().emit(sim_.now(), telemetry::TraceEventType::kRetransmit,
-                             0, msg.handle->msg_number(),
-                             static_cast<std::uint32_t>(chunk),
-                             telemetry::kNoImm, len);
-  }
-  if (retransmission && telemetry::spanning()) {
-    // Also before injection, so the fresh attempt span inherits the pending
-    // drop/RTO cause and the flow arrow points at it.
-    telemetry::spans().on_retransmit(sim_.now(), msg.handle->msg_number(),
-                                     static_cast<std::uint32_t>(chunk), len);
-  }
-  if (retransmission && telemetry::flight_recording()) {
-    telemetry::flight().record(telemetry::FlightLayer::kSr,
-                               qp_.control_qp_num(), "retransmit", sim_.now(),
-                               msg.handle->msg_number(), chunk,
-                               msg.retries[chunk], len);
+    // same sim-time instant, and the fresh attempt span must inherit the
+    // pending drop/RTO cause. a = chunk, b = retries so far, c = bytes.
+    telemetry::emit({.t = sim_.now(),
+                     .kind = telemetry::EventKind::kRetransmit,
+                     .layer = telemetry::Layer::kSr,
+                     .conn = qp_.control_qp_num(),
+                     .msg = msg.handle->msg_number(),
+                     .chunk = static_cast<std::uint32_t>(chunk), .bytes = len,
+                     .a = chunk, .b = msg.retries[chunk], .c = len});
   }
   const Status s =
       qp_.send_stream_continue(msg.handle, msg.data + offset, offset, len);
@@ -173,21 +166,14 @@ void SrSender::arm_timer(std::uint64_t msg_number, std::size_t chunk) {
         if (mit == messages_.end()) return;
         MsgState& msg = mit->second;
         if (msg.acked.test(chunk)) return;
-        if (telemetry::tracing()) {
-          telemetry::tracer().emit(sim_.now(),
-                                   telemetry::TraceEventType::kRtoFired, 0,
-                                   msg_number,
-                                   static_cast<std::uint32_t>(chunk));
-        }
-        if (telemetry::spanning()) {
-          telemetry::spans().on_rto(sim_.now(), msg_number,
-                                    static_cast<std::uint32_t>(chunk));
-        }
-        if (telemetry::flight_recording()) {
-          telemetry::flight().record(
-              telemetry::FlightLayer::kSr, qp_.control_qp_num(), "rto_fired",
-              sim_.now(), msg_number, chunk, msg.retries[chunk],
-              static_cast<std::uint64_t>(current_rto_s() * 1e6));
+        if (telemetry::observing()) {
+          // a = chunk, b = retries so far, c = current RTO in microseconds.
+          telemetry::emit(
+              {.t = sim_.now(), .kind = telemetry::EventKind::kRtoFired,
+               .layer = telemetry::Layer::kSr, .conn = qp_.control_qp_num(),
+               .msg = msg_number, .chunk = static_cast<std::uint32_t>(chunk),
+               .a = chunk, .b = msg.retries[chunk],
+               .c = static_cast<std::uint64_t>(current_rto_s() * 1e6)});
         }
         send_chunk(msg, chunk, /*retransmission=*/true);
         arm_timer(msg_number, chunk);
@@ -205,11 +191,14 @@ void SrSender::on_control(const std::uint8_t* data, std::size_t length) {
     case ControlType::kSrAck:
       ++stats_.acks_received;
       apply_ack(it->second, msg);
-      if (telemetry::flight_recording()) {
-        telemetry::flight().record(telemetry::FlightLayer::kSr,
-                                   qp_.control_qp_num(), "ack_applied",
-                                   sim_.now(), msg.msg_number, msg.cumulative,
-                                   it->second.acked_count, it->second.chunks);
+      if (telemetry::observing()) {
+        // a = cumulative point, b = chunks acked, c = chunks.
+        telemetry::emit({.t = sim_.now(),
+                         .kind = telemetry::EventKind::kAckApplied,
+                         .layer = telemetry::Layer::kSr,
+                         .conn = qp_.control_qp_num(), .msg = msg.msg_number,
+                         .a = msg.cumulative, .b = it->second.acked_count,
+                         .c = it->second.chunks});
       }
       break;
     case ControlType::kSrNack: {
@@ -221,12 +210,14 @@ void SrSender::on_control(const std::uint8_t* data, std::size_t length) {
         send_chunk(state, chunk, /*retransmission=*/true);
         arm_timer(msg.msg_number, chunk);
       }
-      if (telemetry::flight_recording()) {
-        telemetry::flight().record(telemetry::FlightLayer::kSr,
-                                   qp_.control_qp_num(), "nack_applied",
-                                   sim_.now(), msg.msg_number,
-                                   msg.indices.size(),
-                                   msg.indices.empty() ? 0 : msg.indices[0]);
+      if (telemetry::observing()) {
+        // a = NACKed chunks, b = the first of them.
+        telemetry::emit({.t = sim_.now(),
+                         .kind = telemetry::EventKind::kNackApplied,
+                         .layer = telemetry::Layer::kSr,
+                         .conn = qp_.control_qp_num(), .msg = msg.msg_number,
+                         .a = msg.indices.size(),
+                         .b = msg.indices.empty() ? 0u : msg.indices[0]});
       }
       break;
     }
@@ -292,11 +283,12 @@ void SrSender::finish(std::uint64_t msg_number) {
   if (msg_completion_hist_.live() && msg.write_at_s >= 0.0) {
     msg_completion_hist_.record(sim_.now().seconds() - msg.write_at_s);
   }
-  if (telemetry::flight_recording()) {
-    telemetry::flight().record(telemetry::FlightLayer::kSr,
-                               qp_.control_qp_num(), "msg_done", sim_.now(),
-                               msg_number, msg.chunks,
-                               stats_.retransmissions);
+  if (telemetry::observing()) {
+    // a = chunks, b = the sender's retransmissions so far.
+    telemetry::emit({.t = sim_.now(), .kind = telemetry::EventKind::kMsgDone,
+                     .layer = telemetry::Layer::kSr,
+                     .conn = qp_.control_qp_num(), .msg = msg_number,
+                     .a = msg.chunks, .b = stats_.retransmissions});
   }
   qp_.send_stream_end(msg.handle);
   reap(msg.handle);
@@ -426,20 +418,13 @@ void SrReceiver::send_ack(MsgState& msg) {
   encode_control(ack, wire_scratch_);
   control_.send(wire_scratch_.data(), wire_scratch_.size());
   ++stats_.acks_sent;
-  if (telemetry::tracing()) {
-    telemetry::tracer().emit(sim_.now(), telemetry::TraceEventType::kAckSent,
-                             0, ack.msg_number, ack.cumulative);
-  }
-  if (telemetry::spanning()) {
-    telemetry::spans().on_instant(sim_.now(),
-                                  telemetry::TraceEventType::kAckSent,
-                                  ack.msg_number, ack.cumulative);
-  }
-  if (telemetry::flight_recording()) {
-    telemetry::flight().record(telemetry::FlightLayer::kSr,
-                               qp_.control_qp_num(), "ack_sent", sim_.now(),
-                               ack.msg_number, ack.cumulative,
-                               ack.selective.size());
+  if (telemetry::observing()) {
+    // a = cumulative point, b = selective words.
+    telemetry::emit({.t = sim_.now(), .kind = telemetry::EventKind::kAckSent,
+                     .layer = telemetry::Layer::kSr,
+                     .conn = qp_.control_qp_num(), .msg = ack.msg_number,
+                     .chunk = ack.cumulative, .a = ack.cumulative,
+                     .b = ack.selective.size()});
   }
 }
 
@@ -479,20 +464,13 @@ void SrReceiver::maybe_nack(MsgState& msg, std::size_t completed_chunk) {
   encode_control(nack, wire_scratch_);
   control_.send(wire_scratch_.data(), wire_scratch_.size());
   ++stats_.nacks_sent;
-  if (telemetry::tracing()) {
-    telemetry::tracer().emit(sim_.now(), telemetry::TraceEventType::kNackSent,
-                             0, nack.msg_number, nack.indices.front());
-  }
-  if (telemetry::spanning()) {
-    telemetry::spans().on_instant(sim_.now(),
-                                  telemetry::TraceEventType::kNackSent,
-                                  nack.msg_number, nack.indices.front());
-  }
-  if (telemetry::flight_recording()) {
-    telemetry::flight().record(telemetry::FlightLayer::kSr,
-                               qp_.control_qp_num(), "nack_sent", sim_.now(),
-                               nack.msg_number, nack.indices.size(),
-                               nack.indices.front());
+  if (telemetry::observing()) {
+    // a = NACKed chunks, b = the first of them.
+    telemetry::emit({.t = sim_.now(), .kind = telemetry::EventKind::kNackSent,
+                     .layer = telemetry::Layer::kSr,
+                     .conn = qp_.control_qp_num(), .msg = nack.msg_number,
+                     .chunk = nack.indices.front(), .a = nack.indices.size(),
+                     .b = nack.indices.front()});
   }
 }
 
@@ -517,14 +495,13 @@ void SrReceiver::complete(MsgState& msg, std::uint64_t msg_number) {
   encode_control(ack, wire_scratch_);
   control_.send(wire_scratch_.data(), wire_scratch_.size());
   ++stats_.acks_sent;
-  if (telemetry::tracing()) {
-    telemetry::tracer().emit(sim_.now(), telemetry::TraceEventType::kAckSent,
-                             0, msg_number, cumulative);
-  }
-  if (telemetry::flight_recording()) {
-    telemetry::flight().record(telemetry::FlightLayer::kSr,
-                               qp_.control_qp_num(), "msg_complete", sim_.now(),
-                               msg_number, msg.chunks);
+  if (telemetry::observing()) {
+    // Sent with the final ACK. a = chunks.
+    telemetry::emit({.t = sim_.now(),
+                     .kind = telemetry::EventKind::kMsgComplete,
+                     .layer = telemetry::Layer::kSr,
+                     .conn = qp_.control_qp_num(), .msg = msg_number,
+                     .a = msg.chunks});
   }
   for (std::size_t r = 1; r < config_.final_ack_repeats; ++r) {
     // The repeat rebuilds the (tiny, constant) final ACK into the scratch

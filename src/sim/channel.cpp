@@ -41,31 +41,18 @@ void Channel::register_metrics() {
   });
 }
 
-void Channel::trace_packet(telemetry::TraceEventType type,
-                           const Packet& packet) {
-  // The channel cannot decode the SDR immediate, so wire-level events carry
-  // the raw imm (and destination QP) for the trace join; non-verbs payloads
-  // trace with sentinel fields only.
-  std::uint32_t qp = 0;
+void Channel::emit_packet(telemetry::EventKind kind, const Packet& packet) {
+  // The channel cannot decode the SDR immediate, so wire events carry the
+  // raw imm for the span join. Only packets that carry one (SDR data
+  // writes/sends) set it: control datagrams and RC ACKs would alias imm 0.
   std::uint32_t imm = telemetry::kNoImm;
-  if (const auto* wire = std::get_if<verbs::WirePacket>(&packet.payload)) {
-    qp = wire->dst_qp;
+  if (const auto* wire = std::get_if<verbs::WirePacket>(&packet.payload);
+      wire != nullptr && verbs::carries_imm(wire->opcode)) {
     imm = wire->imm;
   }
-  telemetry::tracer().emit(sim_.now(), type, qp, telemetry::kNoMsg,
-                           telemetry::kNoChunk, imm, packet.bytes);
-}
-
-void Channel::span_packet(telemetry::TraceEventType type,
-                          const Packet& packet) {
-  // Span attempts are keyed by the wire immediate; only packets that carry
-  // one (SDR data writes/sends) can join — control datagrams and RC ACKs
-  // would alias imm 0 otherwise.
-  if (const auto* wire = std::get_if<verbs::WirePacket>(&packet.payload)) {
-    if (verbs::carries_imm(wire->opcode)) {
-      telemetry::spans().on_wire(sim_.now(), type, wire->imm);
-    }
-  }
+  telemetry::emit({.t = sim_.now(), .kind = kind,
+                   .layer = telemetry::Layer::kWire, .imm = imm,
+                   .bytes = packet.bytes});
 }
 
 std::size_t Channel::queue_backlog_bytes() const {
@@ -79,8 +66,8 @@ void Channel::send(Packet packet) {
   packet.id = next_packet_id_++;
   ++stats_.sent_packets;
   stats_.sent_bytes += packet.bytes;
-  if (telemetry::tracing()) {
-    trace_packet(telemetry::TraceEventType::kTx, packet);
+  if (telemetry::observing()) {
+    emit_packet(telemetry::EventKind::kTx, packet);
   }
 
   // Egress buffer: tail-drop when the serializer backlog would overflow
@@ -89,11 +76,8 @@ void Channel::send(Packet packet) {
       queue_backlog_bytes() + packet.bytes > config_.queue_capacity_bytes) {
     ++stats_.dropped_packets;
     ++stats_.queue_drops;
-    if (telemetry::tracing()) {
-      trace_packet(telemetry::TraceEventType::kQueueDrop, packet);
-    }
-    if (telemetry::spanning()) {
-      span_packet(telemetry::TraceEventType::kQueueDrop, packet);
+    if (telemetry::observing()) {
+      emit_packet(telemetry::EventKind::kQueueDrop, packet);
     }
     return;
   }
@@ -106,11 +90,8 @@ void Channel::send(Packet packet) {
 
   if (drop_model_->should_drop(rng_, packet.bytes)) {
     ++stats_.dropped_packets;
-    if (telemetry::tracing()) {
-      trace_packet(telemetry::TraceEventType::kDropped, packet);
-    }
-    if (telemetry::spanning()) {
-      span_packet(telemetry::TraceEventType::kDropped, packet);
+    if (telemetry::observing()) {
+      emit_packet(telemetry::EventKind::kDropped, packet);
     }
     return;  // the bits still occupied the wire; they just never arrive
   }
@@ -121,8 +102,8 @@ void Channel::send(Packet packet) {
       rng_.bernoulli(config_.reorder_probability)) {
     reordered = true;
     ++stats_.reordered_packets;
-    if (telemetry::tracing()) {
-      trace_packet(telemetry::TraceEventType::kReordered, packet);
+    if (telemetry::observing()) {
+      emit_packet(telemetry::EventKind::kReordered, packet);
     }
     arrival += SimTime::from_seconds(config_.reorder_extra_delay_s);
   }
@@ -136,8 +117,8 @@ void Channel::send(Packet packet) {
   const std::uint32_t slot = acquire_slot(std::move(packet));
   if (duplicate) {
     ++stats_.duplicated_packets;
-    if (telemetry::tracing()) {
-      trace_packet(telemetry::TraceEventType::kDuplicated, pool_[slot].pkt);
+    if (telemetry::observing()) {
+      emit_packet(telemetry::EventKind::kDuplicated, pool_[slot].pkt);
     }
     const std::uint32_t copy = acquire_slot_copy(slot);
     sim_.schedule_at(arrival + propagation_,
@@ -242,11 +223,8 @@ void Channel::deliver_slot(std::uint32_t slot) {
   // the callback may send on this channel again (protocol loops), which
   // can grow the pool and would invalidate any reference into it.
   Packet packet = std::move(pool_[slot].pkt);
-  if (telemetry::tracing()) {
-    trace_packet(telemetry::TraceEventType::kDelivered, packet);
-  }
-  if (telemetry::spanning()) {
-    span_packet(telemetry::TraceEventType::kDelivered, packet);
+  if (telemetry::observing()) {
+    emit_packet(telemetry::EventKind::kDelivered, packet);
   }
   pool_[slot].next_free = free_head_;
   free_head_ = slot;

@@ -167,26 +167,28 @@ struct TrialRunner {
         rec.param_cells.push_back(csv_escape(to_string(point.at(i).second)));
       }
 
-      // Private telemetry, installed thread-locally for the duration of the
-      // trial body. Even with capture off the installation matters: it
-      // guarantees nothing the trial does can reach a registry/tracer
-      // shared with a concurrent trial.
+      // Private telemetry in every slot, installed thread-locally for the
+      // duration of the trial body. Even with capture off the installation
+      // matters: a null slot would resolve to the process-wide default, so
+      // concurrent trials would all write one unsynchronised recorder.
       telemetry::Registry registry;
-      telemetry::Tracer tracer;
+      telemetry::SpanRecorder spans;
+      telemetry::FlightRecorder flight;
+      telemetry::Profiler profiler;
       std::unique_ptr<telemetry::Sampler> sampler;
       if (options.capture_telemetry) {
         registry.enable();
-        tracer.arm(options.trace_capacity);
         sampler = std::make_unique<telemetry::Sampler>(
             registry, options.sample_period_s);
       }
 
       const auto begin = std::chrono::steady_clock::now();
       {
-        telemetry::ScopedTelemetry scoped(&registry, &tracer);
+        telemetry::ScopedTelemetry scoped(&registry, &spans, &flight,
+                                          &profiler);
         Trial trial(index, std::move(point),
                     derive_seed(options.base_seed, index), attempt, &rec,
-                    &registry, &tracer, sampler.get());
+                    &registry, sampler.get());
         try {
           fn(trial);
           rec.ok = true;
@@ -201,7 +203,6 @@ struct TrialRunner {
                        .count();
       if (rec.ok && options.capture_telemetry) {
         rec.metrics_jsonl = registry.to_jsonl();
-        rec.trace_jsonl = tracer.to_jsonl();
         rec.timeseries_csv = sampler->to_csv();
       }
       if (!rec.ok) {
@@ -384,14 +385,6 @@ std::string SweepResult::merged_metrics_jsonl() const {
   std::string out;
   for (const TrialRecord& t : trials) {
     append_labeled_jsonl(out, t.metrics_jsonl, t.index);
-  }
-  return out;
-}
-
-std::string SweepResult::merged_trace_jsonl() const {
-  std::string out;
-  for (const TrialRecord& t : trials) {
-    append_labeled_jsonl(out, t.trace_jsonl, t.index);
   }
   return out;
 }

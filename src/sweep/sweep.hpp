@@ -8,11 +8,12 @@
 //
 // It holds because a trial's observable behaviour depends only on
 // (params, seed) — the seed is derive_seed(base_seed, index), never a
-// function of which worker ran it or when — and because each trial gets a
-// fully private telemetry Registry+Tracer (installed thread-locally via
-// ScopedTelemetry) so no shared-global state can cross-wire concurrent
-// trials. The aggregator then emits JSONL/CSV strictly in trial-index
-// order, i.e. exactly the order the old serial bench loops printed.
+// function of which worker ran it or when — and because each trial gets
+// fully private telemetry — a Registry, span and flight recorders and a
+// profiler, installed thread-locally via ScopedTelemetry — so no
+// shared-global state can cross-wire concurrent trials. The aggregator
+// then emits JSONL/CSV strictly in trial-index order, i.e. exactly the
+// order the old serial bench loops printed.
 //
 // Failure isolation: a throwing trial is caught, recorded, and retried
 // once (configurable); it never takes down the pool or the other trials.
@@ -55,13 +56,14 @@ struct SweepOptions {
   /// with identical params/seed.
   int max_attempts{2};
 
-  /// When true every trial gets an *enabled* private Registry and an armed
-  /// private Tracer whose exports are captured into its TrialRecord (and a
-  /// per-trial Sampler reachable via Trial::attach_sampler). When false the
-  /// private instances are still installed — isolating the trial from any
-  /// process-wide telemetry — but stay disabled: the zero-overhead path.
+  /// When true every trial gets an *enabled* private Registry whose exports
+  /// are captured into its TrialRecord (and a per-trial Sampler reachable
+  /// via Trial::attach_sampler). When false the private Registry is still
+  /// installed — isolating the trial from any process-wide telemetry — but
+  /// stays disabled: the zero-overhead path. The trial's span recorder,
+  /// flight recorder and profiler are private and never armed either way,
+  /// so a process-wide --trace-perfetto or --profile sees no trial work.
   bool capture_telemetry{false};
-  std::size_t trace_capacity{1u << 16};
   double sample_period_s{1e-3};
 };
 
@@ -92,11 +94,10 @@ class Trial {
   void record(const std::string& key, const char* value);
   void record_flag(const std::string& key, bool value);
 
-  /// This trial's private telemetry (enabled/armed only when the sweep ran
-  /// with capture_telemetry). The same instances are what
-  /// telemetry::registry()/tracer() resolve to inside the trial.
+  /// This trial's private registry (enabled only when the sweep ran with
+  /// capture_telemetry). The same instance is what telemetry::registry()
+  /// resolves to inside the trial.
   telemetry::Registry& registry() { return *registry_; }
-  telemetry::Tracer& tracer() { return *tracer_; }
 
   /// Attach this trial's periodic sampler to a simulator (no-op unless
   /// capturing). Mirrors bench TelemetrySession::attach.
@@ -109,14 +110,13 @@ class Trial {
   friend struct TrialRunner;
   Trial(std::size_t index, ParamPoint params, std::uint64_t seed, int attempt,
         TrialRecord* record, telemetry::Registry* registry,
-        telemetry::Tracer* tracer, telemetry::Sampler* sampler)
+        telemetry::Sampler* sampler)
       : index_(index),
         params_(std::move(params)),
         seed_(seed),
         attempt_(attempt),
         record_(record),
         registry_(registry),
-        tracer_(tracer),
         sampler_(sampler) {}
 
   std::size_t index_;
@@ -125,7 +125,6 @@ class Trial {
   int attempt_;
   TrialRecord* record_;
   telemetry::Registry* registry_;
-  telemetry::Tracer* tracer_;
   telemetry::Sampler* sampler_;
 };
 
@@ -158,7 +157,6 @@ struct TrialRecord {
 
   /// Captured per-trial telemetry exports (capture_telemetry only).
   std::string metrics_jsonl;
-  std::string trace_jsonl;
   std::string timeseries_csv;
 
   const Value* find(const std::string& key) const {
@@ -198,7 +196,6 @@ struct SweepResult {
   /// Per-trial telemetry exports merged in index order; every line gains a
   /// leading "trial":i field (JSONL) or a "# trial i" section header (CSV).
   std::string merged_metrics_jsonl() const;
-  std::string merged_trace_jsonl() const;
   std::string merged_timeseries_csv() const;
 };
 

@@ -5,10 +5,6 @@
 
 namespace sdr::telemetry {
 
-namespace detail {
-thread_local constinit bool g_flight_on = false;
-}  // namespace detail
-
 namespace {
 
 FlightRecorder& default_flight() {
@@ -20,46 +16,26 @@ thread_local FlightRecorder* t_flight = nullptr;
 
 }  // namespace
 
-const char* to_string(FlightLayer layer) {
-  switch (layer) {
-    case FlightLayer::kSr: return "sr";
-    case FlightLayer::kEc: return "ec";
-    case FlightLayer::kRc: return "rc";
-    case FlightLayer::kSdr: return "sdr";
-  }
-  return "unknown";
-}
-
 void FlightRecorder::arm(std::size_t per_conn_capacity) {
   per_conn_ = per_conn_capacity == 0 ? 1 : per_conn_capacity;
   rings_.clear();
   armed_ = true;
-  if (this == &flight()) detail::g_flight_on = true;
+  detail::resync_observing();
 }
 
 void FlightRecorder::disarm() {
   armed_ = false;
   rings_.clear();
-  if (this == &flight()) detail::g_flight_on = false;
+  detail::resync_observing();
 }
 
 void FlightRecorder::clear() { rings_.clear(); }
 
-void FlightRecorder::record(FlightLayer layer, std::uint64_t conn,
-                            const char* what, SimTime t, std::uint64_t msg,
-                            std::uint64_t a, std::uint64_t b,
-                            std::uint64_t c) {
-  if (!armed_) return;
-  Ring& ring = rings_[conn];
+void FlightRecorder::consume(const Event& e) {
+  if (!armed_ || e.layer == Layer::kWire || e.layer == Layer::kSdr) return;
+  Ring& ring = rings_[Key{e.layer, e.conn}];
   if (ring.buf.empty()) ring.buf.resize(per_conn_);
-  FlightRecord& r = ring.buf[ring.head];
-  r.t = t;
-  r.layer = layer;
-  r.what = what;
-  r.msg = msg;
-  r.a = a;
-  r.b = b;
-  r.c = c;
+  ring.buf[ring.head] = e;
   ring.head = ring.head + 1 == ring.buf.size() ? 0 : ring.head + 1;
   if (ring.size < ring.buf.size()) {
     ++ring.size;
@@ -68,9 +44,10 @@ void FlightRecorder::record(FlightLayer layer, std::uint64_t conn,
   }
 }
 
-std::vector<FlightRecord> FlightRecorder::history(std::uint64_t conn) const {
-  std::vector<FlightRecord> out;
-  const auto it = rings_.find(conn);
+std::vector<Event> FlightRecorder::history(Layer layer,
+                                           std::uint64_t conn) const {
+  std::vector<Event> out;
+  const auto it = rings_.find(Key{layer, conn});
   if (it == rings_.end()) return out;
   const Ring& ring = it->second;
   out.reserve(ring.size);
@@ -89,26 +66,26 @@ std::string FlightRecorder::to_json() const {
   out.append("{\"connections\":[");
   char buf[256];
   bool first_conn = true;
-  for (const auto& [conn, ring] : rings_) {
+  for (const auto& [key, ring] : rings_) {
     if (!first_conn) out.push_back(',');
     first_conn = false;
     int n = std::snprintf(buf, sizeof(buf),
-                          "{\"conn\":%" PRIu64 ",\"overwritten\":%" PRIu64
-                          ",\"records\":[",
-                          conn, ring.overwritten);
+                          "{\"layer\":\"%s\",\"conn\":%" PRIu64
+                          ",\"overwritten\":%" PRIu64 ",\"records\":[",
+                          to_string(key.first), key.second, ring.overwritten);
     out.append(buf, static_cast<std::size_t>(n));
     const std::size_t start =
         ring.size == ring.buf.size() ? ring.head : 0;
     for (std::size_t i = 0; i < ring.size; ++i) {
       std::size_t idx = start + i;
       if (idx >= ring.buf.size()) idx -= ring.buf.size();
-      const FlightRecord& r = ring.buf[idx];
+      const Event& r = ring.buf[idx];
       n = std::snprintf(buf, sizeof(buf),
-                        "%s{\"t_s\":%.9f,\"layer\":\"%s\",\"what\":\"%s\","
+                        "%s{\"t_s\":%.9f,\"what\":\"%s\","
                         "\"msg\":%" PRIu64 ",\"a\":%" PRIu64 ",\"b\":%" PRIu64
                         ",\"c\":%" PRIu64 "}",
-                        i == 0 ? "" : ",", r.t.seconds(), to_string(r.layer),
-                        r.what, r.msg, r.a, r.b, r.c);
+                        i == 0 ? "" : ",", r.t.seconds(), to_string(r.kind),
+                        r.msg, r.a, r.b, r.c);
       out.append(buf, static_cast<std::size_t>(n));
     }
     out.append("]}");
@@ -124,7 +101,7 @@ FlightRecorder& flight() {
 FlightRecorder* set_thread_flight(FlightRecorder* f) {
   FlightRecorder* prev = t_flight;
   t_flight = f;
-  detail::g_flight_on = flight().armed();
+  detail::resync_observing();
   return prev;
 }
 

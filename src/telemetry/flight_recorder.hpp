@@ -4,50 +4,27 @@
 // When an sdrcheck oracle fails, the seed repro line says *which* run broke;
 // the flight recorder says *what the protocol was doing* right before: SR
 // window fill and RTO decisions, EC repair/fallback state, RC ePSN motion.
-// Each connection (keyed by its control/transport QP number) keeps a bounded
-// ring of tagged records — old transitions are overwritten, so a dump is
-// always "the last N things each connection did", which is exactly the
-// postmortem view.
+// It consumes the event stream (event.hpp) of the reliability layers —
+// sr, ec, rc — and keeps one bounded ring per (layer, conn), conn being the
+// layer's control/transport QP number. Old transitions are overwritten, so
+// a dump is always "the last N things each connection did", which is
+// exactly the postmortem view. Wire and SDR-core events are per packet and
+// stay out of the rings (they would flush a connection's history within one
+// message); the span tree has them.
 //
-// Records are PODs with a static-string tag and three generic operand
-// slots; per-tag operand meaning is documented at the record sites and in
-// DESIGN.md §4f. Same zero-overhead-when-disabled contract as the tracer:
-// `flight_recording()` is a plain thread-local bool load, and record sites
-// are guarded by it, so the disarmed recorder costs one never-taken branch
-// and zero allocations.
+// A record's tag is to_string(kind); its three operands a/b/c are
+// documented per kind at the hooks and in DESIGN.md §4f.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "common/time.hpp"
+#include "telemetry/event.hpp"
 
 namespace sdr::telemetry {
-
-namespace detail {
-// Mirrors the *current thread's* flight-recorder armed state. constinit
-// (here and on the other fast flags) keeps cross-TU reads a bare TLS load:
-// without it the compiler must route every access through the dynamic-init
-// guard, which costs a branch per guard check and miscompiles under
-// -fsanitize=null on GCC 12 (stale-flags branch into the null trap).
-extern thread_local constinit bool g_flight_on;
-}  // namespace detail
-
-enum class FlightLayer : std::uint8_t { kSr, kEc, kRc, kSdr };
-
-const char* to_string(FlightLayer layer);
-
-struct FlightRecord {
-  SimTime t{};
-  FlightLayer layer{FlightLayer::kSr};
-  const char* what{""};  // static string literal at the record site
-  std::uint64_t msg{0};
-  std::uint64_t a{0};
-  std::uint64_t b{0};
-  std::uint64_t c{0};
-};
 
 class FlightRecorder {
  public:
@@ -55,46 +32,44 @@ class FlightRecorder {
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  /// Starts accepting records; each connection's ring holds the last
+  /// Starts accepting events; each connection's ring holds the last
   /// `per_conn_capacity` transitions (ring storage is allocated lazily on a
-  /// connection's first record — arming itself allocates nothing).
+  /// connection's first event — arming itself allocates nothing).
   void arm(std::size_t per_conn_capacity = 128);
   void disarm();
   bool armed() const { return armed_; }
   void clear();
 
-  void record(FlightLayer layer, std::uint64_t conn, const char* what,
-              SimTime t, std::uint64_t msg, std::uint64_t a = 0,
-              std::uint64_t b = 0, std::uint64_t c = 0);
+  /// Records `e` when armed and `e` comes from a reliability layer.
+  void consume(const Event& e);
 
   std::size_t connections() const { return rings_.size(); }
   std::size_t per_conn_capacity() const { return per_conn_; }
-  /// A connection's surviving records, oldest first.
-  std::vector<FlightRecord> history(std::uint64_t conn) const;
+  /// A connection's surviving events, oldest first.
+  std::vector<Event> history(Layer layer, std::uint64_t conn) const;
 
-  /// {"connections":[{"conn":N,"overwritten":K,"records":[...]}]} with
-  /// connections in ascending id order (deterministic dumps).
+  /// {"connections":[{"layer":"sr","conn":N,"overwritten":K,"records":[
+  /// {"t_s":..,"what":..,"msg":..,"a":..,"b":..,"c":..}]}]} with connections
+  /// in ascending (layer, conn) order (deterministic dumps).
   std::string to_json() const;
 
  private:
   struct Ring {
-    std::vector<FlightRecord> buf;
+    std::vector<Event> buf;
     std::size_t head{0};  // next write position
     std::size_t size{0};
     std::uint64_t overwritten{0};
   };
+  using Key = std::pair<Layer, std::uint64_t>;
 
   bool armed_{false};
   std::size_t per_conn_{128};
-  std::map<std::uint64_t, Ring> rings_;  // ordered: deterministic JSON
+  std::map<Key, Ring> rings_;  // ordered: deterministic JSON
 };
 
 /// The calling thread's current flight recorder (set_thread_flight override
 /// or the process-wide default).
 FlightRecorder& flight();
 FlightRecorder* set_thread_flight(FlightRecorder* f);
-
-/// True when this thread's flight recorder accepts records; one branch.
-inline bool flight_recording() { return detail::g_flight_on; }
 
 }  // namespace sdr::telemetry

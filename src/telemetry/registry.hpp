@@ -23,11 +23,11 @@
 //
 // Threading: the registry serves the single-threaded simulator path (like
 // the rest of the sim stack); the threaded DPA engine keeps its own atomics.
-// The "global" accessors registry()/tracer() are per *thread*: each thread
-// resolves them to its own installed instance (set_thread_registry /
-// ScopedTelemetry), falling back to the process-wide default. The sweep
-// engine installs one private Registry+Tracer per trial, so parallel trials
-// never share telemetry state and registration/freeze need no locks.
+// The "global" accessor registry() is per *thread*: each thread resolves it
+// to its own installed instance (set_thread_registry / ScopedTelemetry),
+// falling back to the process-wide default. The sweep engine installs
+// private telemetry instances per trial, so parallel trials never share
+// telemetry state and registration/freeze need no locks.
 #pragma once
 
 #include <cstdint>

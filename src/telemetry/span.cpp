@@ -9,10 +9,6 @@
 
 namespace sdr::telemetry {
 
-namespace detail {
-thread_local constinit bool g_spans_on = false;
-}  // namespace detail
-
 namespace {
 
 SpanRecorder& default_spans() {
@@ -57,7 +53,7 @@ void SpanRecorder::arm(std::size_t capacity) {
   open_chunks_.clear();
   open_attempts_.clear();
   armed_ = true;
-  if (this == &spans()) detail::g_spans_on = true;
+  detail::resync_observing();
   SDR_INFO("span recorder armed (pool capacity %zu spans)", capacity);
 }
 
@@ -74,7 +70,7 @@ void SpanRecorder::disarm() {
   open_msgs_.clear();
   open_chunks_.clear();
   open_attempts_.clear();
-  if (this == &spans()) detail::g_spans_on = false;
+  detail::resync_observing();
 }
 
 void SpanRecorder::clear() {
@@ -149,10 +145,57 @@ void SpanRecorder::close(SpanIndex i, SimTime t, SpanOutcome outcome) {
   s.outcome = outcome;
 }
 
+void SpanRecorder::consume(const Event& e) {
+  if (!armed_) return;
+  switch (e.kind) {
+    case EventKind::kPosted:
+      on_posted(e.t, e.qp, e.msg, e.chunk, static_cast<std::uint32_t>(e.a),
+                e.imm, e.bytes);
+      return;
+    case EventKind::kDelivered:
+    case EventKind::kDropped:
+    case EventKind::kQueueDrop:
+      // Attempts are keyed by the wire immediate; packets without one
+      // (control datagrams, RC ACKs) would alias imm 0.
+      if (e.imm != kNoImm) on_wire(e.t, e.kind, e.imm);
+      return;
+    case EventKind::kBitmapUpdate:
+      if (e.msg != kNoMsg) on_chunk_done(e.t, e.msg, e.chunk);
+      return;
+    case EventKind::kMsgComplete:
+      // Only the SDR core's completion closes a message span; the
+      // reliability layers' msg_complete is their own bookkeeping (EC
+      // keys it by the base of a multi-message block).
+      if (e.layer == Layer::kSdr && e.msg != kNoMsg) {
+        on_msg_complete(e.t, e.msg);
+      }
+      return;
+    case EventKind::kRtoFired:
+    case EventKind::kRetransmit:
+      // RC transport decisions have no SDR message: root instants.
+      if (e.msg == kNoMsg) {
+        on_instant(e.t, e.kind, e.msg, e.chunk);
+      } else if (e.kind == EventKind::kRtoFired) {
+        on_rto(e.t, e.msg, e.chunk);
+      } else {
+        on_retransmit(e.t, e.msg, e.chunk, e.bytes);
+      }
+      return;
+    case EventKind::kCts:
+    case EventKind::kAckSent:
+    case EventKind::kNackSent:
+    case EventKind::kEcRepair:
+    case EventKind::kEcFallback:
+      on_instant(e.t, e.kind, e.msg, e.chunk);
+      return;
+    default:
+      return;
+  }
+}
+
 void SpanRecorder::on_posted(SimTime t, std::uint32_t qp, std::uint64_t msg,
                              std::uint32_t chunk, std::uint32_t packet,
                              std::uint32_t imm, std::uint64_t bytes) {
-  if (!armed_) return;
   last_t_ = t;
   ensure_message(t, msg, qp);
   OpenChunk* oc = ensure_chunk(t, msg, chunk);
@@ -178,22 +221,21 @@ void SpanRecorder::on_posted(SimTime t, std::uint32_t qp, std::uint64_t msg,
   open_attempts_.emplace(imm, i);
 }
 
-void SpanRecorder::on_wire(SimTime t, TraceEventType type, std::uint32_t imm) {
-  if (!armed_) return;
+void SpanRecorder::on_wire(SimTime t, EventKind kind, std::uint32_t imm) {
   last_t_ = t;
   const auto it = open_attempts_.find(imm);
   if (it == open_attempts_.end()) return;  // duplicate copy / unknown packet
   const SpanIndex i = it->second;
   Span& s = pool_[i];
-  s.what = type;
-  switch (type) {
-    case TraceEventType::kDelivered:
+  s.what = kind;
+  switch (kind) {
+    case EventKind::kDelivered:
       close(i, t, SpanOutcome::kComplete);
       break;
-    case TraceEventType::kDropped:
+    case EventKind::kDropped:
       close(i, t, SpanOutcome::kDropped);
       break;
-    case TraceEventType::kQueueDrop:
+    case EventKind::kQueueDrop:
       close(i, t, SpanOutcome::kQueueDrop);
       break;
     default:
@@ -212,7 +254,6 @@ void SpanRecorder::on_wire(SimTime t, TraceEventType type, std::uint32_t imm) {
 
 void SpanRecorder::on_chunk_done(SimTime t, std::uint64_t msg,
                                  std::uint32_t chunk) {
-  if (!armed_) return;
   last_t_ = t;
   const auto it = open_chunks_.find(ChunkKey{msg, chunk});
   if (it == open_chunks_.end()) return;
@@ -221,7 +262,6 @@ void SpanRecorder::on_chunk_done(SimTime t, std::uint64_t msg,
 }
 
 void SpanRecorder::on_msg_complete(SimTime t, std::uint64_t msg) {
-  if (!armed_) return;
   last_t_ = t;
   const auto it = open_msgs_.find(msg);
   if (it == open_msgs_.end()) return;
@@ -239,14 +279,13 @@ void SpanRecorder::on_msg_complete(SimTime t, std::uint64_t msg) {
 }
 
 void SpanRecorder::on_rto(SimTime t, std::uint64_t msg, std::uint32_t chunk) {
-  if (!armed_) return;
   last_t_ = t;
   OpenChunk* oc =
       chunk != kNoChunk ? ensure_chunk(t, msg, chunk) : nullptr;
   const SpanIndex i = alloc(t, SpanKind::kInstant);
   if (i == kNoSpan) return;
   Span& s = pool_[i];
-  s.what = TraceEventType::kRtoFired;
+  s.what = EventKind::kRtoFired;
   s.msg = msg;
   s.chunk = chunk;
   if (oc != nullptr) {
@@ -260,13 +299,12 @@ void SpanRecorder::on_rto(SimTime t, std::uint64_t msg, std::uint32_t chunk) {
 
 void SpanRecorder::on_retransmit(SimTime t, std::uint64_t msg,
                                  std::uint32_t chunk, std::uint64_t bytes) {
-  if (!armed_) return;
   last_t_ = t;
   OpenChunk* oc = ensure_chunk(t, msg, chunk);
   const SpanIndex i = alloc(t, SpanKind::kInstant);
   if (i == kNoSpan) return;
   Span& s = pool_[i];
-  s.what = TraceEventType::kRetransmit;
+  s.what = EventKind::kRetransmit;
   s.msg = msg;
   s.chunk = chunk;
   s.bytes = bytes;
@@ -277,9 +315,8 @@ void SpanRecorder::on_retransmit(SimTime t, std::uint64_t msg,
   }
 }
 
-void SpanRecorder::on_instant(SimTime t, TraceEventType what,
+void SpanRecorder::on_instant(SimTime t, EventKind what,
                               std::uint64_t msg, std::uint32_t chunk) {
-  if (!armed_) return;
   last_t_ = t;
   const SpanIndex i = alloc(t, SpanKind::kInstant);
   if (i == kNoSpan) return;
@@ -464,7 +501,7 @@ SpanRecorder& spans() {
 SpanRecorder* set_thread_spans(SpanRecorder* s) {
   SpanRecorder* prev = t_spans;
   t_spans = s;
-  detail::g_spans_on = spans().armed();
+  detail::resync_observing();
   return prev;
 }
 

@@ -1,20 +1,17 @@
-// Causal span recorder: the tracer's flat event stream turned into a
+// Causal span recorder: the event stream (event.hpp) turned into a
 // message -> chunk -> packet-attempt tree with cause links.
 //
-// The tracer (trace.hpp) answers "what happened"; spans answer "why was this
-// message slow". Each message owns one span per chunk, each chunk owns one
-// span per wire attempt (original injection and every retransmission), and
-// instant spans mark the protocol decisions in between (rto_fired, ack_sent,
-// ec_repair, ...). Cause links chain a chunk's recovery story:
+// Spans answer "why was this message slow". Each message owns one span per
+// chunk, each chunk owns one span per wire attempt (original injection and
+// every retransmission), and instant spans mark the protocol decisions in
+// between (rto_fired, ack_sent, ec_repair, ...). Cause links chain a chunk's
+// recovery story:
 //
 //   attempt#0 --dropped--> rto_fired --> retransmit --> attempt#1 (delivered)
 //
 // which is exactly the p99.9 outlier loop in Figs 10/13. The recorder is fed
-// from the same emit sites as the tracer via typed hooks (on_posted /
-// on_wire / on_rto / ...) guarded by `telemetry::spanning()` — a plain
-// thread-local bool load, so a disarmed recorder costs one never-taken
-// branch per site and zero allocations, the same contract as the registry
-// and tracer.
+// by telemetry::emit through consume(); a disarmed recorder costs nothing
+// beyond the hooks' shared observing() branch.
 //
 // Spans live in a bounded pool preallocated at arm(); when it fills, new
 // spans are counted as truncated and dropped (existing spans keep closing).
@@ -30,15 +27,9 @@
 #include <vector>
 
 #include "common/time.hpp"
-#include "telemetry/trace.hpp"
+#include "telemetry/event.hpp"
 
 namespace sdr::telemetry {
-
-namespace detail {
-// Mirrors the *current thread's* span-recorder armed state (kept in sync by
-// SpanRecorder::arm/disarm and set_thread_spans).
-extern thread_local constinit bool g_spans_on;
-}  // namespace detail
 
 using SpanIndex = std::uint32_t;
 inline constexpr SpanIndex kNoSpan = 0xFFFFFFFFu;
@@ -67,7 +58,7 @@ struct Span {
   SimTime end{};
   SpanKind kind{SpanKind::kMessage};
   SpanOutcome outcome{SpanOutcome::kOpen};
-  TraceEventType what{TraceEventType::kPosted};  // instants: which decision
+  EventKind what{EventKind::kPosted};  // instants: which decision
   std::uint16_t track{0};
   std::uint32_t qp{0};
   std::uint64_t msg{kNoMsg};
@@ -86,9 +77,9 @@ class SpanRecorder {
   SpanRecorder(const SpanRecorder&) = delete;
   SpanRecorder& operator=(const SpanRecorder&) = delete;
 
-  /// Preallocates the span pool and starts accepting hooks.
+  /// Preallocates the span pool and starts accepting events.
   void arm(std::size_t capacity = 1u << 16);
-  /// Stops accepting hooks and frees the pool.
+  /// Stops accepting events and frees the pool.
   void disarm();
   bool armed() const { return armed_; }
   void clear();
@@ -97,33 +88,10 @@ class SpanRecorder {
   /// afterwards belong to it. Track 0 ("default") exists implicitly.
   std::uint16_t track(const std::string& name);
 
-  // ---- typed hooks (call sites guard with telemetry::spanning()) ----
-  /// SDR staged one packet: opens message/chunk spans on demand and a fresh
-  /// attempt span. `chunk` is the reliability-layer chunk index
-  /// (attr.chunk_size units); `packet` the wire packet index (mtu units).
-  void on_posted(SimTime t, std::uint32_t qp, std::uint64_t msg,
-                 std::uint32_t chunk, std::uint32_t packet, std::uint32_t imm,
-                 std::uint64_t bytes);
-  /// Channel verdict for an in-flight attempt, joined by immediate:
-  /// kDelivered / kDropped / kQueueDrop close the attempt span.
-  void on_wire(SimTime t, TraceEventType type, std::uint32_t imm);
-  /// Receiver bitmap marked the chunk complete: closes the chunk span.
-  void on_chunk_done(SimTime t, std::uint64_t msg, std::uint32_t chunk);
-  /// Message fully received: closes the message span and any chunk spans
-  /// of it still open.
-  void on_msg_complete(SimTime t, std::uint64_t msg);
-  /// Retransmission/fallback timeout fired for (msg, chunk): instant span
-  /// caused by the chunk's latest drop, and the cause of what follows.
-  void on_rto(SimTime t, std::uint64_t msg, std::uint32_t chunk);
-  /// Chunk re-sent: instant span; subsequent attempts of the chunk link to
-  /// it as their cause.
-  void on_retransmit(SimTime t, std::uint64_t msg, std::uint32_t chunk,
-                     std::uint64_t bytes);
-  /// Any other protocol decision (cts, ack_sent, nack_sent, ec_repair,
-  /// ec_fallback, rc rto/retransmit with msg == kNoMsg): instant span
-  /// attached to the (msg, chunk) chunk span, else the msg span, else root.
-  void on_instant(SimTime t, TraceEventType what, std::uint64_t msg,
-                  std::uint32_t chunk);
+  /// Folds one event into the tree (no-op while disarmed). Kinds that are
+  /// not part of a chunk's story (tx, cqe, the flight-only kinds) are
+  /// ignored.
+  void consume(const Event& e);
 
   // ---- queries ----
   std::size_t size() const { return size_; }
@@ -167,6 +135,34 @@ class SpanRecorder {
     std::uint32_t attempts{0};
   };
 
+  // Tree updates, one per consumed kind.
+  /// SDR staged one packet: opens message/chunk spans on demand and a fresh
+  /// attempt span. `chunk` is the reliability-layer chunk index
+  /// (attr.chunk_size units); `packet` the wire packet index (mtu units).
+  void on_posted(SimTime t, std::uint32_t qp, std::uint64_t msg,
+                 std::uint32_t chunk, std::uint32_t packet, std::uint32_t imm,
+                 std::uint64_t bytes);
+  /// Channel verdict for an in-flight attempt, joined by immediate:
+  /// kDelivered / kDropped / kQueueDrop close the attempt span.
+  void on_wire(SimTime t, EventKind kind, std::uint32_t imm);
+  /// Receiver bitmap marked the chunk complete: closes the chunk span.
+  void on_chunk_done(SimTime t, std::uint64_t msg, std::uint32_t chunk);
+  /// Message fully received: closes the message span and any chunk spans
+  /// of it still open.
+  void on_msg_complete(SimTime t, std::uint64_t msg);
+  /// Retransmission/fallback timeout fired for (msg, chunk): instant span
+  /// caused by the chunk's latest drop, and the cause of what follows.
+  void on_rto(SimTime t, std::uint64_t msg, std::uint32_t chunk);
+  /// Chunk re-sent: instant span; subsequent attempts of the chunk link to
+  /// it as their cause.
+  void on_retransmit(SimTime t, std::uint64_t msg, std::uint32_t chunk,
+                     std::uint64_t bytes);
+  /// Any other protocol decision (cts, ack_sent, nack_sent, ec_repair,
+  /// ec_fallback, rc rto/retransmit with msg == kNoMsg): instant span
+  /// attached to the (msg, chunk) chunk span, else the msg span, else root.
+  void on_instant(SimTime t, EventKind what, std::uint64_t msg,
+                  std::uint32_t chunk);
+
   SpanIndex alloc(SimTime t, SpanKind kind);
   SpanIndex ensure_message(SimTime t, std::uint64_t msg, std::uint32_t qp);
   OpenChunk* ensure_chunk(SimTime t, std::uint64_t msg, std::uint32_t chunk);
@@ -190,11 +186,8 @@ class SpanRecorder {
 SpanRecorder& spans();
 
 /// Install `s` as the calling thread's current recorder (nullptr restores
-/// the process-wide default) and resync detail::g_spans_on. Returns the
-/// previous override; prefer the ScopedTelemetry RAII guard.
+/// the process-wide default) and resync observing(). Returns the previous
+/// override; prefer the ScopedTelemetry RAII guard.
 SpanRecorder* set_thread_spans(SpanRecorder* s);
-
-/// True when this thread's span recorder accepts hooks; one plain branch.
-inline bool spanning() { return detail::g_spans_on; }
 
 }  // namespace sdr::telemetry

@@ -1,49 +1,47 @@
 // Umbrella header for the telemetry subsystem.
 //
 //   registry()  — hierarchical counters/gauges/histograms, sampled over time
-//   tracer()    — packet-lifecycle event ring with JSONL export
-//   spans()     — causal span tree (msg -> chunk -> attempt) + Perfetto JSON
+//   emit()      — one event per protocol hook, fed to the two recorders:
+//   spans()     —   causal span tree (msg -> chunk -> attempt), Perfetto
+//   flight()    —   per-connection ring of protocol state transitions
 //   profiler()  — wall-clock self-time attribution by subsystem category
-//   flight()    — per-connection ring of protocol state transitions
 //   Sampler     — periodic registry snapshots -> CSV/JSONL time series
 //
 // Typical bring-up (before constructing the instrumented stack):
 //
 //   telemetry::registry().enable();
-//   telemetry::tracer().arm();
+//   telemetry::spans().arm();     // turns observing() on for this thread
 //   telemetry::Sampler sampler(telemetry::registry(), /*period_s=*/1e-3);
 //   sampler.attach(sim);
 //
-// See src/telemetry/registry.hpp for the zero-overhead-when-disabled
-// contract.
-// Both accessors resolve per thread: ScopedTelemetry below installs a
-// private Registry/Tracer pair as the calling thread's current instances,
+// See src/telemetry/registry.hpp and event.hpp for the zero-overhead-when-
+// disabled contract. Every accessor resolves per thread: ScopedTelemetry
+// below installs private instances as the calling thread's current ones,
 // which is how the sweep engine (src/sweep/) gives every trial fully
 // isolated telemetry with no shared globals.
 #pragma once
 
+#include "telemetry/event.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/profiler.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/sampler.hpp"
 #include "telemetry/span.hpp"
-#include "telemetry/trace.hpp"
 
 namespace sdr::telemetry {
 
-/// RAII guard: makes `reg`/`trc` (and optionally a span recorder, flight
-/// recorder, and profiler) the calling thread's current instances for the
-/// guard's lifetime (any may be nullptr to fall back to the process-wide
-/// default). Restores the previous installation — guards nest. Everything
-/// the guarded code registers or emits through telemetry::registry()/
-/// tracer()/spans()/flight()/profiler() lands in the scoped instances, so
-/// concurrent scopes on different threads cannot interleave.
+/// RAII guard: makes `reg`, `sp`, `fl` and `pr` the calling thread's
+/// current registry, span recorder, flight recorder and profiler for the
+/// guard's lifetime (nullptr falls back to the process-wide default).
+/// Restores the previous installation — guards nest. Everything the guarded
+/// code registers or emits through registry()/emit()/profiler() lands in
+/// the scoped instances, so concurrent scopes on different threads cannot
+/// interleave.
 class ScopedTelemetry {
  public:
-  ScopedTelemetry(Registry* reg, Tracer* trc, SpanRecorder* sp = nullptr,
+  ScopedTelemetry(Registry* reg, SpanRecorder* sp = nullptr,
                   FlightRecorder* fl = nullptr, Profiler* pr = nullptr)
       : prev_registry_(set_thread_registry(reg)),
-        prev_tracer_(set_thread_tracer(trc)),
         prev_spans_(set_thread_spans(sp)),
         prev_flight_(set_thread_flight(fl)),
         prev_profiler_(set_thread_profiler(pr)) {}
@@ -52,7 +50,6 @@ class ScopedTelemetry {
     set_thread_profiler(prev_profiler_);
     set_thread_flight(prev_flight_);
     set_thread_spans(prev_spans_);
-    set_thread_tracer(prev_tracer_);
     set_thread_registry(prev_registry_);
   }
 
@@ -61,7 +58,6 @@ class ScopedTelemetry {
 
  private:
   Registry* prev_registry_;
-  Tracer* prev_tracer_;
   SpanRecorder* prev_spans_;
   FlightRecorder* prev_flight_;
   Profiler* prev_profiler_;

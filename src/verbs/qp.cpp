@@ -199,23 +199,14 @@ void Qp::send_packet(WirePacket&& pkt, bool count_retransmission) {
   stats_.bytes_sent += pkt.payload.size();
   if (count_retransmission) {
     ++stats_.rc_retransmissions;
-    if (telemetry::tracing()) {
+    if (telemetry::observing()) {
       // PSN stands in for the chunk id at the RC transport level.
-      telemetry::tracer().emit(nic_.simulator().now(),
-                               telemetry::TraceEventType::kRetransmit, num_,
-                               telemetry::kNoMsg, pkt.psn, pkt.imm,
-                               pkt.payload.size());
-    }
-    if (telemetry::spanning()) {
-      telemetry::spans().on_instant(nic_.simulator().now(),
-                                    telemetry::TraceEventType::kRetransmit,
-                                    telemetry::kNoMsg, pkt.psn);
-    }
-    if (telemetry::flight_recording()) {
-      telemetry::flight().record(telemetry::FlightLayer::kRc, num_,
-                                 "rc_retransmit", nic_.simulator().now(),
-                                 telemetry::kNoMsg, pkt.psn,
-                                 pkt.payload.size());
+      // a = PSN, b = payload bytes.
+      telemetry::emit({.t = nic_.simulator().now(),
+                       .kind = telemetry::EventKind::kRetransmit,
+                       .layer = telemetry::Layer::kRc, .conn = num_,
+                       .chunk = pkt.psn, .bytes = pkt.payload.size(),
+                       .a = pkt.psn, .b = pkt.payload.size()});
     }
   }
   // First transmissions pay the modeled injection cost; retransmissions are
@@ -409,10 +400,12 @@ void Qp::receive_rc(WirePacket&& pkt) {
       // Gap detected: request Go-Back-N from the expected PSN.
       rc_nak_outstanding_ = true;
       ++stats_.rc_naks_sent;
-      if (telemetry::flight_recording()) {
-        telemetry::flight().record(telemetry::FlightLayer::kRc, num_,
-                                   "rc_nak", nic_.simulator().now(),
-                                   telemetry::kNoMsg, rc_epsn_, pkt.psn);
+      if (telemetry::observing()) {
+        // a = ePSN, b = the PSN that exposed the gap.
+        telemetry::emit({.t = nic_.simulator().now(),
+                         .kind = telemetry::EventKind::kNak,
+                         .layer = telemetry::Layer::kRc, .conn = num_,
+                         .a = rc_epsn_, .b = pkt.psn});
       }
       WirePacket nak;
       nak.dst_nic = remote_nic_;
@@ -532,10 +525,11 @@ void Qp::rc_sr_receive(WirePacket&& pkt) {
       if (!rc_nak_outstanding_) {
         rc_nak_outstanding_ = true;
         ++stats_.rc_naks_sent;
-        if (telemetry::flight_recording()) {
-          telemetry::flight().record(telemetry::FlightLayer::kRc, num_,
-                                     "rc_nak", nic_.simulator().now(),
-                                     telemetry::kNoMsg, rc_epsn_, pkt.psn);
+        if (telemetry::observing()) {
+          telemetry::emit({.t = nic_.simulator().now(),
+                           .kind = telemetry::EventKind::kNak,
+                           .layer = telemetry::Layer::kRc, .conn = num_,
+                           .a = rc_epsn_, .b = pkt.psn});
         }
         WirePacket nak;
         nak.dst_nic = remote_nic_;
@@ -593,11 +587,11 @@ void Qp::rc_sr_receive(WirePacket&& pkt) {
     if (!rc_nak_outstanding_) {
       rc_nak_outstanding_ = true;
       ++stats_.rc_naks_sent;
-      if (telemetry::flight_recording()) {
-        telemetry::flight().record(telemetry::FlightLayer::kRc, num_,
-                                   "rc_nak", nic_.simulator().now(),
-                                   telemetry::kNoMsg, rc_epsn_,
-                                   rc_ooo_received_.size());
+      if (telemetry::observing()) {
+        telemetry::emit({.t = nic_.simulator().now(),
+                         .kind = telemetry::EventKind::kNak,
+                         .layer = telemetry::Layer::kRc, .conn = num_,
+                         .a = rc_epsn_, .b = rc_ooo_received_.size()});
       }
       WirePacket nak;
       nak.dst_nic = remote_nic_;
@@ -622,22 +616,14 @@ void Qp::rc_arm_timer() {
 void Qp::rc_on_timeout() {
   telemetry::ProfScope prof(telemetry::ProfCategory::kRc);
   if (rc_unacked_.empty()) return;
-  if (telemetry::tracing()) {
-    telemetry::tracer().emit(nic_.simulator().now(),
-                             telemetry::TraceEventType::kRtoFired, num_,
-                             telemetry::kNoMsg, rc_unacked_.front().pkt.psn);
-  }
-  if (telemetry::spanning()) {
-    telemetry::spans().on_instant(nic_.simulator().now(),
-                                  telemetry::TraceEventType::kRtoFired,
-                                  telemetry::kNoMsg,
-                                  rc_unacked_.front().pkt.psn);
-  }
-  if (telemetry::flight_recording()) {
-    telemetry::flight().record(telemetry::FlightLayer::kRc, num_, "rc_rto",
-                               nic_.simulator().now(), telemetry::kNoMsg,
-                               rc_unacked_.front().pkt.psn,
-                               rc_unacked_.size(), rc_retries_);
+  if (telemetry::observing()) {
+    // a = oldest unacked PSN, b = unacked packets, c = retries so far.
+    const std::uint32_t psn = rc_unacked_.front().pkt.psn;
+    telemetry::emit({.t = nic_.simulator().now(),
+                     .kind = telemetry::EventKind::kRtoFired,
+                     .layer = telemetry::Layer::kRc, .conn = num_,
+                     .chunk = psn, .a = psn, .b = rc_unacked_.size(),
+                     .c = static_cast<std::uint64_t>(rc_retries_)});
   }
   ++rc_retries_;
   if (rc_retries_ > config_.rc_retry_limit) {

@@ -10,6 +10,8 @@
 //  * an intentionally injected protocol bug (off-by-one in the SR bitmap
 //    ACK's cumulative field, armed via a failpoint) is caught by the
 //    oracles and shrunk to a small repro,
+//  * an instrumentation hook stamping a stale sim time (failpoint in
+//    telemetry::emit) fails the event-order oracle of every arm,
 //  * repeated runs do not grow live heap allocations (leak oracle on the
 //    harness itself, same global operator-new hook as datapath_alloc_test
 //    but tracking live count rather than allocation count).
@@ -294,6 +296,21 @@ TEST(Sdrcheck, InjectedAckOffByOneIsCaughtAndShrunk) {
   const SeedReport replay = check_seed(seed, opts, shrunk.level);
   EXPECT_FALSE(replay.ok());
   EXPECT_EQ(replay.scenario.describe(), shrunk.minimal.scenario.describe());
+}
+
+TEST(Sdrcheck, StaleEventTimeIsAnOracleFailure) {
+  CheckOptions opts;
+  opts.capture_flight = false;  // the event stream runs regardless
+  common::ScopedFailpoint fp("telemetry.stale_event_time");
+  const SeedReport report = check_seed(1, opts);
+  EXPECT_GT(common::failpoint_hits("telemetry.stale_event_time"), 0u);
+  ASSERT_EQ(report.arms.size(), 3u);
+  for (const ArmResult& arm : report.arms) {
+    ASSERT_FALSE(arm.ok()) << arm.name;
+    EXPECT_NE(arm.failures.back().find("event timestamps regressed"),
+              std::string::npos)
+        << arm.name << ": " << arm.failures.back();
+  }
 }
 
 TEST(Sdrcheck, RepeatedRunsDoNotLeak) {

@@ -142,17 +142,12 @@ TEST(SweepEngineTest, SerialAndParallelBitIdentical) {
 TEST(SweepEngineTest, CapturedTelemetryBitIdentical) {
   const ParamGrid grid = mini_grid();
   auto fn = [](Trial& trial) {
-    // Exercise registration through the thread-installed current registry
-    // and tracer, the way instrumented components do.
+    // Exercise registration through the thread-installed current registry,
+    // the way instrumented components do.
     auto c = telemetry::registry().counter("trial.events");
     c.inc(trial.index() + 1);
     telemetry::registry().gauge("trial.seed_low32")
         .set(static_cast<double>(trial.seed() & 0xFFFFFFFFu));
-    if (telemetry::tracing()) {
-      telemetry::tracer().emit(SimTime::from_seconds(1e-6),
-                               telemetry::TraceEventType::kTx,
-                               static_cast<std::uint32_t>(trial.index()));
-    }
   };
   SweepOptions serial;
   serial.jobs = 1;
@@ -163,9 +158,7 @@ TEST(SweepEngineTest, CapturedTelemetryBitIdentical) {
   const SweepResult b = run_sweep(grid, parallel, fn);
 
   EXPECT_FALSE(a.merged_metrics_jsonl().empty());
-  EXPECT_FALSE(a.merged_trace_jsonl().empty());
   EXPECT_EQ(a.merged_metrics_jsonl(), b.merged_metrics_jsonl());
-  EXPECT_EQ(a.merged_trace_jsonl(), b.merged_trace_jsonl());
   EXPECT_EQ(a.merged_timeseries_csv(), b.merged_timeseries_csv());
   // Labeled per trial, in index order.
   EXPECT_NE(a.merged_metrics_jsonl().find("{\"trial\":0,"),
@@ -296,10 +289,6 @@ TEST(SweepTelemetryTest, ConcurrentTrialsNeverInterleaveMetrics) {
       c.inc();
       ASSERT_EQ(reg.counter_value("shared.name"), k + 1);
     }
-    telemetry::tracer().emit(SimTime::from_seconds(0.0),
-                             telemetry::TraceEventType::kDelivered,
-                             static_cast<std::uint32_t>(trial.index()));
-    ASSERT_EQ(trial.tracer().size(), 1u);
   };
   SweepOptions opt;
   opt.jobs = 8;
@@ -311,11 +300,6 @@ TEST(SweepTelemetryTest, ConcurrentTrialsNeverInterleaveMetrics) {
                              ",\"metric\":\"shared.name\",\"value\":" +
                              std::to_string(i + 1) + "}";
     EXPECT_NE(r.merged_metrics_jsonl().find(want), std::string::npos) << i;
-    // Exactly one trace event per trial, tagged with its own qp==index.
-    const std::string trace_want =
-        "{\"trial\":" + std::to_string(i) + ",\"t_s\":";
-    EXPECT_NE(r.merged_trace_jsonl().find(trace_want), std::string::npos)
-        << i;
   }
 }
 
@@ -333,6 +317,39 @@ TEST(SweepTelemetryTest, TrialsLeaveProcessWideTelemetryUntouched) {
   EXPECT_EQ(&telemetry::registry(), &global);
   EXPECT_EQ(global.enabled(), was_enabled);
   EXPECT_FALSE(global.has("leak.check"));
+}
+
+TEST(SweepTelemetryTest, TrialsNeverReachProcessWideSpansOrProfiler) {
+  // The calling thread arms the process-wide span recorder and profiler, as
+  // a bench run with --trace-perfetto --profile does. Trials emit and open
+  // profiler scopes on four workers (the calling thread among them); each
+  // must land in its own private, disarmed instances — never in the
+  // defaults, which no worker may touch (TSan would flag the race).
+  telemetry::spans().arm(1024);
+  telemetry::profiler().arm();
+  ParamGrid grid;
+  grid.axis_i64("i", {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15});
+  SweepOptions opt;
+  opt.jobs = 4;
+  const SweepResult r = run_sweep(grid, opt, [](Trial& trial) {
+    ASSERT_FALSE(telemetry::observing());
+    ASSERT_FALSE(telemetry::profiling());
+    for (std::uint32_t k = 0; k < 100; ++k) {
+      telemetry::ProfScope prof(telemetry::ProfCategory::kSim);
+      // Unguarded on purpose: even a hook that skipped observing() must
+      // reach only the trial's own recorders.
+      telemetry::emit({.t = SimTime::from_seconds(k * 1e-6),
+                       .kind = telemetry::EventKind::kPosted,
+                       .msg = trial.index(), .chunk = k, .imm = k});
+    }
+  });
+  EXPECT_EQ(r.failures(), 0u);
+  EXPECT_EQ(telemetry::spans().size(), 0u);
+  EXPECT_EQ(telemetry::profiler().entry(telemetry::ProfCategory::kSim).calls,
+            0u);
+  EXPECT_TRUE(telemetry::observing()) << "caller's own state restored";
+  telemetry::spans().disarm();
+  telemetry::profiler().disarm();
 }
 
 }  // namespace

@@ -1,13 +1,16 @@
 // Telemetry acceptance tests: the registry mirrors the legacy stats structs
-// exactly (external-pointer binding, not duplication), the tracer tells a
-// dropped-then-retransmitted chunk's full cross-layer story in sim-time
-// order, and the periodic sampler's time series is bit-identical across two
-// same-seed runs. Plus edge-case coverage for the Histogram/RunningStats
-// primitives the registry builds on.
+// exactly (external-pointer binding, not duplication), one emit() per hook
+// reaches both the span tree and the flight rings in sim-time order (and
+// costs nothing while both are disarmed), and the periodic sampler's time
+// series is bit-identical across two same-seed runs. Plus edge-case
+// coverage for the Histogram/RunningStats primitives the registry builds on.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <new>
 #include <random>
 #include <thread>
 #include <vector>
@@ -19,6 +22,27 @@
 #include "sim/simulator.hpp"
 #include "telemetry/telemetry.hpp"
 #include "verbs/nic.hpp"
+
+// Global allocation counter (the operator-new hook datapath_alloc_test and
+// the benches use); tests compare snapshots around the code they measure.
+namespace {
+std::atomic<std::uint64_t> g_allocs{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n ? n : 1)) return p;
+  throw std::bad_alloc{};
+}
+// std::stable_sort's temporary buffer allocates through nothrow new; under
+// ASan the unreplaced interceptor would pair with the free-based delete as
+// a mismatch.
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n ? n : 1);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace sdr::telemetry {
 namespace {
@@ -121,7 +145,6 @@ struct LossyRig {
 class TelemetryStackTest : public ::testing::Test {
  protected:
   void TearDown() override {
-    tracer().disarm();
     registry().disable();
     spans().disarm();
     flight().disarm();
@@ -190,100 +213,79 @@ TEST_F(TelemetryStackTest, RegistryCountersMatchLegacyStats) {
             std::string::npos);
 }
 
-// --- tentpole acceptance: tracer timeline for a retransmitted chunk ------
+// --- tentpole acceptance: one emit feeds both consumers ------------------
 
-TEST_F(TelemetryStackTest, TracerChunkTimelineForDroppedChunk) {
-  registry().enable();
-  tracer().arm();
-  // chunk == MTU so the SDR packet index equals the SR chunk index and one
-  // chunk is exactly one wire packet.
+TEST_F(TelemetryStackTest, EmitReachesSpansAndFlight) {
+  spans().arm();
+  flight().arm();
+  ASSERT_TRUE(observing());
+  // One SR retransmission: the span tree opens msg -> chunk -> instant, the
+  // flight ring of (sr, conn 9) keeps the operands.
+  emit({.t = SimTime::from_seconds(1e-3), .kind = EventKind::kRetransmit,
+        .layer = Layer::kSr, .conn = 9, .msg = 4, .chunk = 2, .bytes = 1024,
+        .a = 2, .b = 1, .c = 1024});
+  ASSERT_EQ(spans().size(), 3u);
+  const Span& instant = spans().at(2);
+  EXPECT_EQ(instant.kind, SpanKind::kInstant);
+  EXPECT_EQ(instant.what, EventKind::kRetransmit);
+  EXPECT_EQ(spans().at(instant.parent).chunk, 2u);
+  const std::vector<Event> ring = flight().history(Layer::kSr, 9);
+  ASSERT_EQ(ring.size(), 1u);
+  EXPECT_EQ(ring[0].kind, EventKind::kRetransmit);
+  EXPECT_EQ(ring[0].msg, 4u);
+  EXPECT_EQ(ring[0].c, 1024u);
+
+  // A whole lossy transfer: every retransmission the span tree shows is in
+  // the sender's flight ring too, and the stream never ran backwards.
+  spans().arm();
+  flight().arm(/*per_conn_capacity=*/1u << 12);
+  event_order() = {};
+  // chunk == MTU so one chunk is exactly one wire packet.
   LossyRig rig(0.05, 1024, /*seed=*/7);
   rig.transfer(64 * 1024, 3);
   ASSERT_GT(rig.sender->stats().retransmissions, 0u);
+  EXPECT_GT(event_order().events, 0u);
+  EXPECT_EQ(event_order().regressions, 0u);
 
-  const auto events = tracer().collect();
-  ASSERT_FALSE(events.empty());
-
-  // Events are emitted while the simulator clock advances, so the ring is
-  // already sim-time ordered.
-  for (std::size_t i = 1; i < events.size(); ++i) {
-    EXPECT_LE(events[i - 1].t, events[i].t);
-  }
-
-  // Find a retransmitted chunk whose first transmission was dropped on the
-  // wire, and check its full cross-layer story.
-  bool found = false;
-  for (const auto& r : events) {
-    if (r.type != TraceEventType::kRetransmit || r.msg == kNoMsg) continue;
-    const std::uint64_t msg = r.msg;
-    const std::uint32_t chunk = r.chunk;
-    // The chunk's immediate, learned from its posted event.
-    std::uint32_t imm = kNoImm;
-    for (const auto& e : events) {
-      if (e.type == TraceEventType::kPosted && e.msg == msg &&
-          e.chunk == chunk) {
-        imm = e.imm;
-        break;
-      }
+  const std::vector<Event> sender =
+      flight().history(Layer::kSr, rig.qp_a->control_qp_num());
+  std::size_t retransmits = 0;
+  for (SpanIndex i = 0; i < spans().size(); ++i) {
+    const Span& s = spans().at(i);
+    if (s.kind != SpanKind::kInstant || s.what != EventKind::kRetransmit) {
+      continue;
     }
-    ASSERT_NE(imm, kNoImm) << "retransmitted chunk was never posted?";
-    const auto timeline = tracer().chunk_timeline(msg, chunk, imm);
-    ASSERT_FALSE(timeline.empty());
-
-    auto first_time = [&](TraceEventType type) -> double {
-      for (const auto& e : timeline) {
-        if (e.type == type) return e.t.seconds();
-      }
-      return -1.0;
-    };
-    auto last_time = [&](TraceEventType type) -> double {
-      double t = -1.0;
-      for (const auto& e : timeline) {
-        if (e.type == type) t = e.t.seconds();
-      }
-      return t;
-    };
-
-    const double posted = first_time(TraceEventType::kPosted);
-    const double tx = first_time(TraceEventType::kTx);
-    const double dropped = first_time(TraceEventType::kDropped);
-    if (dropped < 0.0) continue;  // retransmit caused by a late ACK, skip
-    const double rto = first_time(TraceEventType::kRtoFired);
-    const double retx = first_time(TraceEventType::kRetransmit);
-    const double delivered = last_time(TraceEventType::kDelivered);
-    const double cqe = last_time(TraceEventType::kCqe);
-    const double bitmap = last_time(TraceEventType::kBitmapUpdate);
-    const double complete = first_time(TraceEventType::kMsgComplete);
-
-    ASSERT_GE(posted, 0.0);
-    ASSERT_GE(tx, 0.0);
-    ASSERT_GE(rto, 0.0);
-    ASSERT_GE(retx, 0.0);
-    ASSERT_GE(delivered, 0.0);
-    ASSERT_GE(cqe, 0.0);
-    ASSERT_GE(bitmap, 0.0);
-    ASSERT_GE(complete, 0.0);
-
-    EXPECT_LE(posted, tx);
-    EXPECT_LE(tx, dropped);
-    EXPECT_LE(dropped, rto);
-    EXPECT_LE(rto, retx);
-    EXPECT_LE(retx, delivered);
-    EXPECT_LE(delivered, cqe);
-    EXPECT_LE(cqe, bitmap);
-    EXPECT_LE(bitmap, complete);
-    found = true;
-    break;
+    ++retransmits;
+    bool in_ring = false;
+    for (const Event& e : sender) {
+      in_ring = in_ring || (e.kind == EventKind::kRetransmit &&
+                            e.msg == s.msg && e.a == s.chunk);
+    }
+    EXPECT_TRUE(in_ring) << "msg " << s.msg << " chunk " << s.chunk;
   }
-  EXPECT_TRUE(found)
-      << "no retransmitted chunk had a wire-level drop in its timeline";
+  EXPECT_EQ(retransmits, rig.sender->stats().retransmissions);
+}
 
-  // JSONL export: filterable, one object per line, named event types.
-  Tracer::Filter filter;
-  filter.qp = kNoImm;
-  const std::string jsonl = tracer().to_jsonl(filter);
-  EXPECT_NE(jsonl.find("\"event\":\"retransmit\""), std::string::npos);
-  EXPECT_NE(jsonl.find("\"event\":\"msg_complete\""), std::string::npos);
+TEST_F(TelemetryStackTest, DisarmedHooksAllocateNothing) {
+  ASSERT_FALSE(spans().armed());
+  ASSERT_FALSE(flight().armed());
+  EXPECT_FALSE(observing());
+  const std::uint64_t before = g_allocs.load();
+  for (std::uint32_t i = 0; i < 1000; ++i) {
+    if (observing()) {
+      emit({.t = SimTime::from_seconds(i * 1e-6), .kind = EventKind::kTx,
+            .layer = Layer::kWire, .qp = i, .imm = i, .bytes = 4096});
+    }
+    // Past the guard, the disarmed consumers still allocate nothing.
+    emit({.t = SimTime::from_seconds(i * 1e-6), .kind = EventKind::kPosted,
+          .msg = i, .chunk = 0, .imm = i, .bytes = 4096});
+    emit({.t = SimTime::from_seconds(i * 1e-6),
+          .kind = EventKind::kRetransmit, .layer = Layer::kSr, .conn = 1,
+          .msg = i, .chunk = 0});
+  }
+  EXPECT_EQ(g_allocs.load() - before, 0u);
+  EXPECT_EQ(spans().size(), 0u);
+  EXPECT_EQ(flight().connections(), 0u);
 }
 
 // --- tentpole acceptance: sampler time series is run-to-run identical ----
@@ -364,21 +366,21 @@ TEST_F(TelemetryStackTest, InstanceNamesCountPerBase) {
   EXPECT_EQ(registry().instance_name("x.y"), "x.y0") << "disable resets";
 }
 
-TEST_F(TelemetryStackTest, TracerRingIsBoundedAndOverwritesOldest) {
-  tracer().arm(/*capacity=*/8);
-  for (std::uint32_t i = 0; i < 20; ++i) {
-    tracer().emit(SimTime::from_seconds(i * 1e-3), TraceEventType::kTx,
-                  /*qp=*/i);
-  }
-  EXPECT_EQ(tracer().size(), 8u);
-  EXPECT_EQ(tracer().overwritten(), 12u);
-  const auto events = tracer().collect();
-  ASSERT_EQ(events.size(), 8u);
-  EXPECT_EQ(events.front().qp, 12u) << "oldest surviving event";
-  EXPECT_EQ(events.back().qp, 19u);
-  for (std::size_t i = 1; i < events.size(); ++i) {
-    EXPECT_LE(events[i - 1].t, events[i].t);
-  }
+TEST_F(TelemetryStackTest, EventOrderCountsRegressions) {
+  flight().arm();
+  event_order() = {};
+  auto at = [](double t_s) {
+    emit({.t = SimTime::from_seconds(t_s), .kind = EventKind::kAckSent,
+          .layer = Layer::kSr, .conn = 1, .msg = 0});
+  };
+  at(2.0);
+  at(1.0);  // runs backwards: one regression
+  EXPECT_EQ(event_order().regressions, 1u);
+  at(1.0);  // equal times are in order
+  at(3.0);
+  EXPECT_EQ(event_order().regressions, 1u);
+  EXPECT_EQ(event_order().events, 4u);
+  EXPECT_EQ(event_order().last, SimTime::from_seconds(3.0));
 }
 
 // --- spans: causal tree for a dropped-then-retransmitted chunk -----------
@@ -412,10 +414,10 @@ TEST_F(TelemetryStackTest, SpanTreeReconstructsDroppedChunkRecovery) {
     for (SpanIndex c : sp.children(first.parent)) {
       const Span& s = sp.at(c);
       if (s.kind == SpanKind::kInstant &&
-          s.what == TraceEventType::kRtoFired && s.cause == i) {
+          s.what == EventKind::kRtoFired && s.cause == i) {
         rto = c;
       } else if (s.kind == SpanKind::kInstant &&
-                 s.what == TraceEventType::kRetransmit && rto != kNoSpan &&
+                 s.what == EventKind::kRetransmit && rto != kNoSpan &&
                  s.cause == rto) {
         rtx = c;
       } else if (s.kind == SpanKind::kAttempt && rtx != kNoSpan &&
@@ -472,12 +474,15 @@ TEST_F(TelemetryStackTest, SpanPoolIsBoundedAndCountsTruncation) {
 TEST_F(TelemetryStackTest, FlightRingOverwritesOldestPerConnection) {
   flight().arm(/*per_conn_capacity=*/4);
   for (std::uint64_t i = 0; i < 10; ++i) {
-    flight().record(FlightLayer::kSr, /*conn=*/1, "tick",
-                    SimTime::from_seconds(i * 1e-3), /*msg=*/i, i);
+    emit({.t = SimTime::from_seconds(i * 1e-3), .kind = EventKind::kWrite,
+          .layer = Layer::kSr, .conn = 1, .msg = i, .a = i});
   }
-  flight().record(FlightLayer::kRc, /*conn=*/2, "once", SimTime{}, 0);
+  emit({.kind = EventKind::kNak, .layer = Layer::kRc, .conn = 2});
+  // Per-packet wire and SDR-core events stay out of the rings.
+  emit({.kind = EventKind::kTx, .layer = Layer::kWire});
+  emit({.kind = EventKind::kPosted, .layer = Layer::kSdr});
   EXPECT_EQ(flight().connections(), 2u);
-  const auto h = flight().history(1);
+  const auto h = flight().history(Layer::kSr, 1);
   ASSERT_EQ(h.size(), 4u);
   EXPECT_EQ(h.front().msg, 6u) << "oldest surviving record";
   EXPECT_EQ(h.back().msg, 9u);
@@ -486,7 +491,8 @@ TEST_F(TelemetryStackTest, FlightRingOverwritesOldestPerConnection) {
   }
   const std::string json = flight().to_json();
   EXPECT_NE(json.find("\"overwritten\":6"), std::string::npos);
-  EXPECT_NE(json.find("\"conn\":2"), std::string::npos);
+  EXPECT_NE(json.find("{\"layer\":\"rc\",\"conn\":2,"), std::string::npos);
+  EXPECT_NE(json.find("\"what\":\"nak\""), std::string::npos);
 }
 
 TEST_F(TelemetryStackTest, FlightRecordsProtocolStoryOfLossyTransfer) {
@@ -534,50 +540,51 @@ TEST(ProfilerTest, NestedScopesAttributeSelfTime) {
   p.disarm();
 }
 
-// --- ScopedTelemetry: full five-instrument install and restore -----------
+// --- ScopedTelemetry: full four-instrument install and restore -----------
 
-TEST(ScopedTelemetryFullStack, FiveInstrumentsInstallNestAndRestore) {
+TEST(ScopedTelemetryFullStack, FourInstrumentsInstallNestAndRestore) {
   Registry reg;
-  Tracer trc;
   SpanRecorder sp;
   FlightRecorder fl;
   Profiler pr;
   reg.enable();
-  trc.arm(256);
   sp.arm(1024);
   fl.arm(8);
   pr.arm();
-  ASSERT_FALSE(spanning());
-  ASSERT_FALSE(flight_recording());
+  ASSERT_FALSE(observing());
   ASSERT_FALSE(profiling());
   {
-    ScopedTelemetry scoped(&reg, &trc, &sp, &fl, &pr);
-    EXPECT_TRUE(spanning());
-    EXPECT_TRUE(flight_recording());
+    ScopedTelemetry scoped(&reg, &sp, &fl, &pr);
+    EXPECT_TRUE(observing());
     EXPECT_TRUE(profiling());
+    EXPECT_EQ(&registry(), &reg);
     EXPECT_EQ(&spans(), &sp);
     EXPECT_EQ(&flight(), &fl);
     EXPECT_EQ(&profiler(), &pr);
-    flight().record(FlightLayer::kSr, 1, "probe", SimTime{}, 7);
+    emit({.kind = EventKind::kWrite, .layer = Layer::kSr, .conn = 1,
+          .msg = 7});
     {
       SpanRecorder inner;  // deliberately disarmed
-      ScopedTelemetry nested(nullptr, nullptr, &inner);
+      ScopedTelemetry nested(nullptr, &inner);
       EXPECT_EQ(&spans(), &inner);
-      EXPECT_FALSE(spanning()) << "fast flag must track the disarmed inner";
       // nullptr slots mean "process default", not "inherit the enclosing
       // override" — the nested scope swaps flight back to the (disarmed)
       // default and the destructor reinstates fl.
-      EXPECT_FALSE(flight_recording());
       EXPECT_NE(&flight(), &fl);
+      EXPECT_NE(&registry(), &reg);
+      EXPECT_FALSE(observing()) << "fast flag must track the disarmed inner";
+      EXPECT_FALSE(profiling());
     }
-    EXPECT_TRUE(flight_recording());
+    EXPECT_TRUE(observing()) << "fast flag must resync on restore";
+    EXPECT_TRUE(profiling());
     EXPECT_EQ(&spans(), &sp);
-    EXPECT_TRUE(spanning()) << "fast flag must resync on restore";
+    EXPECT_EQ(&flight(), &fl);
   }
-  EXPECT_FALSE(spanning());
-  EXPECT_FALSE(flight_recording());
+  EXPECT_FALSE(observing());
   EXPECT_FALSE(profiling());
-  EXPECT_EQ(fl.history(1).size(), 1u) << "record landed in the override";
+  EXPECT_NE(&registry(), &reg);
+  EXPECT_EQ(fl.history(Layer::kSr, 1).size(), 1u)
+      << "event landed in the override";
 }
 
 // --- sampler: late-column footer ------------------------------------------
@@ -616,41 +623,41 @@ TEST(SamplerFooterTest, ColumnsFooterAppearsOnlyForMidRunColumns) {
 // --- satellite: Histogram / RunningStats edge cases ----------------------
 
 TEST(ThreadScopedTelemetryTest, ThreadsWithOwnInstancesNeverCrossWire) {
-  // Two threads each install a private Registry/Tracer via ScopedTelemetry
-  // and hammer identically named metrics. With any shared state the counts,
-  // instance names, or trace rings would interleave; per-thread resolution
-  // keeps every observation local, and the process-wide default stays
-  // untouched throughout.
+  // Two threads each install a private Registry/FlightRecorder via
+  // ScopedTelemetry and hammer identically named metrics and one flight
+  // connection. With any shared state the counts, instance names, or rings
+  // would interleave; per-thread resolution keeps every observation local,
+  // and the process-wide default stays untouched throughout.
   Registry& process_default = registry();
   ASSERT_FALSE(process_default.enabled());
 
   constexpr int kIters = 5000;
   struct Outcome {
     std::uint64_t count{0};
-    std::size_t traces{0};
+    std::size_t events{0};
     std::string instance0;
     bool saw_own_registry{false};
   };
   Outcome outcomes[2];
   auto body = [&](int id) {
     Registry reg;
-    Tracer trc;
+    FlightRecorder fl;
     reg.enable();
-    trc.arm(1u << 14);  // holds both threads' full event streams
+    fl.arm(1u << 14);  // holds both threads' full event streams
 
-    ScopedTelemetry scoped(&reg, &trc);
+    ScopedTelemetry scoped(&reg, nullptr, &fl);
     outcomes[id].saw_own_registry = (&registry() == &reg) && enabled();
     outcomes[id].instance0 = registry().instance_name("sim.channel");
     auto c = registry().counter("contended.name");
     for (int i = 0; i < kIters * (id + 1); ++i) {
       c.inc();
-      if (tracing()) {
-        tracer().emit(SimTime::from_seconds(i * 1e-6),
-                      TraceEventType::kTx, static_cast<std::uint32_t>(id));
+      if (observing()) {
+        emit({.t = SimTime::from_seconds(i * 1e-6),
+              .kind = EventKind::kAckSent, .layer = Layer::kSr, .conn = 1});
       }
     }
     outcomes[id].count = reg.counter_value("contended.name");
-    outcomes[id].traces = trc.size();
+    outcomes[id].events = fl.history(Layer::kSr, 1).size();
   };
   std::thread t0(body, 0), t1(body, 1);
   t0.join();
@@ -661,7 +668,7 @@ TEST(ThreadScopedTelemetryTest, ThreadsWithOwnInstancesNeverCrossWire) {
     EXPECT_EQ(outcomes[id].instance0, "sim.channel0") << id;
     EXPECT_EQ(outcomes[id].count,
               static_cast<std::uint64_t>(kIters * (id + 1))) << id;
-    EXPECT_EQ(outcomes[id].traces,
+    EXPECT_EQ(outcomes[id].events,
               static_cast<std::size_t>(kIters * (id + 1))) << id;
   }
   EXPECT_FALSE(process_default.enabled());

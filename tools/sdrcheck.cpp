@@ -7,12 +7,11 @@
 //
 // A batch run prints one line per failing seed plus the shrunk repro
 // command; exit status is nonzero iff any oracle fired. A replay prints
-// the scenario description, every arm's oracle verdicts, and (on failure)
-// the tail of the packet-lifecycle trace. Failures additionally dump the
-// per-connection flight-recorder rings (the last protocol state
-// transitions of every arm) to sdrcheck_flight_<seed>.json and print the
-// exact --trace-perfetto replay command that captures a causal span trace
-// of the failing scenario.
+// the scenario description and every arm's oracle verdicts. Failures
+// additionally dump the per-connection flight-recorder rings (the last
+// protocol state transitions of every arm) to sdrcheck_flight_<seed>.json
+// and print the exact --trace-perfetto replay command that captures a
+// causal span trace of the failing scenario.
 //
 // Determinism contract: seeds map to scenarios through common::Rng
 // (xoshiro256**, golden-pinned), so `sdrcheck --seed=S --shrink-level=K`
@@ -104,10 +103,6 @@ void print_report(const SeedReport& report) {
   }
   if (!report.ok()) {
     std::printf("oracle failures:\n%s", report.failure_text().c_str());
-    const std::string& timeline = report.timeline();
-    if (!timeline.empty()) {
-      std::printf("trace tail of first failing arm:\n%s", timeline.c_str());
-    }
   }
 }
 
