@@ -131,6 +131,40 @@ INSTANTIATE_TEST_SUITE_P(AllSchemes, FleetSchemeTest,
                            return std::string(scheme_name(info.param));
                          });
 
+// The fleet digests are part of the behaviour contract: a change that keeps
+// the protocols' observable behaviour must reproduce these exactly. They pin
+// what the run did (completion order and times, retransmissions, drops), so
+// a mismatch means protocol behaviour moved, not just its cost.
+struct PinnedFleet {
+  Scheme scheme;
+  std::uint64_t digest;
+  std::uint64_t messages_posted;
+  std::uint64_t useful_bytes;
+  std::uint64_t peak_concurrent;
+  std::uint64_t retransmissions;
+  std::uint64_t trunk_drops;
+};
+
+TEST(FleetTest, SmallConfigDigestsArePinned) {
+  const PinnedFleet pins[] = {
+      {Scheme::kSr, 1177716874911283273ULL, 88, 4276224, 68, 1, 3},
+      {Scheme::kEc, 11343702935381600925ULL, 88, 4276224, 68, 0, 3},
+      {Scheme::kRc, 10631157728260879080ULL, 88, 4276224, 61, 0, 0},
+  };
+  for (const PinnedFleet& pin : pins) {
+    const FleetResult r = run_fleet(small_config(pin.scheme));
+    SCOPED_TRACE(scheme_name(pin.scheme));
+    EXPECT_EQ(r.digest, pin.digest);
+    EXPECT_EQ(r.messages_posted, pin.messages_posted);
+    EXPECT_EQ(r.messages_completed, pin.messages_posted);
+    EXPECT_EQ(r.messages_failed, 0u);
+    EXPECT_EQ(r.useful_bytes, pin.useful_bytes);
+    EXPECT_EQ(r.peak_concurrent, pin.peak_concurrent);
+    EXPECT_EQ(r.retransmissions, pin.retransmissions);
+    EXPECT_EQ(r.trunk_drops, pin.trunk_drops);
+  }
+}
+
 TEST(FleetTest, DifferentSeedsDifferentDigests) {
   FleetConfig a = small_config(Scheme::kSr);
   FleetConfig b = a;
