@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace sdr {
@@ -134,16 +135,29 @@ class AtomicBitmap {
   AtomicBitmap() = default;
   explicit AtomicBitmap(std::size_t bits) { resize(bits); }
 
+  /// Own fresh storage for `bits` bits, all clear.
   void resize(std::size_t bits) {
+    owned_ =
+        std::make_unique<std::atomic<std::uint64_t>[]>(bitmap_words(bits));
+    attach(owned_.get(), bits);
+  }
+
+  /// Use `words` as the storage for `bits` bits and clear them. The caller
+  /// owns the bitmap_words(bits) words and keeps them alive as long as this
+  /// bitmap: a table of many bitmaps carves them out of one allocation.
+  void attach(std::atomic<std::uint64_t>* words, std::size_t bits) {
+    words_ = words;
     bits_ = bits;
-    words_ = std::vector<std::atomic<std::uint64_t>>(bitmap_words(bits));
+    word_count_ = bitmap_words(bits);
     clear_all();
   }
 
   std::size_t size() const { return bits_; }
 
   void clear_all() {
-    for (auto& w : words_) w.store(0, std::memory_order_relaxed);
+    for (std::size_t w = 0; w < word_count_; ++w) {
+      words_[w].store(0, std::memory_order_relaxed);
+    }
   }
 
   /// Atomically set bit i; returns true iff the bit transitioned 0 -> 1.
@@ -160,9 +174,10 @@ class AtomicBitmap {
 
   std::size_t popcount() const {
     std::size_t n = 0;
-    for (const auto& w : words_)
+    for (std::size_t w = 0; w < word_count_; ++w) {
       n += static_cast<std::size_t>(
-          __builtin_popcountll(w.load(std::memory_order_acquire)));
+          __builtin_popcountll(words_[w].load(std::memory_order_acquire)));
+    }
     return n;
   }
 
@@ -189,11 +204,11 @@ class AtomicBitmap {
   /// Raw word access for consumers that poll the bitmap with plain loads
   /// (host software reading DPA-updated memory). Word count follows
   /// bitmap_words(size()).
-  const std::atomic<std::uint64_t>* word_data() const { return words_.data(); }
+  const std::atomic<std::uint64_t>* word_data() const { return words_; }
   std::uint64_t load_word(std::size_t w) const {
     return words_[w].load(std::memory_order_acquire);
   }
-  std::size_t word_count() const { return words_.size(); }
+  std::size_t word_count() const { return word_count_; }
 
   /// First zero bit among the low `limit` bits (cumulative-ACK helper),
   /// or `limit` if they are all set. Word scan: the SR receiver calls this
@@ -215,7 +230,9 @@ class AtomicBitmap {
 
  private:
   std::size_t bits_{0};
-  std::vector<std::atomic<std::uint64_t>> words_;
+  std::size_t word_count_{0};
+  std::atomic<std::uint64_t>* words_{nullptr};
+  std::unique_ptr<std::atomic<std::uint64_t>[]> owned_;  // unless attached
 };
 
 }  // namespace sdr

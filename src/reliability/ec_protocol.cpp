@@ -8,6 +8,52 @@
 
 namespace sdr::reliability {
 
+namespace {
+
+constexpr std::uint64_t kNoMessage = ~std::uint64_t{0};
+
+/// Whether a recycled parity buffer of `capacity` bytes may carry a message
+/// that needs `need`: it must be large enough and at most twice that, so a
+/// node that once carried a bulk message does not pin that much memory for
+/// every small one after it.
+bool fits(std::size_t capacity, std::size_t need) {
+  return capacity >= need && capacity / 2 < need;
+}
+
+/// The state node for a new message keyed `key`: a recycled one from `free`
+/// when there is one, so its buffers keep their capacity. The first node
+/// for which `fitting` holds is preferred. Every field still holds the
+/// previous message's value; the caller resets what it uses.
+template <typename Map, typename Fitting>
+typename Map::mapped_type& acquire_node(
+    Map& map, std::vector<typename Map::node_type>& free, std::uint64_t key,
+    Fitting fitting) {
+  if (free.empty()) return map[key];
+  auto pick = std::find_if(free.begin(), free.end(),
+                           [&](const auto& n) { return fitting(n.mapped()); });
+  if (pick == free.end()) --pick;
+  typename Map::node_type node = std::move(*pick);
+  if (pick != free.end() - 1) *pick = std::move(free.back());
+  free.pop_back();
+  node.key() = key;
+  return map.insert(std::move(node)).position->second;
+}
+
+/// Record that the message-table slot `slot` now carries a submessage of the
+/// message keyed `base`. The table grows to the slots actually used.
+void set_slot_base(std::vector<std::uint64_t>& table, std::size_t slot,
+                   std::uint64_t base) {
+  if (slot >= table.size()) table.resize(slot + 1, kNoMessage);
+  table[slot] = base;
+}
+
+std::uint64_t slot_base(const std::vector<std::uint64_t>& table,
+                        std::size_t slot) {
+  return slot < table.size() ? table[slot] : kNoMessage;
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // Sender
 // ---------------------------------------------------------------------------
@@ -21,7 +67,9 @@ EcSender::EcSender(sim::Simulator& simulator, core::Qp& qp,
       profile_(profile),
       codec_(codec),
       config_(config),
-      chunk_bytes_(qp.attr().chunk_size) {
+      chunk_bytes_(qp.attr().chunk_size),
+      data_blocks_(config.k),
+      parity_blocks_(config.m) {
   assert(codec_.k() == config_.k && codec_.m() == config_.m);
   control_.set_receiver(
       [this](const std::uint8_t* d, std::size_t n) { on_control(d, n); });
@@ -52,57 +100,83 @@ Status EcSender::write(const std::uint8_t* data, std::size_t length,
                   "(k * chunk_size)");
   }
   const std::size_t L = length / sub_bytes;
+  const std::size_t parity_bytes = L * config_.m * chunk_bytes_;
 
-  MsgState msg;
+  // The first data stream's number is the message's key (its base).
+  core::SendHandle* handle = nullptr;
+  if (Status st = qp_.send_stream_start(0, false, &handle); !st) return st;
+  const std::uint64_t base = handle->msg_number();
+  MsgState& msg = acquire_node(messages_, free_, base, [&](const MsgState& m) {
+    return fits(m.parity.capacity(), parity_bytes);
+  });
   msg.data = data;
   msg.length = length;
   msg.submessages = L;
   msg.write_at_s = sim_.now().seconds();
   msg.done = std::move(done);
-  msg.parity.resize(L * config_.m * chunk_bytes_);
-  msg.timers.assign(L, {});
-  msg.acked.assign(L, Bitmap{});
+  msg.data_handles.clear();
+  msg.parity_handles.clear();
+  if (!fits(msg.parity.capacity(), parity_bytes)) {
+    msg.parity = std::vector<std::uint8_t>(parity_bytes);
+  }
+  msg.parity.resize(parity_bytes);
+  if (msg.timers.size() < L) msg.timers.resize(L);
+  if (msg.acked.size() < L) msg.acked.resize(L);
+  for (std::size_t s = 0; s < L; ++s) {
+    msg.timers[s].clear();
+    msg.acked[s].resize(0);
+  }
   msg.sub_done.assign(L, false);
+  msg.subs_pending_fallback = 0;
+  // A failed post releases the sends already started (nothing will finish
+  // them) and returns the state node to the pool.
+  auto abandon = [this, base](const Status& st) {
+    auto node = messages_.extract(base);
+    release_handles(node.mapped());
+    node.mapped().done = nullptr;
+    free_.push_back(std::move(node));
+    return st;
+  };
 
   // Encode all parity submessages. In a deployment this overlaps with data
   // injection on spare cores (paper §4.1.2); in virtual time it is free —
   // the real encode cost is measured by bench_fig11_ec_encode.
-  std::vector<const std::uint8_t*> data_blocks(config_.k);
-  std::vector<std::uint8_t*> parity_blocks(config_.m);
   for (std::size_t s = 0; s < L; ++s) {
     for (std::size_t j = 0; j < config_.k; ++j) {
-      data_blocks[j] = data + (s * config_.k + j) * chunk_bytes_;
+      data_blocks_[j] = data + (s * config_.k + j) * chunk_bytes_;
     }
     for (std::size_t t = 0; t < config_.m; ++t) {
-      parity_blocks[t] = msg.parity.data() + (s * config_.m + t) * chunk_bytes_;
+      parity_blocks_[t] =
+          msg.parity.data() + (s * config_.m + t) * chunk_bytes_;
     }
-    codec_.encode(std::span<const std::uint8_t* const>(data_blocks),
-                  std::span<std::uint8_t* const>(parity_blocks),
+    codec_.encode(std::span<const std::uint8_t* const>(data_blocks_),
+                  std::span<std::uint8_t* const>(parity_blocks_),
                   chunk_bytes_);
   }
 
   // Data submessages: streaming sends, kept open for potential fallback
   // retransmission into the same remote buffers.
-  std::uint64_t base = 0;
   for (std::size_t s = 0; s < L; ++s) {
-    core::SendHandle* handle = nullptr;
-    if (Status st = qp_.send_stream_start(0, false, &handle); !st) return st;
-    if (s == 0) base = handle->msg_number();
+    if (s > 0) {
+      if (Status st = qp_.send_stream_start(0, false, &handle); !st) {
+        return abandon(st);
+      }
+    }
     qp_.send_stream_continue(handle, data + s * sub_bytes, 0, sub_bytes);
     msg.data_handles.push_back(handle);
-    sub_to_base_[handle->msg_number()] = base;
+    set_slot_base(sub_base_, handle->slot(), base);
     stats_.data_chunks_sent += config_.k;
   }
-  // Parity submessages: one-shot sends (never retransmitted).
+  // Parity submessages: one-shot sends (never retransmitted). They cannot
+  // leave before the receiver's CTS, so they are not polled while they
+  // wait: finish() releases them together with the data streams.
   for (std::size_t s = 0; s < L; ++s) {
-    core::SendHandle* handle = nullptr;
     if (Status st = qp_.send_post(msg.parity.data() + s * config_.m * chunk_bytes_,
                                   config_.m * chunk_bytes_, 0, false, &handle);
         !st) {
-      return st;
+      return abandon(st);
     }
     msg.parity_handles.push_back(handle);
-    reap(handle);  // parity contexts are destroyed as soon as injected
     stats_.parity_chunks_sent += config_.m;
   }
 
@@ -114,15 +188,13 @@ Status EcSender::write(const std::uint8_t* data, std::size_t length,
                      .conn = qp_.control_qp_num(), .msg = base, .a = length,
                      .b = L});
   }
-  messages_.emplace(base, std::move(msg));
   return Status::ok();
 }
 
 void EcSender::on_control(const std::uint8_t* data, std::size_t length) {
   telemetry::ProfScope prof(telemetry::ProfCategory::kEc);
-  const auto parsed = decode_control(data, length);
-  if (!parsed) return;
-  const ControlMessage& ctl = *parsed;
+  if (!decode_control(data, length, ctrl_scratch_)) return;
+  const ControlMessage& ctl = ctrl_scratch_;
 
   switch (ctl.type) {
     case ControlType::kEcAck: {
@@ -138,11 +210,17 @@ void EcSender::on_control(const std::uint8_t* data, std::size_t length) {
     }
     case ControlType::kSrAck: {
       // Fallback per-submessage ACK: msg_number is the submessage's own.
-      const auto bit = sub_to_base_.find(ctl.msg_number);
-      if (bit == sub_to_base_.end()) return;
-      const std::uint64_t base = bit->second;
+      // Its slot names the message that last posted a data stream there;
+      // a stale ACK (that message finished, the slot moved on) names a
+      // number outside the live message's data submessages.
+      const std::uint64_t base = slot_base(
+          sub_base_, static_cast<std::size_t>(ctl.msg_number %
+                                              qp_.attr().max_inflight));
       const auto it = messages_.find(base);
-      if (it == messages_.end()) return;
+      if (it == messages_.end() || ctl.msg_number < base ||
+          ctl.msg_number - base >= it->second.submessages) {
+        return;
+      }
       const std::size_t sub = static_cast<std::size_t>(ctl.msg_number - base);
       apply_fallback_ack(it->second, base, sub, ctl);
       break;
@@ -258,8 +336,7 @@ void EcSender::apply_fallback_ack(MsgState& msg, std::uint64_t base,
 void EcSender::finish(std::uint64_t base) {
   const auto it = messages_.find(base);
   if (it == messages_.end()) return;
-  MsgState msg = std::move(it->second);
-  messages_.erase(it);
+  MsgState& msg = it->second;
   if (msg_completion_hist_.live() && msg.write_at_s >= 0.0) {
     msg_completion_hist_.record(sim_.now().seconds() - msg.write_at_s);
   }
@@ -275,28 +352,40 @@ void EcSender::finish(std::uint64_t base) {
     for (sim::EventId id : msg.timers[s]) {
       if (id.valid()) sim_.cancel(id);
     }
-    sub_to_base_.erase(msg.data_handles[s]->msg_number());
-    // A stream whose CTS never arrived has everything still queued; the
-    // receiver completed without it (parity recovery), so it will never
-    // drain — release it instead of reap-polling it forever.
-    if (!msg.data_handles[s]->cts_ready()) {
-      qp_.send_abort(msg.data_handles[s]);
+  }
+  release_handles(msg);
+  DoneFn done = std::move(msg.done);
+  msg.data = nullptr;
+  // Recycle the node before the callback so a re-entrant write() finds it.
+  free_.push_back(messages_.extract(it));
+  if (done) done(Status::ok());
+}
+
+void EcSender::release_handles(const MsgState& msg) {
+  // A send whose CTS never arrived has everything still queued; the
+  // receiver completed without it (parity recovery), so it will never
+  // drain: abort it instead of reap-polling it forever. The rest have
+  // almost always left the NIC by the final ACK, so reap() rarely has to
+  // retry. Parity handles were held since write() like the data streams,
+  // so each still carries its own message. Holding them is safe for slot
+  // reuse: a later send that wraps onto a parity slot passes this
+  // message's data slots first (their numbers come before the parity
+  // numbers), and those were held too.
+  for (core::SendHandle* handle : msg.data_handles) {
+    if (!handle->cts_ready()) {
+      qp_.send_abort(handle);
       continue;
     }
-    qp_.send_stream_end(msg.data_handles[s]);
-    reap(msg.data_handles[s]);
+    qp_.send_stream_end(handle);
+    reap(handle);
   }
-  for (std::size_t s = 0; s < msg.submessages; ++s) {
-    // Parity one-shots self-reap once injected; a CTS-less one never will.
-    // A reaped handle may already carry a newer message (the slot pool
-    // recycles), so only touch it if it still holds our number (parity
-    // numbers follow the data numbers: base + submessages + s).
-    core::SendHandle* parity = msg.parity_handles[s];
-    if (parity->msg_number() != base + msg.submessages + s) continue;
-    if (parity->cts_ready()) continue;
-    qp_.send_abort(parity);
+  for (core::SendHandle* handle : msg.parity_handles) {
+    if (!handle->cts_ready()) {
+      qp_.send_abort(handle);
+      continue;
+    }
+    reap(handle);
   }
-  if (msg.done) msg.done(Status::ok());
 }
 
 void EcSender::reap(core::SendHandle* handle) {
@@ -318,7 +407,9 @@ EcReceiver::EcReceiver(sim::Simulator& simulator, core::Qp& qp,
       profile_(profile),
       codec_(codec),
       config_(config),
-      chunk_bytes_(qp.attr().chunk_size) {
+      chunk_bytes_(qp.attr().chunk_size),
+      present_(config.k + config.m, false),
+      decode_blocks_(config.k + config.m) {
   qp_.set_recv_event_handler(
       [this](const core::RecvEvent& event) { on_chunk_event(event); });
   if (telemetry::enabled()) register_metrics();
@@ -340,6 +431,20 @@ void EcReceiver::register_metrics() {
   msg_completion_hist_ = tele_.histogram("msg_completion_s", 1e-6, 1e3);
 }
 
+EcReceiver::~EcReceiver() {
+  // A registration may be dropped only once no receive slot is bound to it.
+  core::Context& ctx = qp_.context();
+  for (auto& [base, msg] : messages_) {
+    complete_receives(msg);
+    if (msg.parity_mr != nullptr) ctx.mr_dereg(msg.parity_mr);
+  }
+  for (auto& node : free_) {
+    if (node.mapped().parity_mr != nullptr) {
+      ctx.mr_dereg(node.mapped().parity_mr);
+    }
+  }
+}
+
 Status EcReceiver::expect(std::uint8_t* buffer, std::size_t length,
                           const verbs::MemoryRegion* mr, DoneFn done) {
   const std::size_t sub_bytes = config_.k * chunk_bytes_;
@@ -349,43 +454,75 @@ Status EcReceiver::expect(std::uint8_t* buffer, std::size_t length,
   }
   const std::size_t L = length / sub_bytes;
 
-  MsgState msg;
+  // Post order must mirror the sender's send order: data 0..L-1, parity
+  // 0..L-1 (SDR matching is order-based). The first data receive's number
+  // is the message's key (its base).
+  core::RecvHandle* handle = nullptr;
+  if (Status st = qp_.recv_post(buffer, sub_bytes, mr, &handle); !st) {
+    return st;
+  }
+  const std::uint64_t base = handle->msg_number();
+  const std::size_t parity_bytes = L * config_.m * chunk_bytes_;
+  MsgState& msg = acquire_node(messages_, free_, base, [&](const MsgState& m) {
+    return fits(m.parity_scratch.size(), parity_bytes);
+  });
   msg.buffer = buffer;
   msg.length = length;
   msg.submessages = L;
   msg.posted_at_s = sim_.now().seconds();
   msg.done = std::move(done);
+  msg.data_handles.clear();
+  msg.parity_handles.clear();
   msg.sub_recovered.assign(L, false);
-  msg.parity_scratch.resize(L * config_.m * chunk_bytes_);
-  msg.parity_mr =
-      qp_.context().mr_reg(msg.parity_scratch.data(), msg.parity_scratch.size());
+  msg.sub_nacked.clear();
+  msg.subs_recovered = 0;
+  msg.fto_armed = false;
+  msg.fallback = false;
+  msg.complete = false;
+  msg.fto_timer = {};
+  msg.global_timer = {};
+  msg.ack_timer = {};
+  // The parity scratch keeps its registration while it fits. Every receive
+  // bound to it was completed (rebound to the NULL key) before the node was
+  // recycled, so replacing it is safe too.
+  if (msg.parity_mr == nullptr ||
+      !fits(msg.parity_scratch.size(), parity_bytes)) {
+    if (msg.parity_mr != nullptr) qp_.context().mr_dereg(msg.parity_mr);
+    msg.parity_scratch = std::vector<std::uint8_t>(parity_bytes);
+    msg.parity_mr = qp_.context().mr_reg(msg.parity_scratch.data(),
+                                         msg.parity_scratch.size());
+  }
+  // A failed post completes the receives already posted (nothing else
+  // will, and they are bound to the parity scratch) and returns the state
+  // node to the pool.
+  auto abandon = [this, base](const Status& st) {
+    auto node = messages_.extract(base);
+    complete_receives(node.mapped());
+    node.mapped().done = nullptr;
+    free_.push_back(std::move(node));
+    return st;
+  };
 
-  // Post order must mirror the sender's send order: data 0..L-1, parity
-  // 0..L-1 (SDR matching is order-based).
-  std::uint64_t base = 0;
   for (std::size_t s = 0; s < L; ++s) {
-    core::RecvHandle* handle = nullptr;
-    if (Status st = qp_.recv_post(buffer + s * sub_bytes, sub_bytes, mr,
-                                  &handle);
-        !st) {
-      return st;
+    if (s > 0) {
+      if (Status st = qp_.recv_post(buffer + s * sub_bytes, sub_bytes, mr,
+                                    &handle);
+          !st) {
+        return abandon(st);
+      }
     }
-    if (s == 0) base = handle->msg_number();
     msg.data_handles.push_back(handle);
+    set_slot_base(handle_base_, handle->slot(), base);
   }
   for (std::size_t s = 0; s < L; ++s) {
-    core::RecvHandle* handle = nullptr;
     if (Status st = qp_.recv_post(
             msg.parity_scratch.data() + s * config_.m * chunk_bytes_,
             config_.m * chunk_bytes_, msg.parity_mr, &handle);
         !st) {
-      return st;
+      return abandon(st);
     }
     msg.parity_handles.push_back(handle);
-  }
-  for (std::size_t s = 0; s < L; ++s) {
-    handle_to_base_[msg.data_handles[s]->msg_number()] = base;
-    handle_to_base_[msg.parity_handles[s]->msg_number()] = base;
+    set_slot_base(handle_base_, handle->slot(), base);
   }
 
   if (config_.cts_retry_s > 0.0) {
@@ -409,13 +546,9 @@ Status EcReceiver::expect(std::uint8_t* buffer, std::size_t length,
         m.complete = true;
         if (m.fto_timer.valid()) sim_.cancel(m.fto_timer);
         if (m.ack_timer.valid()) sim_.cancel(m.ack_timer);
-        for (auto* h : m.data_handles) qp_.recv_complete(h);
-        for (auto* h : m.parity_handles) qp_.recv_complete(h);
+        complete_receives(m);
         DoneFn cb = std::move(m.done);
-        for (auto* h : m.data_handles) handle_to_base_.erase(h->msg_number());
-        for (auto* h : m.parity_handles)
-          handle_to_base_.erase(h->msg_number());
-        messages_.erase(it);
+        free_.push_back(messages_.extract(it));
         if (cb) cb(Status(StatusCode::kAborted, "EC global timeout"));
       });
 
@@ -426,22 +559,24 @@ Status EcReceiver::expect(std::uint8_t* buffer, std::size_t length,
   arm_fto(msg, base);
 
   ++stats_.messages;
-  messages_.emplace(base, std::move(msg));
   return Status::ok();
 }
 
 void EcReceiver::on_chunk_event(const core::RecvEvent& event) {
   telemetry::ProfScope prof(telemetry::ProfCategory::kEc);
-  const auto bit = handle_to_base_.find(event.handle->msg_number());
-  if (bit == handle_to_base_.end()) return;
-  const std::uint64_t base = bit->second;
+  // Events fire only for posted receives, and the message that posted one
+  // is the last to have written its slot's entry.
+  const std::uint64_t number = event.handle->msg_number();
+  const std::uint64_t base = slot_base(handle_base_, event.handle->slot());
   const auto it = messages_.find(base);
   if (it == messages_.end()) return;
   MsgState& msg = it->second;
-  if (msg.complete) return;
+  if (msg.complete || number < base || number - base >= 2 * msg.submessages) {
+    return;
+  }
 
   // Which submessage does this event concern?
-  const std::uint64_t idx = event.handle->msg_number() - base;
+  const std::uint64_t idx = number - base;
   const std::size_t sub = idx < msg.submessages
                               ? static_cast<std::size_t>(idx)
                               : static_cast<std::size_t>(idx - msg.submessages);
@@ -475,48 +610,45 @@ void EcReceiver::on_chunk_event(const core::RecvEvent& event) {
 }
 
 bool EcReceiver::submessage_recoverable(const MsgState& msg,
-                                        std::size_t sub) const {
-  ec::PresenceMap present(config_.k + config_.m, false);
+                                        std::size_t sub) {
   const AtomicBitmap* data_bits = nullptr;
   const AtomicBitmap* parity_bits = nullptr;
   qp_.recv_bitmap_get(msg.data_handles[sub], &data_bits);
   qp_.recv_bitmap_get(msg.parity_handles[sub], &parity_bits);
   if (data_bits == nullptr || parity_bits == nullptr) return false;
-  for (std::size_t j = 0; j < config_.k; ++j) present[j] = data_bits->test(j);
+  for (std::size_t j = 0; j < config_.k; ++j) present_[j] = data_bits->test(j);
   for (std::size_t t = 0; t < config_.m; ++t) {
-    present[config_.k + t] = parity_bits->test(t);
+    present_[config_.k + t] = parity_bits->test(t);
   }
-  return codec_.can_recover(present);
+  return codec_.can_recover(present_);
 }
 
 bool EcReceiver::try_recover(MsgState& msg, std::size_t sub) {
-  ec::PresenceMap present(config_.k + config_.m, false);
   const AtomicBitmap* data_bits = nullptr;
   const AtomicBitmap* parity_bits = nullptr;
   qp_.recv_bitmap_get(msg.data_handles[sub], &data_bits);
   qp_.recv_bitmap_get(msg.parity_handles[sub], &parity_bits);
   bool all_data = true;
   for (std::size_t j = 0; j < config_.k; ++j) {
-    present[j] = data_bits->test(j);
-    all_data = all_data && present[j];
+    present_[j] = data_bits->test(j);
+    all_data = all_data && present_[j];
   }
   if (all_data) {
     ++stats_.clean_submessages;
     return true;
   }
   for (std::size_t t = 0; t < config_.m; ++t) {
-    present[config_.k + t] = parity_bits->test(t);
+    present_[config_.k + t] = parity_bits->test(t);
   }
-  std::vector<std::uint8_t*> blocks(config_.k + config_.m);
   const std::size_t sub_bytes = config_.k * chunk_bytes_;
   for (std::size_t j = 0; j < config_.k; ++j) {
-    blocks[j] = msg.buffer + sub * sub_bytes + j * chunk_bytes_;
+    decode_blocks_[j] = msg.buffer + sub * sub_bytes + j * chunk_bytes_;
   }
   for (std::size_t t = 0; t < config_.m; ++t) {
-    blocks[config_.k + t] =
+    decode_blocks_[config_.k + t] =
         msg.parity_scratch.data() + (sub * config_.m + t) * chunk_bytes_;
   }
-  if (!codec_.decode(std::span<std::uint8_t* const>(blocks), present,
+  if (!codec_.decode(std::span<std::uint8_t* const>(decode_blocks_), present_,
                      chunk_bytes_)) {
     return false;
   }
@@ -668,33 +800,32 @@ void EcReceiver::complete(MsgState& msg, std::uint64_t base) {
   if (msg.global_timer.valid()) sim_.cancel(msg.global_timer);
   if (msg.ack_timer.valid()) sim_.cancel(msg.ack_timer);
 
+  send_ec_ack(base);
+  for (std::size_t r = 1; r < config_.final_ack_repeats; ++r) {
+    // The repeat re-encodes the same ACK: the scratch is reused meanwhile.
+    sim_.schedule(SimTime::from_seconds(config_.fallback_ack_interval_s *
+                                        static_cast<double>(r)),
+                  [this, base] { send_ec_ack(base); });
+  }
+
+  complete_receives(msg);
+  DoneFn done = std::move(msg.done);
+  msg.buffer = nullptr;
+  // Recycle the node before the callback so a re-entrant expect() finds it.
+  free_.push_back(messages_.extract(base));
+  if (done) done(Status::ok());
+}
+
+void EcReceiver::complete_receives(const MsgState& msg) {
+  for (auto* h : msg.data_handles) qp_.recv_complete(h);
+  for (auto* h : msg.parity_handles) qp_.recv_complete(h);
+}
+
+void EcReceiver::send_ec_ack(std::uint64_t base) {
   ControlMessage& ack = ctrl_scratch_;
   reset_control(ack, ControlType::kEcAck, base);
   encode_control(ack, wire_scratch_);
   control_.send(wire_scratch_.data(), wire_scratch_.size());
-  for (std::size_t r = 1; r < config_.final_ack_repeats; ++r) {
-    // Init-capture copies the scratch: the repeat fires after the scratch
-    // has been reused, and a const member would degrade the event's
-    // relocation to a copy (InlineFunction requires nothrow moves).
-    sim_.schedule(
-        SimTime::from_seconds(config_.fallback_ack_interval_s *
-                              static_cast<double>(r)),
-        [this, ack_wire = wire_scratch_] {
-          control_.send(ack_wire.data(), ack_wire.size());
-        });
-  }
-
-  for (auto* h : msg.data_handles) {
-    handle_to_base_.erase(h->msg_number());
-    qp_.recv_complete(h);
-  }
-  for (auto* h : msg.parity_handles) {
-    handle_to_base_.erase(h->msg_number());
-    qp_.recv_complete(h);
-  }
-  DoneFn done = std::move(msg.done);
-  messages_.erase(base);
-  if (done) done(Status::ok());
 }
 
 }  // namespace sdr::reliability

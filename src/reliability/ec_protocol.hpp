@@ -13,6 +13,12 @@
 // data chunks are EC-decoded in place and a positive ACK is sent. A
 // fallback timeout FTO = (M + M/R)*T_INJ + beta*RTT armed at the first
 // received chunk triggers an EC NACK listing the failed submessages.
+//
+// Both sides do per-message work only when something happens (a write, a
+// chunk event, a control message, a timer) and allocate nothing per message
+// in steady state: finished messages' state nodes are recycled with their
+// buffers, and submessage -> message lookups index a flat array by the core
+// message-table slot.
 #pragma once
 
 #include <cstdint>
@@ -83,9 +89,11 @@ class EcSender {
     std::size_t length{0};
     std::size_t submessages{0};
     std::vector<core::SendHandle*> data_handles;    // streaming, kept open
-    std::vector<core::SendHandle*> parity_handles;  // one-shot
+    std::vector<core::SendHandle*> parity_handles;  // one-shot, held to finish
     std::vector<std::uint8_t> parity;               // encoded parity buffer
-    // Fallback SR state, indexed [submessage][chunk-in-submessage].
+    // Fallback SR state, indexed [submessage][chunk-in-submessage]. A
+    // recycled node may hold more than `submessages` entries; only that
+    // prefix is live.
     std::vector<std::vector<sim::EventId>> timers;
     std::vector<Bitmap> acked;        // per-submessage chunk acks
     std::vector<bool> sub_done;
@@ -105,7 +113,12 @@ class EcSender {
   void apply_fallback_ack(MsgState& msg, std::uint64_t base, std::size_t sub,
                           const ControlMessage& ack);
   void finish(std::uint64_t base);
+  /// Hand every send of `msg` back to the core: abort the CTS-less ones,
+  /// end and reap the rest.
+  void release_handles(const MsgState& msg);
   void reap(core::SendHandle* handle);
+
+  using MsgMap = std::unordered_map<std::uint64_t, MsgState>;
 
   sim::Simulator& sim_;
   core::Qp& qp_;
@@ -115,9 +128,20 @@ class EcSender {
   EcProtoConfig config_;
   std::size_t chunk_bytes_;
   // Keyed by the base (first data submessage) SDR message number.
-  std::unordered_map<std::uint64_t, MsgState> messages_;
-  // Maps any data submessage msg_number -> base (for fallback ACK routing).
-  std::unordered_map<std::uint64_t, std::uint64_t> sub_to_base_;
+  MsgMap messages_;
+  /// Finished-message nodes kept for reuse, with the capacity of every
+  /// buffer inside them. A list, not one spare: up to a window of messages
+  /// finish back to back.
+  std::vector<MsgMap::node_type> free_;
+  /// Data submessage -> base, indexed by the submessage's message-table
+  /// slot (fallback ACK routing). Entries are never cleared: a lookup
+  /// checks that the message number falls inside the base's live message.
+  std::vector<std::uint64_t> sub_base_;
+  // Encode block-pointer scratch (k data, m parity).
+  std::vector<const std::uint8_t*> data_blocks_;
+  std::vector<std::uint8_t*> parity_blocks_;
+  /// Decode scratch: reused per control message, capacity sticks.
+  ControlMessage ctrl_scratch_;
   EcSenderStats stats_;
   // Tail-latency rollup: write() -> positive EC ACK.
   telemetry::HistogramHandle msg_completion_hist_;
@@ -140,6 +164,11 @@ class EcReceiver {
   EcReceiver(sim::Simulator& simulator, core::Qp& qp, ControlLink& control,
              const LinkProfile& profile, const ec::ErasureCodec& codec,
              EcProtoConfig config);
+  /// Completes the receives of messages still in flight, then deregisters
+  /// every parity scratch MR. The Qp's context must still be alive.
+  ~EcReceiver();
+  EcReceiver(const EcReceiver&) = delete;
+  EcReceiver& operator=(const EcReceiver&) = delete;
 
   /// Post `buffer` for the next incoming EC message. Length must be a whole
   /// number of submessages. Fires `done` once all data chunks are present
@@ -156,6 +185,7 @@ class EcReceiver {
     std::size_t submessages{0};
     std::vector<core::RecvHandle*> data_handles;
     std::vector<core::RecvHandle*> parity_handles;
+    /// Registered once per buffer, as parity_mr.
     std::vector<std::uint8_t> parity_scratch;
     const verbs::MemoryRegion* parity_mr{nullptr};
     std::vector<bool> sub_recovered;
@@ -173,10 +203,12 @@ class EcReceiver {
     DoneFn done;
   };
 
+  using MsgMap = std::unordered_map<std::uint64_t, MsgState>;
+
   void register_metrics();
   void on_chunk_event(const core::RecvEvent& event);
   void cts_tick(std::uint64_t base);
-  bool submessage_recoverable(const MsgState& msg, std::size_t sub) const;
+  bool submessage_recoverable(const MsgState& msg, std::size_t sub);
   bool try_recover(MsgState& msg, std::size_t sub);
   void check_message(MsgState& msg, std::uint64_t base);
   void arm_fto(MsgState& msg, std::uint64_t base);
@@ -184,6 +216,10 @@ class EcReceiver {
   void fallback_ack_tick(std::uint64_t base);
   void send_fallback_acks(MsgState& msg, std::uint64_t base);
   void complete(MsgState& msg, std::uint64_t base);
+  /// recv_complete every receive of `msg`: its slots rebind to the NULL
+  /// key, so nothing is bound to its parity scratch any more.
+  void complete_receives(const MsgState& msg);
+  void send_ec_ack(std::uint64_t base);
 
   sim::Simulator& sim_;
   core::Qp& qp_;
@@ -192,8 +228,16 @@ class EcReceiver {
   const ec::ErasureCodec& codec_;
   EcProtoConfig config_;
   std::size_t chunk_bytes_;
-  std::unordered_map<std::uint64_t, MsgState> messages_;
-  std::unordered_map<std::uint64_t, std::uint64_t> handle_to_base_;
+  MsgMap messages_;
+  /// Completed-message nodes kept for reuse (see EcSender::free_).
+  std::vector<MsgMap::node_type> free_;
+  /// Data or parity submessage -> base, indexed by the handle's
+  /// message-table slot and checked against the live message on lookup.
+  std::vector<std::uint64_t> handle_base_;
+  // Recoverability/decode scratch: presence of the k + m blocks of the
+  // submessage under test, and their addresses.
+  ec::PresenceMap present_;
+  std::vector<std::uint8_t*> decode_blocks_;
   // Reused ACK/NACK encode scratch (same pattern as SrReceiver): the
   // control path allocates nothing in steady state.
   ControlMessage ctrl_scratch_;

@@ -6,25 +6,31 @@ namespace sdr::core {
 
 MessageTable::MessageTable(const QpAttr& attr) : attr_(attr), codec_(attr.imm) {
   assert(attr_.valid());
-  slots_.reserve(attr_.max_inflight);
-  for (std::size_t i = 0; i < attr_.max_inflight; ++i) {
-    auto slot = std::make_unique<Slot>();
-    slot->packet_bits.resize(attr_.max_packets_per_msg());
-    slot->chunk_bits.resize(attr_.max_chunks_per_msg());
-    slots_.push_back(std::move(slot));
+  slot_count_ = attr_.max_inflight;
+  slots_ = std::make_unique<Slot[]>(slot_count_);
+  const std::size_t packet_words = bitmap_words(attr_.max_packets_per_msg());
+  const std::size_t chunk_words = bitmap_words(attr_.max_chunks_per_msg());
+  bitmap_words_ = std::make_unique<std::atomic<std::uint64_t>[]>(
+      slot_count_ * (packet_words + chunk_words));
+  for (std::size_t i = 0; i < slot_count_; ++i) {
+    std::atomic<std::uint64_t>* words =
+        bitmap_words_.get() + i * (packet_words + chunk_words);
+    slots_[i].packet_bits.attach(words, attr_.max_packets_per_msg());
+    slots_[i].chunk_bits.attach(words + packet_words,
+                                attr_.max_chunks_per_msg());
   }
 }
 
 Status MessageTable::arm(std::size_t slot_idx, std::uint32_t generation,
                          std::size_t msg_bytes) {
-  if (slot_idx >= slots_.size()) {
+  if (slot_idx >= slot_count_) {
     return Status(StatusCode::kOutOfRange, "slot index out of range");
   }
   if (msg_bytes == 0 || msg_bytes > attr_.max_msg_size) {
     return Status(StatusCode::kInvalidArgument,
                   "message size outside (0, max_msg_size]");
   }
-  Slot& s = *slots_[slot_idx];
+  Slot& s = slots_[slot_idx];
   if (s.active.load(std::memory_order_acquire)) {
     return Status(StatusCode::kFailedPrecondition,
                   "slot still active: complete the previous receive first");
@@ -46,10 +52,10 @@ Status MessageTable::arm(std::size_t slot_idx, std::uint32_t generation,
 }
 
 Status MessageTable::release(std::size_t slot_idx) {
-  if (slot_idx >= slots_.size()) {
+  if (slot_idx >= slot_count_) {
     return Status(StatusCode::kOutOfRange, "slot index out of range");
   }
-  Slot& s = *slots_[slot_idx];
+  Slot& s = slots_[slot_idx];
   if (!s.active.load(std::memory_order_acquire)) {
     return Status(StatusCode::kFailedPrecondition, "slot is not active");
   }
@@ -60,8 +66,8 @@ Status MessageTable::release(std::size_t slot_idx) {
 ProcessResult MessageTable::process_completion(const ImmFields& fields,
                                                std::uint32_t qp_generation) {
   ProcessResult result;
-  if (fields.msg_id >= slots_.size()) return result;
-  Slot& s = *slots_[fields.msg_id];
+  if (fields.msg_id >= slot_count_) return result;
+  Slot& s = slots_[fields.msg_id];
 
   // Stage-2 late-packet protection: the completion's generation (identified
   // by the internal QP that delivered it) must match the slot's current
@@ -116,7 +122,7 @@ ProcessResult MessageTable::process_completion(const ImmFields& fields,
 
 bool MessageTable::user_imm_ready(std::size_t slot_idx,
                                   std::uint32_t* imm) const {
-  const Slot& s = *slots_[slot_idx];
+  const Slot& s = slots_[slot_idx];
   const unsigned frags = codec_.layout().user_fragments();
   if (frags == 0) return false;
   // For messages shorter than `frags` packets only the low fragment slots

@@ -41,7 +41,7 @@ class MessageTable {
  public:
   explicit MessageTable(const QpAttr& attr);
 
-  std::size_t slot_count() const { return slots_.size(); }
+  std::size_t slot_count() const { return slot_count_; }
   const QpAttr& attr() const { return attr_; }
 
   /// Arm slot for a message of `msg_bytes` (<= max_msg_size) at generation
@@ -63,27 +63,27 @@ class MessageTable {
 
   // ---- frontend (user-facing) accessors ----
   bool slot_active(std::size_t slot) const {
-    return slots_[slot]->active.load(std::memory_order_acquire);
+    return slots_[slot].active.load(std::memory_order_acquire);
   }
   std::size_t msg_bytes(std::size_t slot) const {
-    return slots_[slot]->msg_bytes;
+    return slots_[slot].msg_bytes;
   }
-  std::size_t chunks(std::size_t slot) const { return slots_[slot]->chunks; }
-  std::size_t packets(std::size_t slot) const { return slots_[slot]->packets; }
+  std::size_t chunks(std::size_t slot) const { return slots_[slot].chunks; }
+  std::size_t packets(std::size_t slot) const { return slots_[slot].packets; }
 
   /// Chunk (frontend) bitmap word access — what recv_bitmap_get exposes.
   const AtomicBitmap& chunk_bitmap(std::size_t slot) const {
-    return slots_[slot]->chunk_bits;
+    return slots_[slot].chunk_bits;
   }
   const AtomicBitmap& packet_bitmap(std::size_t slot) const {
-    return slots_[slot]->packet_bits;
+    return slots_[slot].packet_bits;
   }
 
   std::uint64_t packets_received(std::size_t slot) const {
-    return slots_[slot]->packets_received.load(std::memory_order_relaxed);
+    return slots_[slot].packets_received.load(std::memory_order_relaxed);
   }
   bool message_complete(std::size_t slot) const {
-    const Slot& s = *slots_[slot];
+    const Slot& s = slots_[slot];
     return s.packets_received.load(std::memory_order_acquire) >= s.packets &&
            s.packets > 0;
   }
@@ -93,7 +93,7 @@ class MessageTable {
   bool user_imm_ready(std::size_t slot, std::uint32_t* imm) const;
 
   SlotStats stats(std::size_t slot) const {
-    const Slot& s = *slots_[slot];
+    const Slot& s = slots_[slot];
     return SlotStats{
         s.packets_accepted.load(std::memory_order_relaxed),
         s.duplicates.load(std::memory_order_relaxed),
@@ -119,9 +119,13 @@ class MessageTable {
 
   QpAttr attr_;
   ImmCodec codec_;
-  // unique_ptr per slot: Slot contains atomics and is neither copyable nor
-  // movable; the table size is fixed at construction.
-  std::vector<std::unique_ptr<Slot>> slots_;
+  // One array of slots and one of bitmap words (every slot's packet bitmap,
+  // then its chunk bitmap): Slot contains atomics and is neither copyable
+  // nor movable, and the table size is fixed at construction, so two
+  // allocations serve the whole table instead of three per slot.
+  std::size_t slot_count_{0};
+  std::unique_ptr<Slot[]> slots_;
+  std::unique_ptr<std::atomic<std::uint64_t>[]> bitmap_words_;
 };
 
 }  // namespace sdr::core

@@ -31,6 +31,10 @@ const verbs::MemoryRegion* Context::mr_reg(void* addr, std::size_t length) {
   return nic_.pd().register_mr(static_cast<std::uint8_t*>(addr), length);
 }
 
+Status Context::mr_dereg(const verbs::MemoryRegion* mr) {
+  return nic_.pd().deregister_mr(mr);
+}
+
 // ---------------------------------------------------------------------------
 // Qp setup
 // ---------------------------------------------------------------------------

@@ -320,6 +320,9 @@ class Context {
 
   Qp* create_qp(const QpAttr& attr);
   const verbs::MemoryRegion* mr_reg(void* addr, std::size_t length);
+  /// Release a registration. No receive may still be bound to it: complete
+  /// them first (recv_complete rebinds their slots to the NULL key).
+  Status mr_dereg(const verbs::MemoryRegion* mr);
 
  private:
   verbs::Nic& nic_;

@@ -9,13 +9,15 @@
 //    (post -> verbs packetization -> channel -> CQE -> SDR bitmap update ->
 //    completion -> repost) must not touch the allocator once warmed up,
 //    measured with the same global operator-new hook bench_simcore and
-//    bench_datapath use.
+//    bench_datapath use. The same holds per message through the EC
+//    reliability protocol.
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <new>
 #include <vector>
 
@@ -23,6 +25,9 @@
 
 #include "common/payload_pool.hpp"
 #include "common/units.hpp"
+#include "ec/reed_solomon.hpp"
+#include "reliability/control_link.hpp"
+#include "reliability/ec_protocol.hpp"
 #include "sdr/sdr.hpp"
 #include "sim/simulator.hpp"
 #include "verbs/nic.hpp"
@@ -349,6 +354,126 @@ TEST(AllocRegressionTest, ZeroAllocsPerPacketSdrCleanSteadyState) {
   // And end-to-end correctness of the measured transfer: last window's
   // buffers hold the source pattern.
   EXPECT_EQ(std::memcmp(dst.data(), src.data(), kMsgBytes), 0);
+}
+
+// ---------------------------------------------------------------------------
+// Zero allocations per message through the EC protocol in steady state:
+// EC(4,2) 16 KiB messages (one submessage of four 4 KiB chunks), several in
+// flight. Write, parity encode, CTS, injection, recoverability checks, final
+// ACK and its repeats, and the recycling of both sides' per-message state
+// (including the receiver's parity scratch and its memory registration) must
+// not touch the allocator once warmed up.
+// ---------------------------------------------------------------------------
+struct EcAllocRun {
+  static constexpr int kIterations = 160;
+  static constexpr int kWarmup = 96;
+  static constexpr std::size_t kInflight = 4;
+  static constexpr std::size_t kMsgBytes = 16 * KiB;
+
+  sim::Simulator sim;
+  verbs::NicPair nics;
+  std::unique_ptr<core::Context> client, server;
+  std::unique_ptr<reliability::ControlLink> ctrl_a, ctrl_b;
+  std::unique_ptr<ec::ReedSolomon> codec;
+  std::unique_ptr<reliability::EcSender> sender;
+  std::unique_ptr<reliability::EcReceiver> receiver;
+  std::vector<std::uint8_t> src, dst;
+  const verbs::MemoryRegion* mr{nullptr};
+  int expected{0}, written{0}, received{0}, sent{0}, failures{0};
+  // The window: from the kWarmup-th completion to the last write. The drain
+  // after it grows the free lists to the whole window, once.
+  std::uint64_t allocs_at_steady{0};
+  std::uint64_t allocs_at_last_write{0};
+
+  EcAllocRun() {
+    sim::Channel::Config cfg;
+    cfg.bandwidth_bps = 100 * Gbps;
+    cfg.distance_km = 100.0;
+    cfg.seed = 5;
+    nics = verbs::make_connected_pair(sim, cfg, 0.0, 0.0);
+    client = std::make_unique<core::Context>(*nics.a, core::DevAttr{});
+    server = std::make_unique<core::Context>(*nics.b, core::DevAttr{});
+    core::QpAttr attr;
+    attr.mtu = 4096;
+    attr.chunk_size = 4096;
+    attr.max_msg_size = kMsgBytes;
+    attr.max_inflight = 2 * kInflight;  // data + parity per message
+    core::Qp* qa = client->create_qp(attr);
+    core::Qp* qb = server->create_qp(attr);
+    qa->connect(qb->info());
+    qb->connect(qa->info());
+    ctrl_a = std::make_unique<reliability::ControlLink>(*nics.a);
+    ctrl_b = std::make_unique<reliability::ControlLink>(*nics.b);
+    ctrl_a->connect(nics.b->id(), ctrl_b->qp_number());
+    ctrl_b->connect(nics.a->id(), ctrl_a->qp_number());
+
+    reliability::LinkProfile profile;
+    profile.bandwidth_bps = cfg.bandwidth_bps;
+    profile.rtt_s = 2.0 * propagation_delay_s(cfg.distance_km);
+    profile.mtu = attr.mtu;
+    profile.chunk_bytes = attr.chunk_size;
+    reliability::EcProtoConfig config;
+    config.k = 4;
+    config.m = 2;
+    config.fallback_rto_s = 3.0 * profile.rtt_s;
+    config.fallback_ack_interval_s = profile.rtt_s / 4.0;
+    codec = std::make_unique<ec::ReedSolomon>(config.k, config.m);
+    sender = std::make_unique<reliability::EcSender>(sim, *qa, *ctrl_a,
+                                                     profile, *codec, config);
+    receiver = std::make_unique<reliability::EcReceiver>(
+        sim, *qb, *ctrl_b, profile, *codec, config);
+
+    src.assign(kMsgBytes, 0x5A);
+    dst.assign(kInflight * kMsgBytes, 0);
+    mr = server->mr_reg(dst.data(), dst.size());
+  }
+
+  // Each done callback captures one pointer, so building the std::function
+  // allocates nothing either.
+  void post_recv() {
+    if (expected == kIterations) return;
+    std::uint8_t* buf = dst.data() + (expected++ % kInflight) * kMsgBytes;
+    if (!receiver->expect(buf, kMsgBytes, mr, [this](const Status& s) {
+          if (!s) ++failures;
+          ++received;
+          post_recv();
+        })) {
+      ++failures;
+    }
+  }
+  void post_send() {
+    if (written == kIterations) return;
+    if (++written == kIterations) allocs_at_last_write = g_allocs.load();
+    if (!sender->write(src.data(), kMsgBytes, [this](const Status& s) {
+          if (!s) ++failures;
+          if (++sent == kWarmup) allocs_at_steady = g_allocs.load();
+          post_send();
+        })) {
+      ++failures;
+    }
+  }
+};
+
+TEST(AllocRegressionTest, ZeroAllocsPerMessageEcSteadyState) {
+  EcAllocRun run;
+  for (std::size_t w = 0; w < EcAllocRun::kInflight; ++w) {
+    run.post_recv();
+    run.post_send();
+  }
+  run.sim.run();
+
+  ASSERT_EQ(run.sent, EcAllocRun::kIterations);
+  ASSERT_EQ(run.received, EcAllocRun::kIterations);
+  EXPECT_EQ(run.failures, 0);
+  const std::uint64_t steady_allocs =
+      run.allocs_at_last_write - run.allocs_at_steady;
+  EXPECT_EQ(steady_allocs, 0u)
+      << steady_allocs << " allocations over "
+      << (EcAllocRun::kIterations - EcAllocRun::kWarmup -
+          static_cast<int>(EcAllocRun::kInflight))
+      << " EC messages";
+  EXPECT_EQ(std::memcmp(run.dst.data(), run.src.data(), EcAllocRun::kMsgBytes),
+            0);
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
 // End-to-end tests of the executable EC reliability protocol: in-place
 // recovery from drops via parity, clean path without fallback, FTO-driven
-// SR fallback when losses exceed the code's tolerance, XOR vs MDS behavior.
+// SR fallback when losses exceed the code's tolerance, XOR vs MDS behavior,
+// poll-free waiting for the CTS and back-to-back slot reuse.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <vector>
 
 #include "ec/reed_solomon.hpp"
@@ -49,13 +51,13 @@ class EcProtoFixture : public ::testing::Test {
     ctx_b_.reset();
     sim::Channel::Config cfg;
     cfg.bandwidth_bps = 100e9;
-    cfg.distance_km = 100.0;
+    cfg.distance_km = distance_km_;
     cfg.seed = 23;
     pair_ = verbs::make_connected_pair(sim_, cfg, p_drop_fwd, p_drop_bwd);
     ctx_a_ = std::make_unique<core::Context>(*pair_.a, core::DevAttr{});
     ctx_b_ = std::make_unique<core::Context>(*pair_.b, core::DevAttr{});
-    qp_a_ = ctx_a_->create_qp(proto_attr());
-    qp_b_ = ctx_b_->create_qp(proto_attr());
+    qp_a_ = ctx_a_->create_qp(attr_);
+    qp_b_ = ctx_b_->create_qp(attr_);
     qp_a_->connect(qp_b_->info());
     qp_b_->connect(qp_a_->info());
 
@@ -67,8 +69,8 @@ class EcProtoFixture : public ::testing::Test {
     profile_.bandwidth_bps = cfg.bandwidth_bps;
     profile_.rtt_s = 2.0 * propagation_delay_s(cfg.distance_km);
     profile_.p_drop_packet = p_drop_fwd;
-    profile_.mtu = proto_attr().mtu;
-    profile_.chunk_bytes = proto_attr().chunk_size;
+    profile_.mtu = attr_.mtu;
+    profile_.chunk_bytes = attr_.chunk_size;
 
     if (use_xor) {
       codec_ = std::make_unique<ec::XorCode>(k, m);
@@ -106,13 +108,18 @@ class EcProtoFixture : public ::testing::Test {
                               send_done = true;
                             })
                     .is_ok());
-    sim_.run();
+    events_ = sim_.run();
     EXPECT_TRUE(recv_done);
     if (expect_ok) {
       EXPECT_TRUE(send_done);
       EXPECT_EQ(std::memcmp(dst.data(), src.data(), bytes), 0);
     }
   }
+
+  // Set before wire() to change the link length or the core's table.
+  double distance_km_ = 100.0;
+  core::QpAttr attr_ = proto_attr();
+  std::uint64_t events_{0};  // events the last transfer() ran
 
   sim::Simulator sim_;
   verbs::NicPair pair_;
@@ -205,6 +212,76 @@ TEST_F(EcProtoFixture, ParityBandwidthAccounting) {
   transfer(32 * 1024, 6);  // 4 submessages x (8 data + 4 parity) chunks
   EXPECT_EQ(sender_->stats().data_chunks_sent, 32u);
   EXPECT_EQ(sender_->stats().parity_chunks_sent, 16u);
+}
+
+TEST_F(EcProtoFixture, WaitingForTheCtsCostsNoEvents) {
+  // Parity sends cannot leave before the receiver's CTS, one one-way delay
+  // after posting. They are released when the message finishes instead of
+  // being polled meanwhile, so a 50x longer link costs (almost) no extra
+  // events: the same packets, CTSes, ACKs and timers fire either way.
+  distance_km_ = 100.0;
+  wire(0.0, 0.0);
+  transfer(32 * 1024, 7);
+  const std::uint64_t near = events_;
+  distance_km_ = 5000.0;
+  wire(0.0, 0.0);
+  transfer(32 * 1024, 7);
+  const std::uint64_t far = events_;
+  EXPECT_GT(near, 0u);
+  EXPECT_LE(far, near + near / 20) << "100 km: " << near << " events, "
+                                   << "5000 km: " << far << " events";
+}
+
+TEST_F(EcProtoFixture, BackToBackMessagesFitTheSmallestTable) {
+  // A window of kWindow messages of kSubs submessages holds 2 * kSubs
+  // core messages each (data + parity). With exactly that many table slots,
+  // each message's successor in the window wraps onto its slots, and every
+  // slot must already be free again when the done callback posts it.
+  constexpr std::size_t kWindow = 4;
+  constexpr std::size_t kSubs = 2;
+  constexpr int kMessages = 40;
+  constexpr std::size_t kBytes = kSubs * 8 * 1024;  // k = 8 chunks of 1 KiB
+  attr_.max_inflight = 2 * kSubs * kWindow;
+  wire(0.0, 0.0);
+
+  const auto src = pattern(kBytes, 9);
+  std::vector<std::uint8_t> dst(kWindow * kBytes, 0);
+  const auto* mr = ctx_b_->mr_reg(dst.data(), dst.size());
+  int expected = 0, written = 0, received = 0, sent = 0;
+  std::vector<Status> failures;
+  std::function<void()> post_recv, post_send;
+  post_recv = [&] {
+    if (expected == kMessages) return;
+    std::uint8_t* buf = dst.data() + (expected++ % kWindow) * kBytes;
+    const Status st = receiver_->expect(buf, kBytes, mr, [&](const Status& s) {
+      if (!s) failures.push_back(s);
+      ++received;
+      post_recv();
+    });
+    if (!st) failures.push_back(st);
+  };
+  post_send = [&] {
+    if (written == kMessages) return;
+    ++written;
+    const Status st = sender_->write(src.data(), kBytes, [&](const Status& s) {
+      if (!s) failures.push_back(s);
+      ++sent;
+      post_send();
+    });
+    if (!st) failures.push_back(st);
+  };
+  for (std::size_t w = 0; w < kWindow; ++w) {
+    post_recv();
+    post_send();
+  }
+  sim_.run();
+
+  for (const Status& st : failures) ADD_FAILURE() << st;
+  EXPECT_EQ(received, kMessages);
+  EXPECT_EQ(sent, kMessages);
+  for (std::size_t w = 0; w < kWindow; ++w) {
+    EXPECT_EQ(std::memcmp(dst.data() + w * kBytes, src.data(), kBytes), 0);
+  }
 }
 
 }  // namespace
