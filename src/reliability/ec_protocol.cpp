@@ -476,7 +476,6 @@ Status EcReceiver::expect(std::uint8_t* buffer, std::size_t length,
   msg.sub_recovered.assign(L, false);
   msg.sub_nacked.clear();
   msg.subs_recovered = 0;
-  msg.fto_armed = false;
   msg.fallback = false;
   msg.complete = false;
   msg.fto_timer = {};
@@ -580,7 +579,7 @@ void EcReceiver::on_chunk_event(const core::RecvEvent& event) {
   const std::size_t sub = idx < msg.submessages
                               ? static_cast<std::size_t>(idx)
                               : static_cast<std::size_t>(idx - msg.submessages);
-  if (sub >= msg.submessages || msg.sub_recovered[sub]) return;
+  if (msg.sub_recovered[sub]) return;
 
   if (submessage_recoverable(msg, sub) && try_recover(msg, sub)) {
     msg.sub_recovered[sub] = true;
@@ -669,7 +668,6 @@ void EcReceiver::check_message(MsgState& msg, std::uint64_t base) {
 }
 
 void EcReceiver::arm_fto(MsgState& msg, std::uint64_t base) {
-  msg.fto_armed = true;
   const double wire_chunks =
       static_cast<double>(msg.length / chunk_bytes_) *
       (1.0 + static_cast<double>(config_.m) / static_cast<double>(config_.k));

@@ -194,7 +194,6 @@ class EcReceiver {
     std::vector<bool> sub_nacked;
     std::size_t subs_recovered{0};
     double posted_at_s{-1.0};  // expect() sim time (completion latency)
-    bool fto_armed{false};
     bool fallback{false};
     bool complete{false};
     sim::EventId fto_timer{};
