@@ -96,9 +96,11 @@ std::unique_ptr<sim::DropModel> make_forward_drop(
   return std::make_unique<sim::IidDrop>(0.0);
 }
 
-/// Fresh two-NIC fabric for one arm: forward channel carries the
-/// scenario's loss/reorder/duplication, backward (control/ACK) path is
-/// lossless (see Scenario docs on the CTS liveness assumption).
+/// Fresh two-NIC fabric for one arm: the forward channel carries the
+/// scenario's loss. The backward (CTS and control) channel reorders and
+/// duplicates like the forward one, because DuplexLink gives both
+/// directions the same Config; with `drop_first_cts` it also drops its
+/// packet 0, the first posted receive's CTS.
 struct Fabric {
   sim::Simulator sim;
   std::unique_ptr<verbs::Nic> a;
@@ -106,7 +108,7 @@ struct Fabric {
   sim::ScriptedDrop* scripted{nullptr};
   std::unique_ptr<sim::DuplexLink> link;
 
-  Fabric(const Scenario& s, std::uint64_t arm_salt) {
+  Fabric(const Scenario& s, std::uint64_t arm_salt, bool drop_first_cts) {
     sim::Channel::Config cfg;
     cfg.bandwidth_bps = s.bandwidth_bps;
     cfg.distance_km = s.distance_km;
@@ -118,7 +120,9 @@ struct Fabric {
     b = std::make_unique<verbs::Nic>(sim, 2);
     link = std::make_unique<sim::DuplexLink>(
         sim, cfg, make_forward_drop(s, &scripted),
-        std::make_unique<sim::IidDrop>(0.0));
+        std::make_unique<sim::ScriptedDrop>(
+            drop_first_cts ? std::vector<std::uint64_t>{0}
+                           : std::vector<std::uint64_t>{}));
     link->forward().set_receiver(
         [nic = b.get()](sim::Packet&& p) { nic->deliver(std::move(p)); });
     link->backward().set_receiver(
@@ -364,7 +368,7 @@ ArmResult run_protocol_arm(const Scenario& s, const RunnerOptions& opts,
   const std::size_t pool_before = common::payload_pool().live_slots();
   ArmTelemetry instruments(opts, r.name);
   {
-    Fabric fabric(s, ec ? kEcArmSalt : kSrArmSalt);
+    Fabric fabric(s, ec ? kEcArmSalt : kSrArmSalt, s.drop_first_cts);
     core::Context ctx_a(*fabric.a, core::DevAttr{});
     core::Context ctx_b(*fabric.b, core::DevAttr{});
     const core::QpAttr attr = qp_attr_for(s, ec);
@@ -519,7 +523,7 @@ ArmResult run_rc_arm(const Scenario& s, const RunnerOptions& opts) {
   const std::size_t pool_before = common::payload_pool().live_slots();
   ArmTelemetry instruments(opts, r.name);
   {
-    Fabric fabric(s, kRcArmSalt);
+    Fabric fabric(s, kRcArmSalt, /*drop_first_cts=*/false);
     verbs::CompletionQueue tx_cq(1 << 12), rx_cq(1 << 12);
     verbs::QpConfig qcfg;
     qcfg.type = verbs::QpType::kRC;

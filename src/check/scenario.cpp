@@ -129,6 +129,7 @@ std::string Scenario::describe() const {
   if (far_timers) {
     out += " far_timers=" + std::to_string(far_timer_count);
   }
+  if (drop_first_cts) out += " drop_first_cts";
   if (fleet_mode) {
     static constexpr const char* kSchemes[] = {"sr", "ec", "rc"};
     out += " fleet(" + std::string(kSchemes[fleet_scheme % 3]) +
@@ -234,6 +235,7 @@ Scenario generate_scenario(std::uint64_t seed) {
     s.fleet_scheme = rng.next_below(3);
     s.fleet_collective = rng.bernoulli(0.5);
   }
+  s.drop_first_cts = rng.bernoulli(0.25);
   return s;
 }
 

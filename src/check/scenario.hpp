@@ -25,10 +25,11 @@
 
 namespace sdr::check {
 
-/// Forward-path loss process. The control/backward path is kept lossless:
-/// CTS datagrams have no retransmission (a documented liveness assumption —
-/// the paper's control plane rides a reliable transport), and the harness
-/// must never deadlock by design.
+/// Forward-path loss process. The backward channel carries the CTS
+/// datagrams and the control path (ACKs, NACKs). It already reorders and
+/// duplicates like the forward one, because DuplexLink gives both
+/// directions the same Channel::Config, but its only loss is the scripted
+/// CTS drop of Scenario::drop_first_cts.
 enum class DropKind : std::uint8_t { kClean, kIid, kGilbertElliott, kScripted };
 
 /// Which Selective Repeat flavor the SR arm runs (paper §4.1.1).
@@ -106,6 +107,12 @@ struct Scenario {
   bool far_timers{false};
   std::size_t far_timer_count{0};
 
+  // Control-path loss (appended generator field): the SR and EC arms drop
+  // backward packet 0, the CTS of the first posted receive, so the
+  // message completes only through the receiver's CTS retry. No shrink
+  // rule strips it: the failures it finds need the lost CTS to reproduce.
+  bool drop_first_cts{false};
+
   std::size_t chunk_bytes() const { return mtu * packets_per_chunk; }
   double rtt_s() const;
   /// Total first-transmission data packets across all messages (parity and
@@ -130,8 +137,9 @@ Scenario generate_scenario(std::uint64_t seed);
 /// that still bites, in order: halve the message count (floor 1), halve
 /// every message's chunk count (floor 1), trim the scripted drop schedule
 /// to its first half (floor 4, then 1), disable reordering/duplication/
-/// perturbation/far timers. Scripted indices are re-normalized (mod the shrunk
-/// packet count, deduplicated) so at least one drop survives every step.
+/// perturbation/far timers, shrink the fleet. Scripted indices are
+/// re-normalized (mod the shrunk packet count, deduplicated) so at least one
+/// drop survives every step. Fleet mode and the lost CTS are never stripped.
 /// Levels beyond the fixpoint return the fixpoint.
 Scenario shrink_scenario(const Scenario& full, int level);
 

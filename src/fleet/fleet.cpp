@@ -447,13 +447,6 @@ std::unique_ptr<Conn> FleetEngine::make_conn(std::size_t tenant_idx,
     options.attr.max_inflight = std::min<std::size_t>(
         options.attr.imm.max_messages(),
         conn->plan.size() * slots_per_msg + 4);
-    // The CTS is one unreliable datagram on the lossy trunk; at fleet
-    // message counts its loss is a certainty (p_drop * messages >> 1) and
-    // an un-retried CTS wedges the message forever. A few RTTs of pacing
-    // means an in-flight first chunk always wins the race, so retries fire
-    // only for genuinely lost CTSes.
-    options.sr.cts_retry_s = 4.0 * rtt;
-    options.ec.cts_retry_s = 4.0 * rtt;
     options.derive_timeouts();
     conn->rel = std::make_unique<reliability::ReliableChannel>(sim_, *src,
                                                                *dst, options);

@@ -24,12 +24,6 @@ bool read(const std::uint8_t* data, std::size_t length, std::size_t& cursor,
 
 }  // namespace
 
-std::vector<std::uint8_t> encode_control(const ControlMessage& msg) {
-  std::vector<std::uint8_t> out;
-  encode_control(msg, out);
-  return out;
-}
-
 void encode_control(const ControlMessage& msg, std::vector<std::uint8_t>& out) {
   out.clear();
   out.reserve(32 + msg.selective.size() * 8 + msg.indices.size() * 4);
@@ -47,13 +41,6 @@ void encode_control(const ControlMessage& msg, std::vector<std::uint8_t>& out) {
     out.resize(at + msg.payload.size());
     std::memcpy(out.data() + at, msg.payload.data(), msg.payload.size());
   }
-}
-
-std::optional<ControlMessage> decode_control(const std::uint8_t* data,
-                                             std::size_t length) {
-  ControlMessage msg;
-  if (!decode_control(data, length, msg)) return std::nullopt;
-  return msg;
 }
 
 bool decode_control(const std::uint8_t* data, std::size_t length,

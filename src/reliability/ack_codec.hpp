@@ -6,8 +6,8 @@
 // signal full-message recovery; EC NACKs list failed data submessages.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 namespace sdr::reliability {
@@ -55,21 +55,19 @@ inline void reset_control(ControlMessage& msg, ControlType type,
   msg.payload.clear();
 }
 
-/// Serialize into a datagram payload (must fit the control MTU; the window
-/// and index list are truncated by the callers to guarantee this).
-std::vector<std::uint8_t> encode_control(const ControlMessage& msg);
+/// How many times a receiver sends the final ACK of a message: the control
+/// path is unreliable, and no later ACK follows once the receive completed.
+inline constexpr std::size_t kFinalAckRepeats = 3;
 
-/// Scratch-buffer variant: serializes into `out` (cleared first), reusing
-/// its capacity — the per-ACK hot path allocates nothing in steady state.
+/// Serialize into a datagram payload (must fit the control MTU; the window
+/// and index list are truncated by the callers to guarantee this). `out` is
+/// cleared first and keeps its capacity, so the per-ACK hot path allocates
+/// nothing in steady state.
 void encode_control(const ControlMessage& msg, std::vector<std::uint8_t>& out);
 
-/// Parse; returns std::nullopt on malformed/truncated input.
-std::optional<ControlMessage> decode_control(const std::uint8_t* data,
-                                             std::size_t length);
-
-/// Scratch-buffer variant: parses into `out`, reusing its vectors'
-/// capacity. Returns false on malformed/truncated input (`out` is then in
-/// an unspecified but valid state).
+/// Parse into `out`, reusing its vectors' capacity. Returns false on
+/// malformed/truncated input (`out` is then in an unspecified but valid
+/// state).
 bool decode_control(const std::uint8_t* data, std::size_t length,
                     ControlMessage& out);
 

@@ -481,6 +481,7 @@ Status EcReceiver::expect(std::uint8_t* buffer, std::size_t length,
   msg.fto_timer = {};
   msg.global_timer = {};
   msg.ack_timer = {};
+  msg.cts_timer = {};
   // The parity scratch keeps its registration while it fits. Every receive
   // bound to it was completed (rebound to the NULL key) before the node was
   // recycled, so replacing it is safe too.
@@ -524,10 +525,9 @@ Status EcReceiver::expect(std::uint8_t* buffer, std::size_t length,
     set_slot_base(handle_base_, handle->slot(), base);
   }
 
-  if (config_.cts_retry_s > 0.0) {
-    sim_.schedule(SimTime::from_seconds(config_.cts_retry_s),
-                  [this, base] { cts_tick(base); });
-  }
+  msg.cts_timer =
+      sim_.schedule(SimTime::from_seconds(profile_.cts_retry_interval_s()),
+                    [this, base] { cts_tick(base); });
 
   // Global deadlock-prevention timeout (armed at posting).
   const double wire_chunks =
@@ -545,6 +545,7 @@ Status EcReceiver::expect(std::uint8_t* buffer, std::size_t length,
         m.complete = true;
         if (m.fto_timer.valid()) sim_.cancel(m.fto_timer);
         if (m.ack_timer.valid()) sim_.cancel(m.ack_timer);
+        if (m.cts_timer.valid()) sim_.cancel(m.cts_timer);
         complete_receives(m);
         DoneFn cb = std::move(m.done);
         free_.push_back(messages_.extract(it));
@@ -727,7 +728,6 @@ void EcReceiver::cts_tick(std::uint64_t base) {
   const auto it = messages_.find(base);
   if (it == messages_.end()) return;
   MsgState& msg = it->second;
-  if (msg.complete) return;
   // Re-CTS every stream that has produced nothing: either its CTS was
   // lost (the sender's chunks sit queued until one lands) or the stream
   // itself is still in flight — the retry pace is several RTTs, so an
@@ -744,8 +744,9 @@ void EcReceiver::cts_tick(std::uint64_t base) {
     silent = true;
   }
   if (!silent) return;  // every stream has started; nothing left to nudge
-  sim_.schedule(SimTime::from_seconds(config_.cts_retry_s),
-                [this, base] { cts_tick(base); });
+  msg.cts_timer =
+      sim_.schedule(SimTime::from_seconds(profile_.cts_retry_interval_s()),
+                    [this, base] { cts_tick(base); });
 }
 
 void EcReceiver::fallback_ack_tick(std::uint64_t base) {
@@ -797,9 +798,10 @@ void EcReceiver::complete(MsgState& msg, std::uint64_t base) {
   if (msg.fto_timer.valid()) sim_.cancel(msg.fto_timer);
   if (msg.global_timer.valid()) sim_.cancel(msg.global_timer);
   if (msg.ack_timer.valid()) sim_.cancel(msg.ack_timer);
+  if (msg.cts_timer.valid()) sim_.cancel(msg.cts_timer);
 
   send_ec_ack(base);
-  for (std::size_t r = 1; r < config_.final_ack_repeats; ++r) {
+  for (std::size_t r = 1; r < kFinalAckRepeats; ++r) {
     // The repeat re-encodes the same ACK: the scratch is reused meanwhile.
     sim_.schedule(SimTime::from_seconds(config_.fallback_ack_interval_s *
                                         static_cast<double>(r)),

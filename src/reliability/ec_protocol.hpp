@@ -12,7 +12,10 @@
 // decodability checks; once every submessage is recoverable the missing
 // data chunks are EC-decoded in place and a positive ACK is sent. A
 // fallback timeout FTO = (M + M/R)*T_INJ + beta*RTT armed at the first
-// received chunk triggers an EC NACK listing the failed submessages.
+// received chunk triggers an EC NACK listing the failed submessages. Every
+// submessage stream rides its own CTS datagram: until the message
+// completes, streams that have produced no packets get their CTS re-sent
+// every LinkProfile::cts_retry_interval_s().
 //
 // Both sides do per-message work only when something happens (a write, a
 // chunk event, a control message, a timer) and allocate nothing per message
@@ -50,15 +53,6 @@ struct EcProtoConfig {
   /// Abort safety net (multiples of FTO); paper: "a global timeout is also
   /// set at message posting to prevent deadlock".
   double global_timeout_factor{50.0};
-  std::size_t final_ack_repeats{3};
-  /// Receiver-side CTS retry pace (see SrProtoConfig::cts_retry_s). Every
-  /// data/parity submessage stream rides its own CTS datagram; a lost one
-  /// silently downgrades the submessage to fallback recovery — or, when
-  /// more than m streams of a submessage are wedged, to the global-timeout
-  /// abort. When > 0, streams that have produced no packets get their CTS
-  /// re-sent every cts_retry_s until data lands or the message completes.
-  /// 0 keeps the paper's single-CTS handshake.
-  double cts_retry_s{0.0};
 };
 
 struct EcSenderStats {
@@ -199,6 +193,7 @@ class EcReceiver {
     sim::EventId fto_timer{};
     sim::EventId global_timer{};
     sim::EventId ack_timer{};
+    sim::EventId cts_timer{};
     DoneFn done;
   };
 

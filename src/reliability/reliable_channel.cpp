@@ -17,7 +17,6 @@ void ReliableChannel::Options::derive_timeouts() {
   sr.nack_holdoff_s = rtt;
   ec.fallback_rto_s = 3.0 * rtt;
   ec.fallback_ack_interval_s = sr.ack_interval_s;
-  eager_rto_s = 1.5 * rtt;
 }
 
 ReliableChannel::ReliableChannel(sim::Simulator& simulator, verbs::Nic& src,
@@ -146,8 +145,9 @@ void ReliableChannel::eager_transmit(std::uint64_t id) {
   encode_control(msg, wire_scratch_);
   src_control_->send(wire_scratch_.data(), wire_scratch_.size());
 
-  state.timer = sim_.schedule(SimTime::from_seconds(options_.eager_rto_s),
-                              [this, id] { eager_transmit(id); });
+  state.timer =
+      sim_.schedule(SimTime::from_seconds(1.5 * options_.profile.rtt_s),
+                    [this, id] { eager_transmit(id); });
 }
 
 Status ReliableChannel::eager_recv(std::uint8_t* buffer, std::size_t length,
@@ -168,34 +168,34 @@ Status ReliableChannel::eager_recv(std::uint8_t* buffer, std::size_t length,
 
 void ReliableChannel::on_dst_control(const std::uint8_t* data,
                                      std::size_t length) {
-  const auto parsed = decode_control(data, length);
-  if (!parsed) return;
-  if (parsed->type != ControlType::kEagerData) return;  // receivers only
+  if (!decode_control(data, length, decode_scratch_)) return;
+  const ControlMessage& parsed = decode_scratch_;
+  if (parsed.type != ControlType::kEagerData) return;  // receivers only
   // Always acknowledge — duplicates mean the previous ack was lost.
   ControlMessage& ack = ctrl_scratch_;
-  reset_control(ack, ControlType::kEagerAck, parsed->msg_number);
+  reset_control(ack, ControlType::kEagerAck, parsed.msg_number);
   encode_control(ack, wire_scratch_);
   dst_control_->send(wire_scratch_.data(), wire_scratch_.size());
 
-  if (const auto it = eager_recvs_.find(parsed->msg_number);
+  if (const auto it = eager_recvs_.find(parsed.msg_number);
       it != eager_recvs_.end()) {
-    const std::size_t n = std::min(it->second.length, parsed->payload.size());
-    std::memcpy(it->second.buffer, parsed->payload.data(), n);
+    const std::size_t n = std::min(it->second.length, parsed.payload.size());
+    std::memcpy(it->second.buffer, parsed.payload.data(), n);
     DoneFn done = std::move(it->second.done);
     eager_recvs_.erase(it);
     ++eager_completed_;
     if (done) done(Status::ok());
-  } else if (parsed->msg_number >= eager_recv_seq_) {
+  } else if (parsed.msg_number >= eager_recv_seq_) {
     // Early data for a not-yet-posted receive: stash one copy.
-    eager_stash_.emplace(parsed->msg_number, parsed->payload);
+    eager_stash_.emplace(parsed.msg_number, parsed.payload);
   }  // else: duplicate of an already-completed message — ack was enough
 }
 
 void ReliableChannel::on_src_control(const std::uint8_t* data,
                                      std::size_t length) {
-  const auto parsed = decode_control(data, length);
-  if (parsed && parsed->type == ControlType::kEagerAck) {
-    const auto it = eager_sends_.find(parsed->msg_number);
+  if (decode_control(data, length, decode_scratch_) &&
+      decode_scratch_.type == ControlType::kEagerAck) {
+    const auto it = eager_sends_.find(decode_scratch_.msg_number);
     if (it != eager_sends_.end()) {
       if (it->second.timer.valid()) sim_.cancel(it->second.timer);
       DoneFn done = std::move(it->second.done);

@@ -40,10 +40,9 @@ class ReliableChannel {
     /// Eager small-message path (the §4.1 rendezvous-vs-eager freedom,
     /// citing [43]): messages up to this many bytes ride the control-path
     /// datagram directly, skipping the SDR CTS round trip. 0 disables.
-    /// Bounded by the control datagram size (~4000 B of payload).
+    /// Bounded by the control datagram size (~4000 B of payload). Its
+    /// stop-and-wait retransmission timeout is 1.5 RTT of the profile.
     std::size_t eager_threshold_bytes{0};
-    /// Eager retransmission timeout (stop-and-wait); derived as 1.5 RTT.
-    double eager_rto_s{0.05};
 
     /// Pre-posted control-path datagram buffers per ControlLink. The
     /// default suits a single heavily pipelined channel; fleet scenarios
@@ -105,9 +104,12 @@ class ReliableChannel {
   std::map<std::uint64_t, EagerSend> eager_sends_;
   std::map<std::uint64_t, EagerRecv> eager_recvs_;
   std::map<std::uint64_t, std::vector<std::uint8_t>> eager_stash_;
-  // Reused eager encode scratch (same pattern as Sr/EcReceiver).
+  // Reused eager encode scratch (same pattern as Sr/EcReceiver), and the
+  // decode scratch for both control links. They are separate because
+  // on_dst_control encodes the eager ACK while the decoded data is live.
   ControlMessage ctrl_scratch_;
   std::vector<std::uint8_t> wire_scratch_;
+  ControlMessage decode_scratch_;
   ControlLink::ReceiveFn protocol_src_handler_;
 
   // ---- kAuto: a second (EC) stack and the model-guided router ----

@@ -9,6 +9,19 @@
 
 namespace sdr::reliability {
 
+namespace {
+
+/// Selective-ACK window: 64-bit words following the cumulative point. "As
+/// much as fits in the ACK payload" (paper §4.1.1): 64 words cover 4096
+/// chunks (512 B on the wire). Undersizing the window makes the sender
+/// spuriously retransmit received-but-unacknowledged chunks.
+constexpr std::size_t kSelectiveWindowWords = 64;
+
+/// A gap must be at least this many chunks old (in completions) to NACK.
+constexpr std::size_t kNackGapThreshold = 2;
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // Sender
 // ---------------------------------------------------------------------------
@@ -355,25 +368,21 @@ Status SrReceiver::expect(std::uint8_t* buffer, std::size_t length,
   msg.done = std::move(done);
   msg.last_nack_s.assign(msg.chunks, -1.0);
   msg.complete = false;
-  msg.data_seen = false;
   ++stats_.messages;
   ack_tick(msg_number);
-  if (config_.cts_retry_s > 0.0) {
-    sim_.schedule(SimTime::from_seconds(config_.cts_retry_s),
-                  [this, msg_number] { cts_tick(msg_number); });
-  }
+  arm_cts_retry(msg, msg_number);
   return Status::ok();
 }
 
-void SrReceiver::cts_tick(std::uint64_t msg_number) {
-  const auto it = messages_.find(msg_number);
-  if (it == messages_.end()) return;
-  MsgState& msg = it->second;
-  // Any data means the sender got a CTS; the retry has done its job.
-  if (msg.complete || msg.data_seen) return;
-  qp_.resend_cts(msg.handle);
-  sim_.schedule(SimTime::from_seconds(config_.cts_retry_s),
-                [this, msg_number] { cts_tick(msg_number); });
+void SrReceiver::arm_cts_retry(MsgState& msg, std::uint64_t msg_number) {
+  msg.cts_timer =
+      sim_.schedule(SimTime::from_seconds(profile_.cts_retry_interval_s()),
+                    [this, msg_number] {
+                      const auto it = messages_.find(msg_number);
+                      if (it == messages_.end()) return;
+                      qp_.resend_cts(it->second.handle);
+                      arm_cts_retry(it->second, msg_number);
+                    });
 }
 
 void SrReceiver::on_chunk_event(const core::RecvEvent& event) {
@@ -381,7 +390,11 @@ void SrReceiver::on_chunk_event(const core::RecvEvent& event) {
   const auto it = messages_.find(event.handle->msg_number());
   if (it == messages_.end()) return;
   MsgState& msg = it->second;
-  msg.data_seen = true;
+  // Any data means the sender got a CTS; the retry has done its job.
+  if (msg.cts_timer.valid()) {
+    sim_.cancel(msg.cts_timer);
+    msg.cts_timer = {};
+  }
   if (msg.complete) return;
 
   if (event.type == core::RecvEvent::Type::kMessageCompleted) {
@@ -409,8 +422,8 @@ void SrReceiver::send_ack(MsgState& msg) {
   // Selective window: words starting at the cumulative point.
   const std::size_t base_word = cumulative / 64;
   ack.selective_base = static_cast<std::uint32_t>(base_word * 64);
-  ack.selective.reserve(config_.selective_window_words);
-  for (std::size_t w = 0; w < config_.selective_window_words; ++w) {
+  ack.selective.reserve(kSelectiveWindowWords);
+  for (std::size_t w = 0; w < kSelectiveWindowWords; ++w) {
     const std::size_t wi = base_word + w;
     if (wi >= bitmap_words(msg.chunks)) break;
     ack.selective.push_back(bitmap->load_word(wi));
@@ -432,7 +445,7 @@ void SrReceiver::maybe_nack(MsgState& msg, std::size_t completed_chunk) {
   const AtomicBitmap* bitmap = nullptr;
   if (!qp_.recv_bitmap_get(msg.handle, &bitmap)) return;
   const std::size_t cumulative = bitmap->first_zero(msg.chunks);
-  if (completed_chunk < cumulative + config_.nack_gap_threshold) return;
+  if (completed_chunk < cumulative + kNackGapThreshold) return;
 
   // send_ack and maybe_nack never overlap within one callback, so they can
   // share the scratch message.
@@ -503,7 +516,7 @@ void SrReceiver::complete(MsgState& msg, std::uint64_t msg_number) {
                      .conn = qp_.control_qp_num(), .msg = msg_number,
                      .a = msg.chunks});
   }
-  for (std::size_t r = 1; r < config_.final_ack_repeats; ++r) {
+  for (std::size_t r = 1; r < kFinalAckRepeats; ++r) {
     // The repeat rebuilds the (tiny, constant) final ACK into the scratch
     // buffers at fire time instead of capturing a copy of the wire bytes —
     // the capture stays within the inline event budget and the repeat path

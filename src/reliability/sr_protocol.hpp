@@ -10,7 +10,10 @@
 // polling the SDR bitmap), periodically sending ACKs that encode the bitmap
 // as a cumulative ACK plus a selective window. With NACK enabled, gaps
 // observed in the bitmap trigger immediate negative acknowledgments, cutting
-// drop recovery to ~1 RTT.
+// drop recovery to ~1 RTT. Until a message's first chunk lands, the
+// receiver re-sends its clear-to-send every LinkProfile::cts_retry_interval_s():
+// the CTS is one unreliable datagram, and a sender that never gets it never
+// injects.
 #pragma once
 
 #include <cstdint>
@@ -37,28 +40,10 @@ struct SrProtoConfig {
   double rto_s{0.075};
   /// Receiver ACK cadence.
   double ack_interval_s{0.005};
-  /// Selective-ACK window: 64-bit words following the cumulative point.
-  /// "As much as fits in the ACK payload" (paper §4.1.1): 64 words cover
-  /// 4096 chunks (512 B on the wire) — undersizing the window makes the
-  /// sender spuriously retransmit received-but-unacknowledged chunks.
-  std::size_t selective_window_words{64};
   /// Enable receiver-side NACKs on bitmap gaps.
   bool nack_enabled{false};
-  /// A gap must be at least this many chunks old (in completions) to NACK.
-  std::size_t nack_gap_threshold{2};
   /// Re-NACK suppression interval (seconds); ~1 RTT is sensible.
   double nack_holdoff_s{0.025};
-  /// How many times the receiver repeats the final ACK (guards against
-  /// control-path drops after recv_complete).
-  std::size_t final_ack_repeats{3};
-  /// Receiver-side CTS retry pace. The CTS is a single unreliable datagram
-  /// and the sender arms no timers until it arrives — a lost CTS wedges
-  /// the message forever. When > 0, the receiver re-sends the CTS every
-  /// cts_retry_s until the first data chunk lands (a few RTTs is a good
-  /// pace: long enough that an in-flight first chunk arrives first, so
-  /// retries only fire for a genuinely lost CTS). 0 keeps the paper's
-  /// single-CTS handshake.
-  double cts_retry_s{0.0};
   /// Adaptive RTO (paper §4.1.1 "RTO tuning"): estimate the RTO from
   /// per-chunk acknowledgment RTT samples (RFC 6298 / Karn) instead of
   /// using the static rto_s. rto_s still seeds the initial timeout.
@@ -185,7 +170,7 @@ class SrReceiver {
     DoneFn done;
     std::vector<double> last_nack_s;  // per-chunk NACK suppression
     bool complete{false};
-    bool data_seen{false};  // stops the CTS retry tick
+    sim::EventId cts_timer{};  // CTS retry, cancelled by the first chunk
   };
 
   void register_metrics();
@@ -193,7 +178,7 @@ class SrReceiver {
   void send_ack(MsgState& msg);
   void maybe_nack(MsgState& msg, std::size_t completed_chunk);
   void ack_tick(std::uint64_t msg_number);
-  void cts_tick(std::uint64_t msg_number);
+  void arm_cts_retry(MsgState& msg, std::uint64_t msg_number);
   void complete(MsgState& msg, std::uint64_t msg_number);
 
   sim::Simulator& sim_;

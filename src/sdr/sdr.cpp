@@ -299,7 +299,15 @@ Status Qp::send_post(const std::uint8_t* data, std::size_t length,
   SendHandle* h = nullptr;
   if (Status s = send_stream_start(user_imm, has_user_imm, &h); !s) return s;
   if (Status s = send_stream_continue(h, data, 0, length); !s) {
-    // Roll the message context back so the slot is not leaked.
+    // Roll the message context back so the slot is not leaked, and park
+    // again the CTS the start consumed: the core sends each grant once, so
+    // the next post of this message number must find it here.
+    if (h->cts_ready_) {
+      cts_pending_[h->slot_] = PendingCts{
+          CtsMessage{h->msg_number_, static_cast<std::uint32_t>(h->slot_),
+                     h->generation_, h->remote_msg_bytes_},
+          true};
+    }
     h->in_use_ = false;
     --active_send_count_;
     --send_counter_;

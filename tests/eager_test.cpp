@@ -227,13 +227,14 @@ TEST(AckCodecPayloadTest, EagerDataRoundTrip) {
   for (std::size_t i = 0; i < msg.payload.size(); ++i) {
     msg.payload[i] = static_cast<std::uint8_t>(i * 31);
   }
-  const auto wire = encode_control(msg);
-  const auto decoded = decode_control(wire.data(), wire.size());
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, msg);
+  std::vector<std::uint8_t> wire;
+  encode_control(msg, wire);
+  ControlMessage decoded;
+  ASSERT_TRUE(decode_control(wire.data(), wire.size(), decoded));
+  EXPECT_EQ(decoded, msg);
   // Truncation anywhere must be rejected.
   for (std::size_t cut : {0u, 10u, 30u, 100u}) {
-    EXPECT_FALSE(decode_control(wire.data(), cut).has_value());
+    EXPECT_FALSE(decode_control(wire.data(), cut, decoded));
   }
 }
 

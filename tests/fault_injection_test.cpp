@@ -1,7 +1,8 @@
 // Deterministic fault-injection tests: with ScriptedDrop the exact loss
 // pattern is chosen, so the protocols' responses can be asserted precisely —
 // SR retransmits exactly the dropped chunks; EC recovers exactly up to its
-// code tolerance and falls back one drop beyond it.
+// code tolerance and falls back one drop beyond it; both deliver a message
+// whose CTS was lost.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -27,16 +28,20 @@ std::vector<std::uint8_t> pattern(std::size_t n, std::uint8_t seed) {
   return v;
 }
 
-/// Two NICs connected by a forward channel whose drops are scripted by
-/// SEND INDEX (CTS flows on the lossless backward channel, so data-packet
-/// index == channel send index).
+/// Two NICs connected by a duplex link whose drops are scripted by SEND
+/// INDEX in each direction. Only data packets travel forward, so a forward
+/// index is a data-packet index. The backward channel carries the CTS
+/// datagrams and the control path; its packet 0 is always the first posted
+/// receive's CTS. DuplexLink gives both directions this one Config, so the
+/// backward channel would reorder and duplicate too if it asked for that.
 struct ScriptedPair {
   sim::Simulator sim;
   std::unique_ptr<verbs::Nic> a;
   std::unique_ptr<verbs::Nic> b;
   std::unique_ptr<sim::DuplexLink> link;
 
-  explicit ScriptedPair(std::vector<std::uint64_t> drops) {
+  explicit ScriptedPair(std::vector<std::uint64_t> drops,
+                        std::vector<std::uint64_t> backward_drops = {}) {
     sim::Channel::Config cfg;
     cfg.bandwidth_bps = 100e9;
     cfg.distance_km = 100.0;
@@ -45,7 +50,7 @@ struct ScriptedPair {
     b = std::make_unique<verbs::Nic>(sim, 2);
     link = std::make_unique<sim::DuplexLink>(
         sim, cfg, std::make_unique<sim::ScriptedDrop>(std::move(drops)),
-        std::make_unique<sim::IidDrop>(0.0));
+        std::make_unique<sim::ScriptedDrop>(std::move(backward_drops)));
     link->forward().set_receiver(
         [nic = b.get()](sim::Packet&& p) { nic->deliver(std::move(p)); });
     link->backward().set_receiver(
@@ -215,6 +220,99 @@ TEST(FaultInjectionTest, EcFallsBackExactlyBeyondTolerance) {
   EXPECT_EQ(receiver.stats().ftos_fired, 1u);
   EXPECT_EQ(receiver.stats().fallback_submessages, 1u);
   EXPECT_GT(sender.stats().fallback_retransmissions, 0u);
+}
+
+TEST(FaultInjectionTest, SrRecoversALostCts) {
+  // Drop the receive's CTS. The sender queues every chunk and arms no
+  // timer until a CTS arrives, so only the receiver's CTS retry can save
+  // the message. run_until, not run: a wedged receiver's ACK tick never
+  // lets the event queue drain.
+  ScriptedPair pair({}, {0});
+  core::Context ctx_a(*pair.a, core::DevAttr{});
+  core::Context ctx_b(*pair.b, core::DevAttr{});
+  core::Qp* qa = ctx_a.create_qp(one_packet_chunks());
+  core::Qp* qb = ctx_b.create_qp(one_packet_chunks());
+  qa->connect(qb->info());
+  qb->connect(qa->info());
+  ControlLink ca(*pair.a), cb(*pair.b);
+  ca.connect(2, cb.qp_number());
+  cb.connect(1, ca.qp_number());
+
+  LinkProfile profile;
+  profile.bandwidth_bps = 100e9;
+  profile.rtt_s = rtt_s(100.0);
+  profile.mtu = 1024;
+  profile.chunk_bytes = 1024;
+  SrProtoConfig config;
+  config.rto_s = 3.0 * profile.rtt_s;
+  config.ack_interval_s = profile.rtt_s / 4.0;
+  SrSender sender(pair.sim, *qa, ca, profile, config);
+  SrReceiver receiver(pair.sim, *qb, cb, profile, config);
+
+  const std::size_t len = 16 * 1024;
+  const auto src = pattern(len, 5);
+  std::vector<std::uint8_t> dst(len, 0);
+  const auto* mr = ctx_b.mr_reg(dst.data(), dst.size());
+  bool received = false;
+  bool sent = false;
+  receiver.expect(dst.data(), len, mr, [&](const Status& s) {
+    received = s.is_ok();
+  });
+  sender.write(src.data(), len, [&](const Status& s) { sent = s.is_ok(); });
+  pair.sim.run_until(SimTime::from_seconds(1.0));
+
+  EXPECT_TRUE(received);
+  EXPECT_TRUE(sent);
+  EXPECT_EQ(std::memcmp(dst.data(), src.data(), len), 0);
+  EXPECT_EQ(qb->stats().cts_sent, 2u) << "one lost CTS, one retry";
+  EXPECT_EQ(sender.stats().retransmissions, 0u);
+}
+
+TEST(FaultInjectionTest, EcRecoversALostCts) {
+  // Drop the CTS of the data submessage. Its parity stream alone (m = 4 of
+  // the k = 8 needed blocks) cannot decode it, and the fallback's
+  // retransmissions queue behind the same missing CTS, so without the
+  // receiver's CTS retry the message ends at the global-timeout abort.
+  ScriptedPair pair({}, {0});
+  core::Context ctx_a(*pair.a, core::DevAttr{});
+  core::Context ctx_b(*pair.b, core::DevAttr{});
+  core::Qp* qa = ctx_a.create_qp(one_packet_chunks());
+  core::Qp* qb = ctx_b.create_qp(one_packet_chunks());
+  qa->connect(qb->info());
+  qb->connect(qa->info());
+  ControlLink ca(*pair.a), cb(*pair.b);
+  ca.connect(2, cb.qp_number());
+  cb.connect(1, ca.qp_number());
+
+  LinkProfile profile;
+  profile.bandwidth_bps = 100e9;
+  profile.rtt_s = rtt_s(100.0);
+  profile.mtu = 1024;
+  profile.chunk_bytes = 1024;
+  ec::ReedSolomon codec(8, 4);
+  EcProtoConfig config;
+  config.k = 8;
+  config.m = 4;
+  config.fallback_rto_s = 3.0 * profile.rtt_s;
+  config.fallback_ack_interval_s = profile.rtt_s / 4.0;
+  EcSender sender(pair.sim, *qa, ca, profile, codec, config);
+  EcReceiver receiver(pair.sim, *qb, cb, profile, codec, config);
+
+  const std::size_t len = 8 * 1024;  // exactly one submessage
+  const auto src = pattern(len, 6);
+  std::vector<std::uint8_t> dst(len, 0);
+  const auto* mr = ctx_b.mr_reg(dst.data(), dst.size());
+  bool received = false;
+  bool sent = false;
+  receiver.expect(dst.data(), len, mr, [&](const Status& s) {
+    received = s.is_ok();
+  });
+  sender.write(src.data(), len, [&](const Status& s) { sent = s.is_ok(); });
+  pair.sim.run_until(SimTime::from_seconds(1.0));
+
+  EXPECT_TRUE(received);
+  EXPECT_TRUE(sent);
+  EXPECT_EQ(std::memcmp(dst.data(), src.data(), len), 0);
 }
 
 TEST(FaultInjectionTest, BurstInsideOneChunkIsOneChunkDrop) {

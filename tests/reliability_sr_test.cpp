@@ -181,10 +181,11 @@ TEST(AckCodecTest, RoundTripAck) {
   msg.cumulative = 77;
   msg.selective_base = 64;
   msg.selective = {0xDEADBEEFCAFEF00Dull, 0x1ull};
-  const auto wire = encode_control(msg);
-  const auto decoded = decode_control(wire.data(), wire.size());
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, msg);
+  std::vector<std::uint8_t> wire;
+  encode_control(msg, wire);
+  ControlMessage decoded;
+  ASSERT_TRUE(decode_control(wire.data(), wire.size(), decoded));
+  EXPECT_EQ(decoded, msg);
 }
 
 TEST(AckCodecTest, RoundTripNackWithIndices) {
@@ -192,37 +193,43 @@ TEST(AckCodecTest, RoundTripNackWithIndices) {
   msg.type = ControlType::kEcNack;
   msg.msg_number = 42;
   msg.indices = {1, 5, 1000, 65535};
-  const auto wire = encode_control(msg);
-  const auto decoded = decode_control(wire.data(), wire.size());
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, msg);
+  std::vector<std::uint8_t> wire;
+  encode_control(msg, wire);
+  ControlMessage decoded;
+  ASSERT_TRUE(decode_control(wire.data(), wire.size(), decoded));
+  EXPECT_EQ(decoded, msg);
 }
 
 TEST(AckCodecTest, TruncatedInputRejected) {
   ControlMessage msg;
   msg.type = ControlType::kSrAck;
   msg.selective = {1, 2, 3};
-  const auto wire = encode_control(msg);
+  std::vector<std::uint8_t> wire;
+  encode_control(msg, wire);
+  ControlMessage decoded;
   for (std::size_t cut = 0; cut < wire.size(); ++cut) {
-    EXPECT_FALSE(decode_control(wire.data(), cut).has_value()) << cut;
+    EXPECT_FALSE(decode_control(wire.data(), cut, decoded)) << cut;
   }
 }
 
 TEST(AckCodecTest, GarbageTypeRejected) {
   ControlMessage msg;
-  auto wire = encode_control(msg);
+  std::vector<std::uint8_t> wire;
+  encode_control(msg, wire);
   wire[0] = 99;
-  EXPECT_FALSE(decode_control(wire.data(), wire.size()).has_value());
+  ControlMessage decoded;
+  EXPECT_FALSE(decode_control(wire.data(), wire.size(), decoded));
 }
 
 TEST(AckCodecTest, EmptyPayloadsRoundTrip) {
   ControlMessage msg;
   msg.type = ControlType::kEcAck;
   msg.msg_number = 7;
-  const auto wire = encode_control(msg);
-  const auto decoded = decode_control(wire.data(), wire.size());
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, msg);
+  std::vector<std::uint8_t> wire;
+  encode_control(msg, wire);
+  ControlMessage decoded;
+  ASSERT_TRUE(decode_control(wire.data(), wire.size(), decoded));
+  EXPECT_EQ(decoded, msg);
 }
 
 }  // namespace

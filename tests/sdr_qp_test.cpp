@@ -214,6 +214,31 @@ TEST_F(SdrFixture, SendBeforeReceiveIsQueuedUntilCts) {
   EXPECT_TRUE(qp_a_->send_poll(sh).is_ok());
 }
 
+TEST_F(SdrFixture, RefusedSendPostKeepsTheArrivedCts) {
+  // A post larger than the receive buffer is refused and rolled back. The
+  // CTS that had already arrived for its message number must survive the
+  // rollback: the receiver sent it once, and the bare core never re-sends.
+  wire(0.0);
+  const auto src = pattern(8192, 9);
+  std::vector<std::uint8_t> dst(4096, 0);
+  const auto* mr = ctx_b_->mr_reg(dst.data(), dst.size());
+
+  RecvHandle* rh = nullptr;
+  ASSERT_TRUE(qp_b_->recv_post(dst.data(), 4096, mr, &rh).is_ok());
+  sim_.run();  // the CTS arrives before any send and parks
+  ASSERT_EQ(qp_a_->stats().cts_received, 1u);
+
+  SendHandle* sh = nullptr;
+  EXPECT_EQ(qp_a_->send_post(src.data(), 8192, 0, false, &sh).code(),
+            StatusCode::kOutOfRange);
+  ASSERT_TRUE(qp_a_->send_post(src.data(), 4096, 0, false, &sh).is_ok());
+  EXPECT_TRUE(sh->cts_ready());
+  sim_.run();
+  EXPECT_TRUE(qp_b_->recv_done(rh));
+  EXPECT_EQ(std::memcmp(dst.data(), src.data(), 4096), 0);
+  EXPECT_TRUE(qp_a_->send_poll(sh).is_ok());
+}
+
 TEST_F(SdrFixture, UserImmediateReconstruction) {
   wire(0.0);
   const std::size_t len = 16 * 1024;  // 16 packets >= 8 fragments

@@ -5,6 +5,7 @@
 //    locally; the underlying xoshiro256** vectors are pinned in
 //    common_test),
 //  * the shrink ladder is deterministic and monotone,
+//  * the CI smoke batch keeps covering a lost CTS,
 //  * a 200-seed smoke batch passes every oracle (the tier-1 gate),
 //  * serial and parallel sweeps produce byte-identical records,
 //  * an intentionally injected protocol bug (off-by-one in the SR bitmap
@@ -28,6 +29,7 @@
 #include "check/runner.hpp"
 #include "check/scenario.hpp"
 #include "common/failpoint.hpp"
+#include "common/rng.hpp"
 #include "common/units.hpp"
 
 // ---------------------------------------------------------------------------
@@ -142,6 +144,19 @@ TEST(Scenario, GenerationIsDeterministic) {
               generate_scenario(seed).describe())
         << "seed " << seed;
   }
+}
+
+TEST(Scenario, SmokeBatchCoversALostCts) {
+  // CI's 200-seed smoke (the CLI's default base seed) must keep exercising
+  // the receivers' CTS retry: at least one of its seeds drops the first CTS
+  // in the SR and EC arms, which always run.
+  std::size_t lost = 0;
+  for (std::size_t i = 0; i < 200; ++i) {
+    if (generate_scenario(derive_seed(kSmokeBaseSeed, i)).drop_first_cts) {
+      ++lost;
+    }
+  }
+  EXPECT_GE(lost, 1u);
 }
 
 TEST(Scenario, ShrinkLadderIsDeterministicAndMonotone) {
