@@ -25,7 +25,6 @@
 // touches the packet path. Scale run length with argv[1] (default 1.0;
 // CI smoke uses 0.05).
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -33,55 +32,16 @@
 #include <cstring>
 #include <functional>
 #include <memory>
-#include <new>
 #include <vector>
 
 #include "bench_util.hpp"
+#include "common/alloc_counter.hpp"
 #include "common/units.hpp"
 #include "sdr/version.hpp"
 #include "reliability/reliable_channel.hpp"
 #include "sdr/sdr.hpp"
 #include "sim/simulator.hpp"
 #include "verbs/nic.hpp"
-
-// ---------------------------------------------------------------------------
-// Global allocation counter (same hook as bench_simcore): every operator-new
-// in the process bumps it; workloads snapshot it around steady state.
-// ---------------------------------------------------------------------------
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new(std::size_t n, std::align_val_t a) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(a),
-                                   (n + static_cast<std::size_t>(a) - 1) &
-                                       ~(static_cast<std::size_t>(a) - 1))) {
-    return p;
-  }
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t n, std::align_val_t a) {
-  return ::operator new(n, a);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace sdr {
 namespace {
@@ -163,7 +123,7 @@ Measured run_sdr_clean(int iterations, int warmup, int inflight,
     if (ev.type != core::RecvEvent::Type::kMessageCompleted) return;
     ++completed;
     if (completed == warmup) {  // steady state begins here
-      allocs_at_steady = g_allocs.load();
+      allocs_at_steady = common::allocations();
       t_steady = now_s();
     }
     const int window_slot = static_cast<int>(
@@ -200,7 +160,7 @@ Measured run_sdr_clean(int iterations, int warmup, int inflight,
   pump();
   sim.run();
   const double wall = now_s() - t_steady;
-  const std::uint64_t allocs = g_allocs.load() - allocs_at_steady;
+  const std::uint64_t allocs = common::allocations() - allocs_at_steady;
 
   if (completed != iterations) {
     std::fprintf(stderr, "sdr_clean: only %d/%d messages completed\n",
@@ -272,7 +232,7 @@ Measured run_rc_lossy(int iterations, int warmup, std::size_t msg_bytes) {
     while (tx_cq.poll_one()) {
       ++completed;
       if (completed == warmup) {
-        allocs_at_steady = g_allocs.load();
+        allocs_at_steady = common::allocations();
         t_steady = now_s();
       }
       post_next();
@@ -282,7 +242,7 @@ Measured run_rc_lossy(int iterations, int warmup, std::size_t msg_bytes) {
   post_next();
   sim.run();
   const double wall = now_s() - t_steady;
-  const std::uint64_t allocs = g_allocs.load() - allocs_at_steady;
+  const std::uint64_t allocs = common::allocations() - allocs_at_steady;
 
   if (completed != iterations) {
     std::fprintf(stderr, "rc_lossy: only %d/%d writes completed\n", completed,
@@ -357,7 +317,7 @@ Measured run_sdr_lossy_sr(int iterations, int warmup, std::size_t msg_bytes) {
     void on_recv_done() {
       ++completed;
       if (completed == warmup) {
-        allocs_at_steady = g_allocs.load();
+        allocs_at_steady = common::allocations();
         t_steady = now_s();
       }
       post_pair();
@@ -367,7 +327,7 @@ Measured run_sdr_lossy_sr(int iterations, int warmup, std::size_t msg_bytes) {
   driver.post_pair();
   sim.run();
   const double wall = now_s() - driver.t_steady;
-  const std::uint64_t allocs = g_allocs.load() - driver.allocs_at_steady;
+  const std::uint64_t allocs = common::allocations() - driver.allocs_at_steady;
 
   if (driver.completed != iterations) {
     std::fprintf(stderr, "sdr_lossy_sr: only %d/%d messages completed\n",

@@ -55,10 +55,7 @@ int main(int argc, char** argv) {
         // Seed derives from (trial, payload) only — the formula of the old
         // serial loops, never a function of which worker runs the cell.
         cfg.seed = 2026 + trial_no * 977 + payload;
-        sim::Channel channel(
-            sim, cfg,
-            std::make_unique<sim::CongestionDrop>(
-                sim::CongestionDrop::Params{}));
+        sim::Channel channel(sim, cfg, std::make_unique<sim::CongestionDrop>());
         channel.set_receiver([](sim::Packet&&) {});
         channel.new_trial();  // redraw the trial's congestion intensity
         for (int flow = 0; flow < kFlows; ++flow) {

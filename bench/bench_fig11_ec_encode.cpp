@@ -20,15 +20,13 @@
 // Unsupported ISAs are skipped with an explicit line, never silently.
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
 #include "bench_util.hpp"
+#include "common/alloc_counter.hpp"
 #include "common/cpu.hpp"
 #include "common/rng.hpp"
 #include "ec/gf256_kernels.hpp"
@@ -38,45 +36,6 @@
 #include "sdr/version.hpp"
 
 using namespace sdr;  // NOLINT
-
-// ---------------------------------------------------------------------------
-// Global allocation counter (same hook as bench_fleet / bench_datapath) —
-// proves the fused encode path is allocation-free per call.
-// ---------------------------------------------------------------------------
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new(std::size_t n, std::align_val_t a) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(a),
-                                   (n + static_cast<std::size_t>(a) - 1) &
-                                       ~(static_cast<std::size_t>(a) - 1))) {
-    return p;
-  }
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t n, std::align_val_t a) {
-  return ::operator new(n, a);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace {
 
@@ -140,11 +99,11 @@ template <typename EncodeFn>
 Measurement measure(EncodeFn&& encode, int reps = 24) {
   encode();  // warm-up: tables, page faults
   const std::uint64_t allocs_before =
-      g_allocs.load(std::memory_order_relaxed);
+      common::allocations();
   const auto begin = std::chrono::steady_clock::now();
   for (int i = 0; i < reps; ++i) encode();
   const auto end = std::chrono::steady_clock::now();
-  const std::uint64_t allocs_after = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t allocs_after = common::allocations();
   const double seconds = std::chrono::duration<double>(end - begin).count();
   Measurement m;
   m.gbps = static_cast<double>(reps) * (kK * kChunk) * 8.0 / seconds / 1e9;

@@ -21,60 +21,21 @@
 // reported honestly, not forced to zero. Scale run length with argv[1]
 // (default 1.0; CI smoke uses 0.25 which shrinks the fleet, not the
 // semantics).
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <new>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
+#include "common/alloc_counter.hpp"
 #include "common/time.hpp"
 #include "common/units.hpp"
 #include "fleet/fleet.hpp"
 #include "sdr/version.hpp"
 #include "sweep/sweep.hpp"
-
-// ---------------------------------------------------------------------------
-// Global allocation counter (same hook as bench_datapath / bench_simcore).
-// ---------------------------------------------------------------------------
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new(std::size_t n, std::align_val_t a) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(a),
-                                   (n + static_cast<std::size_t>(a) - 1) &
-                                       ~(static_cast<std::size_t>(a) - 1))) {
-    return p;
-  }
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t n, std::align_val_t a) {
-  return ::operator new(n, a);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 using namespace sdr;  // NOLINT
 
@@ -238,11 +199,11 @@ int main(int argc, char** argv) {
   for (const std::int64_t s : schemes) {
     fleet::FleetConfig cfg = scaled_config(scale);
     cfg.scheme = scheme_of(s);
-    const std::uint64_t allocs_before = g_allocs.load();
+    const std::uint64_t allocs_before = common::allocations();
     const double t0 = now_s();
     const fleet::FleetResult r = fleet::run_fleet(cfg);
     const double wall = now_s() - t0;
-    const std::uint64_t allocs = g_allocs.load() - allocs_before;
+    const std::uint64_t allocs = common::allocations() - allocs_before;
     const double allocs_per_message =
         r.messages_completed > 0
             ? static_cast<double>(allocs) /

@@ -18,61 +18,21 @@
 //
 // These lines are the simulator's perf trajectory: append them (with the
 // commit id) to bench/trajectory.jsonl when a PR touches the event core.
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
-#include <new>
 #include <vector>
 
 #include "bench_util.hpp"
+#include "common/alloc_counter.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "sdr/version.hpp"
 #include "sim/channel.hpp"
 #include "sim/drop_model.hpp"
 #include "sim/simulator.hpp"
-
-// ---------------------------------------------------------------------------
-// Global allocation counter. Every operator-new in the process bumps it;
-// workloads snapshot it around their steady-state phase.
-// ---------------------------------------------------------------------------
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new(std::size_t n, std::align_val_t a) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(a),
-                                   (n + static_cast<std::size_t>(a) - 1) &
-                                       ~(static_cast<std::size_t>(a) - 1))) {
-    return p;
-  }
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t n, std::align_val_t a) {
-  return ::operator new(n, a);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace sdr::sim {
 namespace {
@@ -116,11 +76,11 @@ void run_event_churn(std::uint64_t total_events) {
   for (auto& t : tickers) t->tick();
   sim.run_until(sim.now() + SimTime{1000});
 
-  const std::uint64_t allocs_before = g_allocs.load();
+  const std::uint64_t allocs_before = common::allocations();
   const double t0 = now_s();
   const std::uint64_t executed = sim.run();
   const double wall = now_s() - t0;
-  const std::uint64_t allocs = g_allocs.load() - allocs_before;
+  const std::uint64_t allocs = common::allocations() - allocs_before;
 
   std::printf("event_churn:      %.3e events/s  (%llu events, %.3f s, "
               "%.4f allocs/event)\n",
@@ -151,14 +111,14 @@ void run_timer_churn(std::uint64_t pairs) {
     sim.cancel(id);
   }
 
-  const std::uint64_t allocs_before = g_allocs.load();
+  const std::uint64_t allocs_before = common::allocations();
   const double t0 = now_s();
   for (std::uint64_t i = 0; i < pairs; ++i) {
     const EventId id = sim.schedule(SimTime{1000000}, [&fired] { ++fired; });
     sim.cancel(id);
   }
   const double wall = now_s() - t0;
-  const std::uint64_t allocs = g_allocs.load() - allocs_before;
+  const std::uint64_t allocs = common::allocations() - allocs_before;
   sim.run();
 
   std::printf("timer_churn:      %.3e pairs/s   (%llu schedule+cancel, "
@@ -213,7 +173,7 @@ void run_packet_delivery(std::uint64_t total_packets) {
   std::uint64_t sent = kWarmupBatches * kBatch;
   std::uint64_t executed = 0;
   const std::uint64_t delivered_before = delivered;
-  const std::uint64_t allocs_before = g_allocs.load();
+  const std::uint64_t allocs_before = common::allocations();
   const double t0 = now_s();
   while (sent < total_packets) {
     send_batch();
@@ -221,7 +181,7 @@ void run_packet_delivery(std::uint64_t total_packets) {
     executed += sim.run();
   }
   const double wall = now_s() - t0;
-  const std::uint64_t allocs = g_allocs.load() - allocs_before;
+  const std::uint64_t allocs = common::allocations() - allocs_before;
   const std::uint64_t measured = sent - kWarmupBatches * kBatch;
 
   // Delivery events are the workload's unit of work; "events_per_sec"

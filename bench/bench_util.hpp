@@ -128,6 +128,8 @@ class TelemetrySession {
   TelemetrySession& operator=(const TelemetrySession&) = delete;
 
   bool active() const { return active_; }
+  /// Sampling period of --telemetry-period (sim seconds).
+  double period_s() const { return period_s_; }
 
   /// The live session, if any — lets bench helpers deep in a run attach the
   /// periodic sampler to the simulator they just built.
@@ -216,7 +218,10 @@ class SweepCli {
     sweep::SweepOptions opt;
     opt.jobs = jobs_;
     opt.base_seed = base_seed;
-    opt.capture_telemetry = TelemetrySession::instance() != nullptr;
+    if (const TelemetrySession* session = TelemetrySession::instance()) {
+      opt.capture_telemetry = true;
+      opt.sample_period_s = session->period_s();
+    }
     return opt;
   }
 

@@ -22,6 +22,9 @@ namespace {
 constexpr std::uint64_t kFnvOffset = 0xCBF29CE484222325ULL;
 constexpr std::uint64_t kFnvPrime = 0x00000100000001B3ULL;
 
+// Upper bound on shrink-ladder steps explored by shrink_failure().
+constexpr int kMaxShrinkLevel = 16;
+
 std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t len) {
   const auto* p = static_cast<const std::uint8_t*>(data);
   for (std::size_t i = 0; i < len; ++i) {
@@ -343,26 +346,15 @@ SeedReport check_seed(std::uint64_t seed, const CheckOptions& opts,
   report.shrink_level = shrink_level;
   report.scenario = shrink_scenario(generate_scenario(seed), shrink_level);
 
-  RunnerOptions ropts;
-  ropts.capture_flight = opts.capture_flight;
-  ropts.flight_capacity = opts.flight_capacity;
-  ropts.capture_spans = opts.capture_spans;
-  ropts.span_capacity = opts.span_capacity;
-
-  // Distinct pid ranges per arm so the merged Perfetto document keeps each
-  // arm's tracks apart (each arm registers <=1 track + a metadata row).
-  ropts.span_pid_base = 0;
-  report.arms.push_back(run_sr_arm(report.scenario, ropts));
-  ropts.span_pid_base = 8;
-  if (opts.run_ec) report.arms.push_back(run_ec_arm(report.scenario, ropts));
-  ropts.span_pid_base = 16;
-  if (opts.run_rc) report.arms.push_back(run_rc_arm(report.scenario, ropts));
+  report.arms.push_back(run_sr_arm(report.scenario, opts));
+  if (opts.run_ec) report.arms.push_back(run_ec_arm(report.scenario, opts));
+  if (opts.run_rc) report.arms.push_back(run_rc_arm(report.scenario, opts));
 
   run_differential_oracle(report.arms, &report.failures);
   if (opts.run_ec) {
     run_ec_kernel_oracle(report.scenario, seed, &report.failures);
   }
-  if (opts.model_oracle && model_oracle_applies(report.scenario)) {
+  if (model_oracle_applies(report.scenario)) {
     run_model_oracle(report.scenario, report.arms[0], &report.failures);
   }
   if (report.scenario.fleet_mode) {
@@ -378,7 +370,7 @@ ShrinkOutcome shrink_failure(std::uint64_t seed, const CheckOptions& opts) {
   // Greedy ladder walk: stop at the first level that passes (the failure
   // needs whatever that step removed) or stops changing the scenario.
   Scenario prev = out.minimal.scenario;
-  for (int level = 1; level <= opts.max_shrink_level; ++level) {
+  for (int level = 1; level <= kMaxShrinkLevel; ++level) {
     const Scenario next = shrink_scenario(generate_scenario(seed), level);
     if (next.describe() == prev.describe()) break;  // ladder fixpoint
     SeedReport candidate = check_seed(seed, opts, level);

@@ -34,20 +34,14 @@ namespace sdr::check {
 struct CheckOptions {
   bool run_ec{true};
   bool run_rc{true};
-  /// Compare SR completion time against the analytic model when the
-  /// scenario falls inside the model's assumptions.
-  bool model_oracle{true};
-  /// Per-arm flight recorders (bounded rings of protocol state
-  /// transitions); their JSON dump is written next to the seed repro line
-  /// when an oracle fails.
+  /// Keep each arm's flight-recorder JSON dump (bounded rings of protocol
+  /// state transitions) in ArmResult::flight_json; it is written next to
+  /// the seed repro line when an oracle fails. The recorder itself is
+  /// always armed: it keeps the event stream on for the event-order oracle.
   bool capture_flight{true};
-  std::size_t flight_capacity{128};
   /// Per-arm causal span recorders: a --trace-perfetto replay merges every
   /// arm's spans into one Chrome trace document.
   bool capture_spans{false};
-  std::size_t span_capacity{1u << 14};
-  /// Upper bound on shrink-ladder steps explored by shrink_failure().
-  int max_shrink_level{16};
 };
 
 /// Outcome of one seed at one shrink level: the scenario, every arm's

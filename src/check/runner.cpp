@@ -6,6 +6,7 @@
 #include <optional>
 #include <string>
 
+#include "check/check.hpp"
 #include "common/payload_pool.hpp"
 #include "common/rng.hpp"
 #include "common/time.hpp"
@@ -38,6 +39,16 @@ constexpr std::uint64_t kFarTimerStream = 0xFA57;
 // residual timer count a healthy run leaves behind (final-ACK repeats, EC
 // global timeouts), far below anything that would mask a timer livelock.
 constexpr std::uint64_t kQuiesceBudget = 500000;
+
+// Per-arm recorder sizes: flight-recorder ring per connection, span pool.
+constexpr std::size_t kFlightCapacity = 128;
+constexpr std::size_t kSpanCapacity = 1u << 14;
+
+// Distinct Perfetto pid ranges per arm so the merged document keeps each
+// arm's tracks apart (each arm registers <=1 track + a metadata row).
+constexpr int kSrPidBase = 0;
+constexpr int kEcPidBase = 8;
+constexpr int kRcPidBase = 16;
 
 double chunk_injection(const Scenario& s) {
   return injection_time_s(s.chunk_bytes(), s.bandwidth_bps);
@@ -176,11 +187,11 @@ reliability::LinkProfile profile_for(const Scenario& s) {
 /// oracle in finish(); the span recorder is armed on request.
 class ArmTelemetry {
  public:
-  ArmTelemetry(const RunnerOptions& opts, const std::string& arm)
-      : opts_(opts), scoped_(nullptr, &spans_, &flight_) {
-    flight_.arm(opts.flight_capacity);
+  ArmTelemetry(const CheckOptions& opts, const std::string& arm, int pid_base)
+      : opts_(opts), pid_base_(pid_base), scoped_(nullptr, &spans_, &flight_) {
+    flight_.arm(kFlightCapacity);
     if (opts.capture_spans) {
-      spans_.arm(opts.span_capacity);
+      spans_.arm(kSpanCapacity);
       spans_.track(arm);
     }
     telemetry::event_order() = {};
@@ -199,12 +210,13 @@ class ArmTelemetry {
     }
     if (opts_.capture_flight) r.flight_json = flight_.to_json();
     if (opts_.capture_spans) {
-      spans_.append_chrome_events(r.chrome_events, opts_.span_pid_base);
+      spans_.append_chrome_events(r.chrome_events, pid_base_);
     }
   }
 
  private:
-  const RunnerOptions& opts_;
+  const CheckOptions& opts_;
+  const int pid_base_;
   telemetry::FlightRecorder flight_;
   telemetry::SpanRecorder spans_;
   telemetry::ScopedTelemetry scoped_;
@@ -360,13 +372,13 @@ struct ProtoRun {
   }
 };
 
-ArmResult run_protocol_arm(const Scenario& s, const RunnerOptions& opts,
+ArmResult run_protocol_arm(const Scenario& s, const CheckOptions& opts,
                            bool ec) {
   ArmResult r;
   r.name = ec ? "ec"
               : (s.sr_flavor == SrFlavor::kNack ? "sr_nack" : "sr_rto");
   const std::size_t pool_before = common::payload_pool().live_slots();
-  ArmTelemetry instruments(opts, r.name);
+  ArmTelemetry instruments(opts, r.name, ec ? kEcPidBase : kSrPidBase);
   {
     Fabric fabric(s, ec ? kEcArmSalt : kSrArmSalt, s.drop_first_cts);
     core::Context ctx_a(*fabric.a, core::DevAttr{});
@@ -509,19 +521,19 @@ std::vector<std::uint8_t> message_pattern(std::uint64_t seed,
   return v;
 }
 
-ArmResult run_sr_arm(const Scenario& s, const RunnerOptions& opts) {
+ArmResult run_sr_arm(const Scenario& s, const CheckOptions& opts) {
   return run_protocol_arm(s, opts, /*ec=*/false);
 }
 
-ArmResult run_ec_arm(const Scenario& s, const RunnerOptions& opts) {
+ArmResult run_ec_arm(const Scenario& s, const CheckOptions& opts) {
   return run_protocol_arm(s, opts, /*ec=*/true);
 }
 
-ArmResult run_rc_arm(const Scenario& s, const RunnerOptions& opts) {
+ArmResult run_rc_arm(const Scenario& s, const CheckOptions& opts) {
   ArmResult r;
   r.name = s.rc_go_back_n ? "rc_gbn" : "rc_sr";
   const std::size_t pool_before = common::payload_pool().live_slots();
-  ArmTelemetry instruments(opts, r.name);
+  ArmTelemetry instruments(opts, r.name, kRcPidBase);
   {
     Fabric fabric(s, kRcArmSalt, /*drop_first_cts=*/false);
     verbs::CompletionQueue tx_cq(1 << 12), rx_cq(1 << 12);

@@ -26,20 +26,7 @@
 
 namespace sdr::check {
 
-struct RunnerOptions {
-  /// Keep the per-arm flight recorder's JSON dump in
-  /// ArmResult::flight_json (postmortems next to the seed repro line). The
-  /// recorder itself is always armed: it keeps the event stream on for the
-  /// event-order oracle.
-  bool capture_flight{false};
-  std::size_t flight_capacity{128};
-  /// Arm a private per-arm span recorder; the arm's Chrome trace events
-  /// land in ArmResult::chrome_events with process ids offset by
-  /// span_pid_base (so several arms merge into one Perfetto document).
-  bool capture_spans{false};
-  std::size_t span_capacity{1u << 14};
-  int span_pid_base{0};
-};
+struct CheckOptions;  // check.hpp
 
 struct ArmResult {
   std::string name;
@@ -55,14 +42,16 @@ struct ArmResult {
   std::string flight_json;
   /// Chrome trace events of this arm (capture_spans runs only) — bare
   /// comma-separated objects, combine via SpanRecorder::wrap_chrome_events.
+  /// Each arm offsets its process ids by its own base, so several arms
+  /// merge into one Perfetto document.
   std::string chrome_events;
 
   bool ok() const { return failures.empty(); }
 };
 
-ArmResult run_sr_arm(const Scenario& s, const RunnerOptions& opts);
-ArmResult run_ec_arm(const Scenario& s, const RunnerOptions& opts);
-ArmResult run_rc_arm(const Scenario& s, const RunnerOptions& opts);
+ArmResult run_sr_arm(const Scenario& s, const CheckOptions& opts);
+ArmResult run_ec_arm(const Scenario& s, const CheckOptions& opts);
+ArmResult run_rc_arm(const Scenario& s, const CheckOptions& opts);
 
 /// The deterministic payload pattern for message `index` of scenario-seed
 /// `seed` (shared by all arms so differential comparison is meaningful).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 
 #include "common/units.hpp"
@@ -110,17 +109,6 @@ void Histogram::merge(const Histogram& other) {
   sum_sq_ += other.sum_sq_;
   observed_min_ = std::min(observed_min_, other.observed_min_);
   observed_max_ = std::max(observed_max_, other.observed_max_);
-}
-
-std::string Histogram::summary(const std::string& unit) const {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "n=%llu mean=%.6g%s p50=%.6g%s p99=%.6g%s p99.9=%.6g%s "
-                "max=%.6g%s",
-                static_cast<unsigned long long>(count_), mean(), unit.c_str(),
-                percentile(50), unit.c_str(), percentile(99), unit.c_str(),
-                percentile(99.9), unit.c_str(), max(), unit.c_str());
-  return buf;
 }
 
 }  // namespace sdr

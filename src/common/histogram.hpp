@@ -9,7 +9,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace sdr {
@@ -38,9 +37,6 @@ class Histogram {
 
   /// Merge another histogram with identical configuration.
   void merge(const Histogram& other);
-
-  /// Multi-line textual summary used by bench binaries.
-  std::string summary(const std::string& unit = "s") const;
 
  private:
   std::size_t bucket_index(double value) const;

@@ -157,20 +157,6 @@ class Rng {
     return static_cast<std::uint64_t>(draw);
   }
 
-  /// Maximum of `n` i.i.d. uniform draws over the integers {1, ..., m}.
-  /// Sampled directly through the CDF P(max <= x) = (x/m)^n, avoiding the
-  /// O(n) loop. Returns 0 when n == 0.
-  std::uint64_t max_of_uniform(std::uint64_t n, std::uint64_t m) {
-    if (n == 0 || m == 0) return 0;
-    const double u = next_double_open();
-    const double x =
-        std::ceil(static_cast<double>(m) *
-                  std::pow(u, 1.0 / static_cast<double>(n)));
-    if (x < 1.0) return 1;
-    if (x > static_cast<double>(m)) return m;
-    return static_cast<std::uint64_t>(x);
-  }
-
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

@@ -46,20 +46,6 @@ std::string TextTable::render() const {
   return os.str();
 }
 
-std::string TextTable::render_csv() const {
-  std::ostringstream os;
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c) os << ',';
-      os << row[c];
-    }
-    os << '\n';
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
-  return os.str();
-}
-
 void TextTable::print(FILE* out) const {
   const std::string s = render();
   std::fwrite(s.data(), 1, s.size(), out);

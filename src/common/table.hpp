@@ -1,8 +1,8 @@
 // ASCII table printer used by the bench harness to emit paper-style rows.
 //
 // Each bench binary regenerates one figure/table of the paper; emitting the
-// series as aligned text tables (plus machine-readable CSV) makes visual
-// shape comparison against the paper straightforward.
+// series as aligned text tables makes visual shape comparison against the
+// paper straightforward.
 #pragma once
 
 #include <cstdio>
@@ -20,9 +20,6 @@ class TextTable {
 
   /// Render with column alignment to a string.
   std::string render() const;
-
-  /// Render as CSV (headers + rows) — consumed by plotting scripts.
-  std::string render_csv() const;
 
   void print(FILE* out = stdout) const;
 

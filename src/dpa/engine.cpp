@@ -43,8 +43,6 @@ void Engine::wait_idle() const {
   }
 }
 
-WorkerStats Engine::stats(std::size_t worker) const { return *stats_[worker]; }
-
 WorkerStats Engine::total_stats() const {
   WorkerStats total;
   for (const auto& s : stats_) {

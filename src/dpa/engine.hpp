@@ -52,7 +52,6 @@ class Engine {
   /// Block until all rings are empty (producers quiesced first).
   void wait_idle() const;
 
-  WorkerStats stats(std::size_t worker) const;
   WorkerStats total_stats() const;
 
   /// Synchronous single-CQE processing (the simulator-backend path and the

@@ -27,18 +27,6 @@ GfMatrix GfMatrix::cauchy(std::size_t rows, std::size_t cols,
   return m;
 }
 
-GfMatrix GfMatrix::vandermonde(std::size_t rows, std::size_t cols) {
-  const Gf256& gf = Gf256::instance();
-  GfMatrix m(rows, cols);
-  for (std::size_t i = 0; i < rows; ++i) {
-    for (std::size_t j = 0; j < cols; ++j) {
-      m.at(i, j) = gf.pow(static_cast<std::uint8_t>(j + 1),
-                          static_cast<unsigned>(i));
-    }
-  }
-  return m;
-}
-
 GfMatrix GfMatrix::multiply(const GfMatrix& other) const {
   assert(cols_ == other.rows_);
   const Gf256& gf = Gf256::instance();

@@ -35,11 +35,6 @@ class GfMatrix {
   static GfMatrix cauchy(std::size_t rows, std::size_t cols,
                          std::uint8_t x_base, std::uint8_t y_base);
 
-  /// Vandermonde matrix a_ij = j^i (kept for tests comparing constructions;
-  /// note a raw Vandermonde stack under identity is NOT guaranteed MDS —
-  /// the tests demonstrate why we use Cauchy in production).
-  static GfMatrix vandermonde(std::size_t rows, std::size_t cols);
-
   GfMatrix multiply(const GfMatrix& other) const;
 
   /// Gauss-Jordan inverse. Returns false if the matrix is singular.

@@ -67,7 +67,18 @@ namespace {
 constexpr std::size_t kEcK = 4;
 constexpr std::size_t kEcM = 2;
 
+// Inter-DC trunks: a full mesh of ECMP bundles of 4 paths at 100 Gbit/s
+// each, path k delayed by an extra k * 2 us, with unbounded egress queues.
+constexpr double kTrunkBandwidthBps = 100e9;  // per path
+constexpr std::size_t kTrunkPaths = 4;
+constexpr double kPathSkewS = 2e-6;
+
 constexpr std::uint64_t kCollectiveTenant = ~std::uint64_t{0};
+constexpr std::size_t kCollectiveSegmentBytes = 64 * 1024;
+
+// Virtual-time safety net: the run is cut off here if the fleet has not
+// quiesced (e.g. RC retry storms); incomplete messages are accounted.
+constexpr double kHorizonS = 60.0;
 
 std::uint64_t mix_into(std::uint64_t h, std::uint64_t v) {
   return splitmix64_mix(h ^ (v + kSplitMix64Gamma + (h << 6) + (h >> 2)));
@@ -316,14 +327,13 @@ void FleetEngine::build_topology() {
     dc_nics_.push_back(nic);
   }
   verbs::Fabric::LinkOptions link;
-  link.config.bandwidth_bps = cfg_.trunk_bandwidth_bps;
+  link.config.bandwidth_bps = kTrunkBandwidthBps;
   link.config.distance_km = cfg_.distance_km;
-  link.config.queue_capacity_bytes = cfg_.trunk_queue_bytes;
   link.config.seed = derive_seed(cfg_.seed, 0x71u);
   link.p_drop_forward = cfg_.p_drop;
   link.p_drop_backward = cfg_.p_drop;
-  link.paths = cfg_.trunk_paths;
-  link.path_skew_s = cfg_.path_skew_s;
+  link.paths = kTrunkPaths;
+  link.path_skew_s = kPathSkewS;
   for (std::size_t a = 0; a < cfg_.dcs; ++a) {
     for (std::size_t b = a + 1; b < cfg_.dcs; ++b) {
       fabric_->connect(dc_nics_[a], dc_nics_[b], link);
@@ -404,7 +414,7 @@ std::unique_ptr<Conn> FleetEngine::make_conn(std::size_t tenant_idx,
     options.kind = cfg_.scheme == Scheme::kEc
                        ? reliability::ReliableChannel::Kind::kEcMds
                        : reliability::ReliableChannel::Kind::kSrRto;
-    options.profile.bandwidth_bps = cfg_.trunk_bandwidth_bps;
+    options.profile.bandwidth_bps = kTrunkBandwidthBps;
     options.profile.rtt_s = rtt;
     options.profile.p_drop_packet = cfg_.p_drop;
     options.profile.mtu = kMtu;
@@ -507,7 +517,7 @@ void FleetEngine::build_collective() {
     std::vector<PlannedMessage> plan(collective_total_steps_);
     for (PlannedMessage& m : plan) {
       m.arrival_ns = 0;  // stamped when the dependency releases the step
-      m.bytes = static_cast<std::uint32_t>(cfg_.collective_segment_bytes);
+      m.bytes = static_cast<std::uint32_t>(kCollectiveSegmentBytes);
     }
     conns_.push_back(
         make_conn(kCollectiveTenant, src_endpoint, dst_dc, std::move(plan)));
@@ -703,7 +713,7 @@ FleetResult FleetEngine::run() {
   // count them as posted when their arrival fires (next_post advances), so
   // tally after the run instead. Collective steps tally as they release.
   kickoff();
-  sim_.run_until(SimTime::from_seconds(cfg_.horizon_s));
+  sim_.run_until(SimTime::from_seconds(kHorizonS));
 
   for (const auto& conn : conns_) {
     TenantRollup& roll = conn->is_collective ? rollups_.back()

@@ -47,13 +47,8 @@ struct FleetConfig {
   Scheme scheme{Scheme::kSr};
 
   // ---- inter-DC trunks (full mesh, ECMP) ----
-  double trunk_bandwidth_bps{100e9};  // per path
-  std::size_t trunk_paths{4};
-  double path_skew_s{2e-6};
   double distance_km{1500.0};
   double p_drop{1e-4};
-  /// Egress queue per trunk path in bytes; 0 = unbounded.
-  std::size_t trunk_queue_bytes{0};
 
   // ---- NIC injection resource model ----
   verbs::NicCaps caps{};
@@ -64,13 +59,9 @@ struct FleetConfig {
 
   // ---- collective tenant (ring over one endpoint per DC) ----
   bool collective{true};
-  std::size_t collective_segment_bytes{64 * 1024};
   std::size_t collective_iterations{2};
 
   std::uint64_t seed{1};
-  /// Virtual-time safety net: the run is cut off here if the fleet has not
-  /// quiesced (e.g. RC retry storms); incomplete messages are accounted.
-  double horizon_s{60.0};
 
   /// The standard fleet: 4 DCs x 64 endpoints, a 70/30 small-op/bulk
   /// tenant mix, ring collective, NIC model enabled.

@@ -18,8 +18,8 @@ double allreduce_sample_s(Rng& rng, const AllreduceParams& params) {
     for (std::size_t i = 0; i < n; ++i) {
       const std::size_t pred = (i + n - 1) % n;
       const double ready = std::max(prev[pred], prev[i]);
-      const double step = sample_completion_s(
-          params.scheme, rng, params.link, seg_chunks, params.scheme_params);
+      const double step =
+          sample_completion_s(params.scheme, rng, params.link, seg_chunks);
       finish[i] = ready + step;
     }
   }
@@ -48,8 +48,8 @@ double allreduce_expected_lower_bound_s(const AllreduceParams& params) {
   const std::uint64_t rounds = 2 * params.datacenters - 2;
   const std::uint64_t seg_chunks = params.segment_chunks();
   const double c = ideal_completion_s(params.link, seg_chunks);
-  const double expected = expected_completion_s(
-      params.scheme, params.link, seg_chunks, params.scheme_params);
+  const double expected =
+      expected_completion_s(params.scheme, params.link, seg_chunks);
   const double mu_x = std::max(0.0, expected - c);
   return static_cast<double>(rounds) * (c + mu_x);
 }
@@ -87,8 +87,7 @@ double tree_allreduce_sample_s(Rng& rng, const AllreduceParams& params) {
       for (std::uint64_t e = 0; e < edges; ++e) {
         round_max = std::max(
             round_max, sample_completion_s(params.scheme, rng, params.link,
-                                           buffer_chunks,
-                                           params.scheme_params));
+                                           buffer_chunks));
       }
       total += round_max;
     }
@@ -120,8 +119,8 @@ double tree_allreduce_expected_lower_bound_s(const AllreduceParams& params) {
       (params.buffer_bytes + params.link.chunk_bytes - 1) /
       params.link.chunk_bytes;
   const double c = ideal_completion_s(params.link, buffer_chunks);
-  const double expected = expected_completion_s(
-      params.scheme, params.link, buffer_chunks, params.scheme_params);
+  const double expected =
+      expected_completion_s(params.scheme, params.link, buffer_chunks);
   const double mu_x = std::max(0.0, expected - c);
   return static_cast<double>(rounds) * (c + mu_x);
 }

@@ -21,7 +21,6 @@ struct AllreduceParams {
   std::uint64_t buffer_bytes{128ull << 20};  // per-rank buffer
   LinkParams link;                           // per-hop link (chunk_bytes set)
   Scheme scheme{Scheme::kEcMds};
-  SchemeParams scheme_params{};
 
   /// Chunks per ring segment (buffer/N rounded up to whole chunks).
   std::uint64_t segment_chunks() const {

@@ -29,7 +29,6 @@ ControlLink::~ControlLink() {
   if (qp_ != nullptr) nic_.destroy_qp(qp_->num());
 }
 
-verbs::NicId ControlLink::nic_id() const { return nic_.id(); }
 verbs::QpNumber ControlLink::qp_number() const { return qp_->num(); }
 
 void ControlLink::connect(verbs::NicId peer_nic, verbs::QpNumber peer_qp) {

@@ -25,7 +25,6 @@ class ControlLink {
   ControlLink(const ControlLink&) = delete;
   ControlLink& operator=(const ControlLink&) = delete;
 
-  verbs::NicId nic_id() const;
   verbs::QpNumber qp_number() const;
 
   /// Address the peer (its nic id + control QP number).

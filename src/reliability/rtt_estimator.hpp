@@ -16,9 +16,6 @@ namespace sdr::reliability {
 class RttEstimator {
  public:
   struct Params {
-    double alpha{1.0 / 8.0};   // SRTT gain
-    double beta{1.0 / 4.0};    // RTTVAR gain
-    double k{4.0};             // RTO = SRTT + k * RTTVAR
     double min_rto_s{1e-4};
     double max_rto_s{10.0};
     double initial_rto_s{0.2};
@@ -35,9 +32,8 @@ class RttEstimator {
       srtt_ = sample_s;
       rttvar_ = sample_s / 2.0;
     } else {
-      rttvar_ = (1.0 - params_.beta) * rttvar_ +
-                params_.beta * std::abs(srtt_ - sample_s);
-      srtt_ = (1.0 - params_.alpha) * srtt_ + params_.alpha * sample_s;
+      rttvar_ = (1.0 - kBeta) * rttvar_ + kBeta * std::abs(srtt_ - sample_s);
+      srtt_ = (1.0 - kAlpha) * srtt_ + kAlpha * sample_s;
     }
     ++samples_;
   }
@@ -54,7 +50,7 @@ class RttEstimator {
       return std::clamp(params_.initial_rto_s * backoff_factor_,
                         params_.min_rto_s, params_.max_rto_s);
     }
-    const double rto = srtt_ + params_.k * rttvar_;
+    const double rto = srtt_ + kK * rttvar_;
     return std::clamp(rto * backoff_factor_, params_.min_rto_s,
                       params_.max_rto_s);
   }
@@ -64,6 +60,11 @@ class RttEstimator {
   std::uint64_t samples() const { return samples_; }
 
  private:
+  // RFC 6298 gains.
+  static constexpr double kAlpha = 1.0 / 8.0;  // SRTT gain
+  static constexpr double kBeta = 1.0 / 4.0;   // RTTVAR gain
+  static constexpr double kK = 4.0;            // RTO = SRTT + K * RTTVAR
+
   Params params_;
   double srtt_{0.0};
   double rttvar_{0.0};

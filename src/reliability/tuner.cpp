@@ -47,13 +47,13 @@ Recommendation recommend(const LinkProfile& profile,
   };
 
   add(model::Scheme::kSrRto, model::SchemeParams{});
-  if (options.consider_nack) add(model::Scheme::kSrNack, model::SchemeParams{});
+  add(model::Scheme::kSrNack, model::SchemeParams{});
   for (const auto& [k, m] : options.ec_splits) {
     model::SchemeParams params;
     params.ec.k = k;
     params.ec.m = m;
     add(model::Scheme::kEcMds, params);
-    if (options.consider_xor) add(model::Scheme::kEcXor, params);
+    add(model::Scheme::kEcXor, params);
   }
 
   std::stable_sort(candidates.begin(), candidates.end(),

@@ -37,8 +37,6 @@ struct TunerOptions {
   /// balanced default).
   std::vector<std::pair<std::size_t, std::size_t>> ec_splits{
       {32, 4}, {32, 8}, {16, 8}, {8, 8}};
-  bool consider_nack{true};
-  bool consider_xor{true};
   /// Samples for tail estimation; 0 disables (expectation-only ranking).
   std::uint64_t tail_samples{2000};
   std::uint64_t seed{0x7a11f00dULL};

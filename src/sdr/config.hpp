@@ -41,9 +41,6 @@ struct QpAttr {
 
   Transport transport{Transport::kUc};
 
-  /// Staging datagram buffers pre-posted per data QP (kUd only).
-  std::size_t ud_staging_depth{256};
-
   ImmLayout imm{kDefaultImmLayout};
 
   std::size_t packets_per_chunk() const { return chunk_size / mtu; }

@@ -11,6 +11,7 @@ namespace sdr::core {
 namespace {
 constexpr std::uint64_t kCtsBufferFactor = 2;  // posted CTS recvs per slot
 constexpr std::size_t kCqeBatch = 64;  // stack batch for CQ drains
+constexpr std::size_t kUdStagingDepth = 256;  // datagram buffers per UD QP
 }
 
 // ---------------------------------------------------------------------------
@@ -92,8 +93,8 @@ Qp::Qp(Context& ctx, const QpAttr& attr)
       // payload is copied out to the user buffer by the receive backend
       // and the buffer reposted.
       auto& staging = ud_staging_[i];
-      staging.resize(attr_.ud_staging_depth * attr_.mtu);
-      for (std::size_t b = 0; b < attr_.ud_staging_depth; ++b) {
+      staging.resize(kUdStagingDepth * attr_.mtu);
+      for (std::size_t b = 0; b < kUdStagingDepth; ++b) {
         verbs::RecvWr rwr;
         rwr.wr_id = b;
         rwr.addr = staging.data() + b * attr_.mtu;

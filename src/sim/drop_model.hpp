@@ -132,20 +132,10 @@ class ScriptedDrop final : public DropModel {
 ///     p(bytes) = clamp(base * C * (bytes / ref_bytes)^gamma, 0, p_max)
 class CongestionDrop final : public DropModel {
  public:
-  struct Params {
-    double base_drop = 3e-4;     // median drop at ref packet size
-    double ref_bytes = 1024.0;   // reference payload (1 KiB)
-    double gamma = 1.6;          // size sensitivity exponent
-    double log_sigma = 2.3;      // lognormal sigma: ~3 decades of spread
-    double p_max = 0.5;
-  };
-
-  explicit CongestionDrop(Params params) : params_(params) {}
-
   void reset(Rng& rng) override {
     // exp(sigma * N(0,1) - sigma^2/2) has mean 1.
-    congestion_ = std::exp(params_.log_sigma * rng.normal() -
-                           0.5 * params_.log_sigma * params_.log_sigma);
+    congestion_ = std::exp(kLogSigma * rng.normal() -
+                           0.5 * kLogSigma * kLogSigma);
   }
 
   bool should_drop(Rng& rng, std::size_t bytes) override {
@@ -154,13 +144,17 @@ class CongestionDrop final : public DropModel {
 
   double drop_probability(std::size_t bytes) const {
     const double size_factor =
-        std::pow(static_cast<double>(bytes) / params_.ref_bytes, params_.gamma);
-    return std::clamp(params_.base_drop * congestion_ * size_factor, 0.0,
-                      params_.p_max);
+        std::pow(static_cast<double>(bytes) / kRefBytes, kGamma);
+    return std::clamp(kBaseDrop * congestion_ * size_factor, 0.0, kPMax);
   }
 
  private:
-  Params params_;
+  static constexpr double kBaseDrop = 3e-4;    // median drop at ref packet size
+  static constexpr double kRefBytes = 1024.0;  // reference payload (1 KiB)
+  static constexpr double kGamma = 1.6;        // size sensitivity exponent
+  static constexpr double kLogSigma = 2.3;  // lognormal sigma: ~3 decades
+  static constexpr double kPMax = 0.5;
+
   double congestion_{1.0};
 };
 

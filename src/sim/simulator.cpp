@@ -269,9 +269,4 @@ bool Simulator::step() {
   return true;
 }
 
-void Simulator::reserve(std::size_t events) {
-  slots_.reserve(events);
-  overflow_.reserve(events);
-}
-
 }  // namespace sdr::sim

@@ -154,10 +154,6 @@ class Simulator {
   bool empty() const { return live_events_ == 0; }
   std::size_t pending() const { return live_events_; }
 
-  /// Pre-size the event pool (avoids growth allocations during the
-  /// measured phase of benchmarks).
-  void reserve(std::size_t events);
-
   /// Number of pool slots ever materialized — bounded by the peak number
   /// of simultaneously pending events, not by total events scheduled.
   /// Exposed for memory-boundedness regression tests.
@@ -186,13 +182,8 @@ class Simulator {
       return a.seq > b.seq;
     }
   };
-  // priority_queue with access to the underlying vector's reserve().
-  class OverflowHeap
-      : public std::priority_queue<OverflowEntry, std::vector<OverflowEntry>,
-                                   Later> {
-   public:
-    void reserve(std::size_t n) { c.reserve(n); }
-  };
+  using OverflowHeap =
+      std::priority_queue<OverflowEntry, std::vector<OverflowEntry>, Later>;
 
   struct Slot {
     EventFn fn;

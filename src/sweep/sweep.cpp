@@ -127,10 +127,6 @@ void Trial::record(const std::string& key, const std::string& value) {
       {key, "\"" + json_escape(value) + "\"", csv_escape(value)});
 }
 
-void Trial::record(const std::string& key, const char* value) {
-  record(key, std::string(value));
-}
-
 void Trial::record_flag(const std::string& key, bool value) {
   const std::string s = value ? "true" : "false";
   record_->values.push_back({key, s, s});
@@ -149,12 +145,15 @@ double TrialRecord::f64(const std::string& key, double fallback) const {
 /// Runs one trial (all attempts) into `out`. Lives in a struct so it can be
 /// befriended by Trial without exposing engine internals in the header.
 struct TrialRunner {
+  /// Total attempts per trial (first run + one retry). A trial that throws
+  /// on its last attempt is recorded as failed; an earlier failure is
+  /// retried with identical params/seed.
+  static constexpr int kMaxAttempts = 2;
+
   static void run(const ParamGrid& grid, const SweepOptions& options,
                   const TrialFn& fn, std::size_t index, TrialRecord& out) {
-    const int max_attempts = options.max_attempts < 1 ? 1
-                                                      : options.max_attempts;
     std::string first_error;
-    for (int attempt = 1; attempt <= max_attempts; ++attempt) {
+    for (int attempt = 1; attempt <= kMaxAttempts; ++attempt) {
       TrialRecord rec;
       rec.index = index;
       rec.attempts = attempt;
@@ -208,7 +207,7 @@ struct TrialRunner {
       if (!rec.ok) {
         if (first_error.empty()) first_error = rec.error;
         SDR_WARN("sweep trial %zu attempt %d/%d failed: %s", index, attempt,
-                 max_attempts, rec.error.c_str());
+                 kMaxAttempts, rec.error.c_str());
       }
       out = std::move(rec);
       if (out.ok) return;
@@ -242,27 +241,21 @@ SweepResult run_sweep(const ParamGrid& grid, const SweepOptions& options,
       TrialRunner::run(grid, options, fn, i, result.trials[i]);
     }
   } else {
-    // Workers write only result.trials[i] for the distinct indices they
-    // claim; the vector is pre-sized, so no synchronization beyond the
-    // claim cursor (dynamic) or the shard arithmetic (static) is needed.
+    // Workers claim trial indices from a shared atomic cursor (best load
+    // balance for uneven trials) and write only result.trials[i] for the
+    // distinct indices they claim; the vector is pre-sized, so the cursor
+    // is the only synchronization needed.
     std::atomic<std::size_t> cursor{0};
-    auto worker = [&](unsigned id) {
-      if (options.schedule == SweepOptions::Schedule::kStatic) {
-        for (std::size_t i = id; i < n; i += jobs) {
-          TrialRunner::run(grid, options, fn, i, result.trials[i]);
-        }
-      } else {
-        for (std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-             i < n;
-             i = cursor.fetch_add(1, std::memory_order_relaxed)) {
-          TrialRunner::run(grid, options, fn, i, result.trials[i]);
-        }
+    auto worker = [&] {
+      for (std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+           i < n; i = cursor.fetch_add(1, std::memory_order_relaxed)) {
+        TrialRunner::run(grid, options, fn, i, result.trials[i]);
       }
     };
     std::vector<std::thread> pool;
     pool.reserve(jobs - 1);
-    for (unsigned id = 1; id < jobs; ++id) pool.emplace_back(worker, id);
-    worker(0);  // the calling thread is worker 0
+    for (unsigned id = 1; id < jobs; ++id) pool.emplace_back(worker);
+    worker();  // the calling thread is worker 0
     for (std::thread& t : pool) t.join();
   }
   result.wall_s = std::chrono::duration<double>(

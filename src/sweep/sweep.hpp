@@ -16,7 +16,7 @@
 // order the old serial bench loops printed.
 //
 // Failure isolation: a throwing trial is caught, recorded, and retried
-// once (configurable); it never takes down the pool or the other trials.
+// once; it never takes down the pool or the other trials.
 // Wall-clock timings are kept per trial for reporting but deliberately
 // excluded from to_jsonl()/to_csv() — they are the one nondeterministic
 // quantity and must not break bit-identity.
@@ -43,18 +43,6 @@ struct SweepOptions {
 
   /// Per-trial seeds are derive_seed(base_seed, trial_index).
   std::uint64_t base_seed{0x5EED5EED5EED5EEDULL};
-
-  /// kDynamic hands trial indices to workers from a shared atomic cursor
-  /// (best load balance for uneven trials); kStatic shards index i to
-  /// worker i % jobs (fully deterministic placement, useful when pinning
-  /// threads). Results are identical either way — only wall clock differs.
-  enum class Schedule : std::uint8_t { kDynamic, kStatic };
-  Schedule schedule{Schedule::kDynamic};
-
-  /// Total attempts per trial (first run + retries). A trial that throws on
-  /// its last attempt is recorded as failed; earlier failures are retried
-  /// with identical params/seed.
-  int max_attempts{2};
 
   /// When true every trial gets an *enabled* private Registry whose exports
   /// are captured into its TrialRecord (and a per-trial Sampler reachable
@@ -91,7 +79,6 @@ class Trial {
   void record(const std::string& key, double value);
   void record(const std::string& key, std::int64_t value);
   void record(const std::string& key, const std::string& value);
-  void record(const std::string& key, const char* value);
   void record_flag(const std::string& key, bool value);
 
   /// This trial's private registry (enabled only when the sweep ran with

@@ -29,8 +29,6 @@ void FlightRecorder::disarm() {
   detail::resync_observing();
 }
 
-void FlightRecorder::clear() { rings_.clear(); }
-
 void FlightRecorder::consume(const Event& e) {
   if (!armed_ || e.layer == Layer::kWire || e.layer == Layer::kSdr) return;
   Ring& ring = rings_[Key{e.layer, e.conn}];

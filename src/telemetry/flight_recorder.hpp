@@ -38,7 +38,6 @@ class FlightRecorder {
   void arm(std::size_t per_conn_capacity = 128);
   void disarm();
   bool armed() const { return armed_; }
-  void clear();
 
   /// Records `e` when armed and `e` comes from a reliability layer.
   void consume(const Event& e);

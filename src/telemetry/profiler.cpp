@@ -58,12 +58,6 @@ void Profiler::disarm() {
   if (this == &profiler()) detail::g_profiling_on = false;
 }
 
-void Profiler::clear() {
-  entries_.fill(Entry{});
-  depth_ = 0;
-  last_mark_ns_ = now_ns();
-}
-
 void Profiler::attribute(std::uint64_t now) {
   if (depth_ > 0) {
     entries_[static_cast<std::size_t>(stack_[depth_ - 1])].self_ns +=

@@ -58,7 +58,6 @@ class Profiler {
   void arm();
   void disarm();
   bool armed() const { return armed_; }
-  void clear();
 
   /// Scope transitions (used by ProfScope; callable directly in tests).
   /// enter() returns false when the nesting stack is exhausted — the time

@@ -76,22 +76,6 @@ Gauge Registry::gauge(const std::string& name) {
   return Gauge{slot};
 }
 
-HistogramHandle Registry::histogram(const std::string& name, double min_value,
-                                    double max_value) {
-  if (!enabled_) return HistogramHandle{};
-  if (const Entry* e = find(name); e != nullptr && e->owned_hist) {
-    return HistogramHandle{e->owned_hist.get()};
-  }
-  Entry e;
-  e.name = name;
-  e.kind = MetricKind::kHistogram;
-  e.owned_hist = std::make_unique<Histogram>(min_value, max_value);
-  e.hist = e.owned_hist.get();
-  Histogram* slot = e.owned_hist.get();
-  add_entry(std::move(e));
-  return HistogramHandle{slot};
-}
-
 std::string Registry::instance_name(const std::string& base) {
   const std::uint64_t idx = instance_counters_[base]++;
   return base + std::to_string(idx);
@@ -115,7 +99,7 @@ double Registry::gauge_value(const std::string& name) const {
 
 const Histogram* Registry::find_histogram(const std::string& name) const {
   const Entry* e = find(name);
-  return e != nullptr ? e->hist : nullptr;
+  return e != nullptr ? e->owned_hist.get() : nullptr;
 }
 
 double Registry::entry_value(const Entry& e) const {
@@ -126,20 +110,20 @@ double Registry::entry_value(const Entry& e) const {
       if (e.gauge_fn) return e.gauge_fn();
       return e.owned_gauge ? *e.owned_gauge : 0.0;
     case MetricKind::kHistogram:
-      return e.hist != nullptr ? static_cast<double>(e.hist->count()) : 0.0;
+      return e.owned_hist ? static_cast<double>(e.owned_hist->count()) : 0.0;
   }
   return 0.0;
 }
 
 void Registry::flatten(std::vector<FlatMetric>& out) const {
   for (const Entry& e : entries_) {
-    if (e.kind == MetricKind::kHistogram && e.hist != nullptr) {
-      out.push_back({e.name + ".count", static_cast<double>(e.hist->count())});
-      out.push_back({e.name + ".mean", e.hist->mean()});
-      out.push_back({e.name + ".p50", e.hist->percentile(50.0)});
-      out.push_back({e.name + ".p99", e.hist->percentile(99.0)});
-      out.push_back({e.name + ".p999", e.hist->percentile(99.9)});
-      out.push_back({e.name + ".max", e.hist->max()});
+    if (const Histogram* h = e.owned_hist.get()) {
+      out.push_back({e.name + ".count", static_cast<double>(h->count())});
+      out.push_back({e.name + ".mean", h->mean()});
+      out.push_back({e.name + ".p50", h->percentile(50.0)});
+      out.push_back({e.name + ".p99", h->percentile(99.0)});
+      out.push_back({e.name + ".p999", h->percentile(99.9)});
+      out.push_back({e.name + ".max", h->max()});
     } else {
       out.push_back({e.name, entry_value(e)});
     }
@@ -195,10 +179,6 @@ void Registry::freeze_entries(const std::vector<std::uint64_t>& ids) {
         }
         break;
       case MetricKind::kHistogram:
-        if (!e.owned_hist && e.hist != nullptr) {
-          e.owned_hist = std::make_unique<Histogram>(*e.hist);
-          e.hist = e.owned_hist.get();
-        }
         break;
     }
   }
@@ -285,7 +265,6 @@ HistogramHandle Scope::histogram(const char* name, double min_value,
   e.name = full(name);
   e.kind = MetricKind::kHistogram;
   e.owned_hist = std::make_unique<Histogram>(min_value, max_value);
-  e.hist = e.owned_hist.get();
   Histogram* slot = e.owned_hist.get();
   ids_.push_back(registry_->add_entry(std::move(e)));
   return HistogramHandle{slot};
@@ -306,15 +285,6 @@ void Scope::bind_gauge(const char* name, std::function<double()> fn) {
   e.name = full(name);
   e.kind = MetricKind::kGauge;
   e.gauge_fn = std::move(fn);
-  ids_.push_back(registry_->add_entry(std::move(e)));
-}
-
-void Scope::bind_histogram(const char* name, const Histogram* hist) {
-  if (registry_ == nullptr) return;
-  Registry::Entry e;
-  e.name = full(name);
-  e.kind = MetricKind::kHistogram;
-  e.hist = hist;
   ids_.push_back(registry_->add_entry(std::move(e)));
 }
 

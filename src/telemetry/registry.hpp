@@ -129,8 +129,6 @@ class Registry {
   /// Inert handles are returned while the registry is disabled.
   Counter counter(const std::string& name);
   Gauge gauge(const std::string& name);
-  HistogramHandle histogram(const std::string& name, double min_value = 1e-9,
-                            double max_value = 1e6);
 
   /// "sim.channel" -> "sim.channel0", "sim.channel1", ... (per-base running
   /// index, reset by clear/disable). Deterministic given deterministic
@@ -165,7 +163,6 @@ class Registry {
     std::unique_ptr<std::uint64_t> owned_counter;
     std::function<double()> gauge_fn;  // external gauge
     std::unique_ptr<double> owned_gauge;
-    const Histogram* hist{nullptr};
     std::unique_ptr<Histogram> owned_hist;
   };
 
@@ -211,7 +208,6 @@ class Scope {
   /// scope after the stats struct so it is destroyed first).
   void bind_counter(const char* name, const std::uint64_t* value);
   void bind_gauge(const char* name, std::function<double()> fn);
-  void bind_histogram(const char* name, const Histogram* hist);
 
  private:
   void release();

@@ -66,29 +66,4 @@ std::string Sampler::to_csv() const {
   return oss.str();
 }
 
-void Sampler::write_jsonl(std::ostream& os) const {
-  char buf[64];
-  for (const Row& row : rows_) {
-    std::snprintf(buf, sizeof(buf), "%.10g", row.t_s);
-    os << "{\"sim_time_s\":" << buf;
-    for (const auto& [idx, value] : row.values) {
-      std::snprintf(buf, sizeof(buf), "%.10g", value);
-      os << ",\"" << columns_[idx] << "\":" << buf;
-    }
-    os << "}\n";
-  }
-}
-
-std::string Sampler::to_jsonl() const {
-  std::ostringstream oss;
-  write_jsonl(oss);
-  return oss.str();
-}
-
-void Sampler::clear() {
-  columns_.clear();
-  column_index_.clear();
-  rows_.clear();
-}
-
 }  // namespace sdr::telemetry

@@ -68,12 +68,6 @@ class Sampler {
   void write_csv(std::ostream& os) const;
   std::string to_csv() const;
 
-  /// One JSON object per sample row; absent columns are omitted.
-  void write_jsonl(std::ostream& os) const;
-  std::string to_jsonl() const;
-
-  void clear();
-
  private:
   struct Row {
     double t_s{0.0};

@@ -73,15 +73,6 @@ void SpanRecorder::disarm() {
   detail::resync_observing();
 }
 
-void SpanRecorder::clear() {
-  size_ = 0;
-  truncated_ = 0;
-  last_t_ = SimTime{};
-  open_msgs_.clear();
-  open_chunks_.clear();
-  open_attempts_.clear();
-}
-
 std::uint16_t SpanRecorder::track(const std::string& name) {
   if (!armed_) return 0;
   for (std::size_t i = 0; i < track_names_.size(); ++i) {

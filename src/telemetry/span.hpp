@@ -82,7 +82,6 @@ class SpanRecorder {
   /// Stops accepting events and frees the pool.
   void disarm();
   bool armed() const { return armed_; }
-  void clear();
 
   /// Registers (or re-selects) a per-scheme track group; spans recorded
   /// afterwards belong to it. Track 0 ("default") exists implicitly.

@@ -33,40 +33,4 @@ void Fabric::connect(Nic* a, Nic* b, const LinkOptions& options) {
   build_direction(b, a, options.p_drop_backward);
 }
 
-std::vector<Nic*> Fabric::make_ring(std::size_t n,
-                                    const LinkOptions& options) {
-  std::vector<Nic*> ring;
-  ring.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) ring.push_back(add_nic());
-  for (std::size_t i = 0; i < n; ++i) {
-    connect(ring[i], ring[(i + 1) % n], options);
-  }
-  return ring;
-}
-
-std::vector<Nic*> Fabric::make_full_mesh(std::size_t n,
-                                         const LinkOptions& options) {
-  std::vector<Nic*> mesh;
-  mesh.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) mesh.push_back(add_nic());
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      connect(mesh[i], mesh[j], options);
-    }
-  }
-  return mesh;
-}
-
-std::vector<Nic*> Fabric::make_star(std::size_t leaves,
-                                    const LinkOptions& options) {
-  std::vector<Nic*> star;
-  star.reserve(leaves + 1);
-  star.push_back(add_nic());  // hub first
-  for (std::size_t i = 0; i < leaves; ++i) {
-    star.push_back(add_nic());
-    connect(star.front(), star.back(), options);
-  }
-  return star;
-}
-
 }  // namespace sdr::verbs

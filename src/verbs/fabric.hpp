@@ -51,11 +51,6 @@ class Fabric {
     return channels_;
   }
 
-  /// Convenience topologies. Returned NICs are owned by the fabric.
-  std::vector<Nic*> make_ring(std::size_t n, const LinkOptions& options);
-  std::vector<Nic*> make_full_mesh(std::size_t n, const LinkOptions& options);
-  std::vector<Nic*> make_star(std::size_t leaves, const LinkOptions& options);
-
  private:
   sim::Simulator& sim_;
   std::vector<std::unique_ptr<Nic>> nics_;

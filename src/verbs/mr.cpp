@@ -89,11 +89,4 @@ ResolvedAccess ProtectionDomain::resolve(MemoryKey rkey, std::uint64_t offset,
   return ResolvedAccess{nullptr, false, false};
 }
 
-const MemoryRegion* ProtectionDomain::find_by_lkey(MemoryKey lkey) const {
-  for (const auto& [rkey, mr] : mrs_) {
-    if (mr->lkey() == lkey) return mr.get();
-  }
-  return nullptr;
-}
-
 }  // namespace sdr::verbs

@@ -100,8 +100,6 @@ class ProtectionDomain {
   ResolvedAccess resolve(MemoryKey rkey, std::uint64_t offset,
                          std::size_t len) const;
 
-  const MemoryRegion* find_by_lkey(MemoryKey lkey) const;
-
  private:
   MemoryKey next_key_{0x1000};
   std::unordered_map<MemoryKey, std::unique_ptr<MemoryRegion>> mrs_;

@@ -10,6 +10,10 @@
 
 namespace sdr::verbs {
 
+namespace {
+constexpr std::uint32_t kRcAckEvery = 16;  // receiver ACK coalescing factor
+}
+
 Qp::Qp(Nic& nic, QpNumber num, QpConfig config)
     : nic_(nic), num_(num), config_(config) {
   assert(config_.mtu > 0);
@@ -440,7 +444,7 @@ void Qp::receive_rc(WirePacket&& pkt) {
 }
 
 void Qp::rc_receiver_maybe_ack(bool force) {
-  if (!force && rc_unacked_count_ < config_.rc_ack_every) return;
+  if (!force && rc_unacked_count_ < kRcAckEvery) return;
   rc_unacked_count_ = 0;
   WirePacket ack;
   ack.dst_nic = remote_nic_;

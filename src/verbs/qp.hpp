@@ -50,7 +50,6 @@ struct QpConfig {
   RcMode rc_mode{RcMode::kGoBackN};
   double rc_ack_timeout_s{0.1};   // retransmission timeout
   int rc_retry_limit{7};
-  std::uint32_t rc_ack_every{16}; // receiver ACK coalescing factor
 };
 
 struct QpStats {

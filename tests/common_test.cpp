@@ -200,21 +200,27 @@ TEST(RngTest, BinomialBoundaries) {
   EXPECT_EQ(rng.binomial(100, 1.0), 100u);
 }
 
-TEST(RngTest, MaxOfUniformDistribution) {
-  // P(max <= x) = (x/m)^n; check the mean of max of n=4 over m=100:
-  // E[max] = sum_x x*((x/m)^n - ((x-1)/m)^n) ~ 80.7.
-  Rng rng(23);
-  double sum = 0.0;
-  const int reps = 100000;
-  for (int i = 0; i < reps; ++i) {
-    const auto v = rng.max_of_uniform(4, 100);
-    ASSERT_GE(v, 1u);
-    ASSERT_LE(v, 100u);
-    sum += static_cast<double>(v);
+TEST(RngTest, NextBelowRedrawsInTheBiasedZone) {
+  // Bound 2^63 + 1 puts Lemire's rejection threshold (2^64 - bound) % bound
+  // at 2^63 - 1, so about half the raw draws land in the biased zone and
+  // are redrawn: ~2 generator values per result.
+  const std::uint64_t bound = (1ULL << 63) + 1;
+  Rng rng(37);
+  Rng raw(37);
+  std::vector<std::uint64_t> first;
+  for (int i = 0; i < 1000; ++i) {
+    const std::uint64_t v = rng.next_below(bound);
+    ASSERT_LT(v, bound);
+    if (i < 4) first.push_back(v);
   }
-  EXPECT_NEAR(sum / reps, 80.7, 0.5);
-  EXPECT_EQ(rng.max_of_uniform(0, 100), 0u);
-  EXPECT_EQ(rng.max_of_uniform(5, 0), 0u);
+  const std::uint64_t next = rng.next_u64();
+  int consumed = 0;
+  while (consumed < 4000 && raw.next_u64() != next) ++consumed;
+  EXPECT_GT(consumed, 1500);
+  EXPECT_LT(consumed, 2500);
+  EXPECT_EQ(first, (std::vector<std::uint64_t>{
+                       7532863910455174426ULL, 7876194323522937728ULL,
+                       7820576733591616730ULL, 1395175409121554219ULL}));
 }
 
 TEST(RngTest, NextBelowIsUnbiased) {
@@ -510,14 +516,12 @@ TEST(RunningStatsTest, MergePreservesMoments) {
 // TextTable
 // ---------------------------------------------------------------------------
 
-TEST(TextTableTest, RendersAlignedColumnsAndCsv) {
+TEST(TextTableTest, RendersAlignedColumns) {
   TextTable t({"name", "value"});
   t.add_row({"alpha", "1"});
   t.add_row({"b", "22.5"});
   const std::string out = t.render();
   EXPECT_NE(out.find("| alpha | 1     |"), std::string::npos);
-  const std::string csv = t.render_csv();
-  EXPECT_EQ(csv, "name,value\nalpha,1\nb,22.5\n");
 }
 
 TEST(TextTableTest, NumberFormatting) {

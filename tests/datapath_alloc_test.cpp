@@ -11,10 +11,8 @@
 //    measured with the same global operator-new hook bench_simcore and
 //    bench_datapath use. The same holds per message through the EC
 //    reliability protocol.
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -23,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/alloc_counter.hpp"
 #include "common/payload_pool.hpp"
 #include "common/units.hpp"
 #include "ec/reed_solomon.hpp"
@@ -32,48 +31,48 @@
 #include "sim/simulator.hpp"
 #include "verbs/nic.hpp"
 
-// ---------------------------------------------------------------------------
-// Global allocation counter (same hook as bench_simcore / bench_datapath).
-// gtest allocates freely outside the measured windows; tests only compare
-// snapshots taken around their steady-state region.
-// ---------------------------------------------------------------------------
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new(std::size_t n, std::align_val_t a) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(a),
-                                   (n + static_cast<std::size_t>(a) - 1) &
-                                       ~(static_cast<std::size_t>(a) - 1))) {
-    return p;
-  }
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t n, std::align_val_t a) {
-  return ::operator new(n, a);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-
 namespace sdr {
 namespace {
+
+// ---------------------------------------------------------------------------
+// The allocation counter itself
+// ---------------------------------------------------------------------------
+
+TEST(AllocCounterTest, CountsEveryFormOfNewOnce) {
+  // The allocation gates read this counter, so every form of operator new
+  // (array, over-aligned, nothrow) must count exactly once, and every form
+  // of delete must take back what its new returned. Under ASan a form the
+  // hook left out would pair the sanitizer's allocator with the hook's
+  // free() and report an alloc-dealloc mismatch.
+  constexpr std::size_t n = 100;
+  constexpr std::align_val_t a{64};
+  const std::nothrow_t& nt = std::nothrow;
+  const std::uint64_t before = common::allocations();
+  void* p[12] = {
+      ::operator new(n),         ::operator new(n),
+      ::operator new[](n),       ::operator new[](n),
+      ::operator new(n, a),      ::operator new(n, a),
+      ::operator new[](n, a),    ::operator new[](n, a),
+      ::operator new(n, nt),     ::operator new[](n, nt),
+      ::operator new(n, a, nt),  ::operator new[](n, a, nt)};
+  EXPECT_EQ(common::allocations() - before, 12u);
+  for (int i : {4, 5, 6, 7, 10, 11}) {
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p[i]) % 64, 0u) << i;
+  }
+  ::operator delete(p[0]);
+  ::operator delete(p[1], n);
+  ::operator delete[](p[2]);
+  ::operator delete[](p[3], n);
+  ::operator delete(p[4], a);
+  ::operator delete(p[5], n, a);
+  ::operator delete[](p[6], a);
+  ::operator delete[](p[7], n, a);
+  ::operator delete(p[8], nt);
+  ::operator delete[](p[9], nt);
+  ::operator delete(p[10], a, nt);
+  ::operator delete[](p[11], a, nt);
+  EXPECT_EQ(common::allocations() - before, 12u);
+}
 
 // ---------------------------------------------------------------------------
 // PayloadPool / PayloadRef unit semantics
@@ -97,6 +96,24 @@ TEST(PayloadPoolTest, AcquireReleaseAndFreeListReuse) {
   EXPECT_EQ(again, slot);                   // free list hands the slot back
   EXPECT_EQ(pool.total_slots(), total);     // no new slot appended
   pool.release(again);
+}
+
+TEST(PayloadPoolTest, ReusedSlotGrowsForLargerPayload) {
+  // A free-listed slot is sized for the payload it last held (at least
+  // 4 KiB); a larger payload reusing it must regrow the slot, or the copy
+  // overruns the old buffer (ASan reports it).
+  common::PayloadPool pool;
+  const std::vector<std::uint8_t> small(100, 0x11);
+  pool.release(pool.acquire(small.data(), 100));
+  std::vector<std::uint8_t> big(6000);
+  for (std::size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<std::uint8_t>(i * 7);
+  }
+  const std::uint32_t slot = pool.acquire(big.data(), 6000);
+  EXPECT_EQ(pool.total_slots(), 1u);
+  EXPECT_EQ(std::memcmp(pool.data(slot), big.data(), big.size()), 0);
+  pool.release(slot);
+  EXPECT_EQ(pool.live_slots(), 0u);
 }
 
 TEST(PayloadPoolTest, RefCopyMoveRelease) {
@@ -311,7 +328,7 @@ TEST(AllocRegressionTest, ZeroAllocsPerPacketSdrCleanSteadyState) {
   sq->set_recv_event_handler([&](const core::RecvEvent& ev) {
     if (ev.type != core::RecvEvent::Type::kMessageCompleted) return;
     ++completed;
-    if (completed == kWarmup) allocs_at_steady = g_allocs.load();
+    if (completed == kWarmup) allocs_at_steady = common::allocations();
     const int window_slot =
         static_cast<int>(ev.handle->slot() % kInflight);
     sq->recv_complete(ev.handle);
@@ -346,7 +363,7 @@ TEST(AllocRegressionTest, ZeroAllocsPerPacketSdrCleanSteadyState) {
   sim.run();
 
   ASSERT_EQ(completed, kIterations);
-  const std::uint64_t steady_allocs = g_allocs.load() - allocs_at_steady;
+  const std::uint64_t steady_allocs = common::allocations() - allocs_at_steady;
   EXPECT_EQ(steady_allocs, 0u)
       << steady_allocs << " allocations in the steady-state window ("
       << (kIterations - kWarmup) << " messages of "
@@ -443,10 +460,10 @@ struct EcAllocRun {
   }
   void post_send() {
     if (written == kIterations) return;
-    if (++written == kIterations) allocs_at_last_write = g_allocs.load();
+    if (++written == kIterations) allocs_at_last_write = common::allocations();
     if (!sender->write(src.data(), kMsgBytes, [this](const Status& s) {
           if (!s) ++failures;
-          if (++sent == kWarmup) allocs_at_steady = g_allocs.load();
+          if (++sent == kWarmup) allocs_at_steady = common::allocations();
           post_send();
         })) {
       ++failures;

@@ -72,41 +72,6 @@ TEST(FabricTest, ConnectedPairExchangesWrites) {
   EXPECT_EQ(rx_cq.size(), 1u);
 }
 
-TEST(FabricTest, TopologyHelpers) {
-  sim::Simulator sim;
-  Fabric ring_fab(sim);
-  const auto ring = ring_fab.make_ring(5, fast_link());
-  EXPECT_EQ(ring.size(), 5u);
-  // Every ring neighbour is mutually routable.
-  for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_NE(ring[i]->route_to(ring[(i + 1) % 5]->id()), nullptr);
-    EXPECT_NE(ring[(i + 1) % 5]->route_to(ring[i]->id()), nullptr);
-  }
-  // Non-neighbours are not.
-  EXPECT_EQ(ring[0]->route_to(ring[2]->id()), nullptr);
-
-  sim::Simulator sim2;
-  Fabric mesh_fab(sim2);
-  const auto mesh = mesh_fab.make_full_mesh(4, fast_link());
-  for (std::size_t i = 0; i < 4; ++i) {
-    for (std::size_t j = 0; j < 4; ++j) {
-      if (i == j) continue;
-      EXPECT_NE(mesh[i]->route_to(mesh[j]->id()), nullptr);
-    }
-  }
-
-  sim::Simulator sim3;
-  Fabric star_fab(sim3);
-  const auto star = star_fab.make_star(3, fast_link());
-  ASSERT_EQ(star.size(), 4u);
-  for (std::size_t leaf = 1; leaf <= 3; ++leaf) {
-    EXPECT_NE(star[0]->route_to(star[leaf]->id()), nullptr);
-    EXPECT_NE(star[leaf]->route_to(star[0]->id()), nullptr);
-    // Leaves have no direct leaf-to-leaf routes.
-    EXPECT_EQ(star[leaf]->route_to(star[leaf % 3 + 1]->id()), nullptr);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // ECMP multi-path
 // ---------------------------------------------------------------------------

@@ -172,6 +172,22 @@ TEST(FleetTest, DifferentSeedsDifferentDigests) {
   EXPECT_NE(run_fleet(a).digest, run_fleet(b).digest);
 }
 
+TEST(FleetTest, TotalLossAccountsEveryMessageAsFailed) {
+  // Nothing crosses a trunk: every EC receiver's global timeout aborts its
+  // message, and each one must end visibly failed (never stuck) while the
+  // fleet still drains. Collective steps behind a failed step never post.
+  FleetConfig cfg = small_config(Scheme::kEc);
+  cfg.p_drop = 1.0;
+  const FleetResult r = run_fleet(cfg);
+  EXPECT_EQ(r.messages_posted, 78u);
+  EXPECT_EQ(r.messages_completed, 0u);
+  EXPECT_EQ(r.messages_failed, 78u);
+  EXPECT_TRUE(r.quiesced);
+  std::uint64_t failed = 0;
+  for (const auto& t : r.tenants) failed += t.failed;
+  EXPECT_EQ(failed, r.messages_failed);
+}
+
 TEST(FleetTest, LossyLongHaulStillCompletesEverything) {
   // The regime that historically wedged: long RTT + real loss means lost
   // CTS datagrams and fallback recovery; the CTS retry must save every

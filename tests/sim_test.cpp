@@ -222,6 +222,27 @@ TEST(SimulatorTest, FarFutureOverflowFiresInOrderAfterCascades) {
   EXPECT_EQ(sim.overflow_pending(), 0u);
 }
 
+TEST(SimulatorTest, CancelledOverflowTopSkippedWhenWheelEmpty) {
+  // With the wheel empty, the next event is the overflow heap's top, but a
+  // cancelled event leaves its heap entry behind. That entry must be
+  // dropped, not fired and not used as the cursor's jump target, so the
+  // clock lands on the live event's exact timestamp.
+  Simulator sim;
+  std::vector<std::int64_t> fired_at;
+  const EventId early = sim.schedule_at(SimTime::from_seconds(70.0), [&] {
+    fired_at.push_back(-1);
+  });
+  sim.schedule_at(SimTime::from_seconds(80.0),
+                  [&] { fired_at.push_back(sim.now().ns); });
+  ASSERT_EQ(sim.overflow_pending(), 2u);  // both past the 68.7 s horizon
+  EXPECT_TRUE(sim.cancel(early));
+  EXPECT_EQ(sim.run(), 1u);
+  const std::int64_t late_ns = SimTime::from_seconds(80.0).ns;
+  EXPECT_EQ(fired_at, (std::vector<std::int64_t>{late_ns}));
+  EXPECT_EQ(sim.now().ns, late_ns);
+  EXPECT_EQ(sim.overflow_pending(), 0u);
+}
+
 TEST(SimulatorTest, CancelHeavyChurnKeepsPoolBounded) {
   // Schedule/cancel churn across both the wheel and the overflow heap:
   // pool slots must track the high-water mark of *live* events (2 here),
@@ -349,7 +370,7 @@ TEST(DropModelTest, GilbertElliottProducesBursts) {
 
 TEST(DropModelTest, CongestionDropSizeCorrelation) {
   // Larger packets must observe higher drop probability (Fig 2 trend).
-  CongestionDrop model(CongestionDrop::Params{});
+  CongestionDrop model;
   Rng rng(13);
   model.reset(rng);
   EXPECT_GT(model.drop_probability(8192), model.drop_probability(1024));
@@ -358,7 +379,7 @@ TEST(DropModelTest, CongestionDropSizeCorrelation) {
 TEST(DropModelTest, CongestionDropTrialVariability) {
   // Across trials the drop probability must span orders of magnitude
   // (paper Fig 2: three decades for a fixed payload).
-  CongestionDrop model(CongestionDrop::Params{});
+  CongestionDrop model;
   Rng rng(17);
   double mn = 1.0, mx = 0.0;
   for (int trial = 0; trial < 200; ++trial) {

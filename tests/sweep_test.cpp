@@ -2,12 +2,14 @@
 // indexing, seed derivation, serial==parallel bit-identity, failure
 // capture/retry, per-trial telemetry isolation, and edge cases.
 #include <atomic>
+#include <filesystem>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "bench_util.hpp"
 #include "common/rng.hpp"
 #include "sweep/sweep.hpp"
 #include "telemetry/telemetry.hpp"
@@ -127,16 +129,12 @@ TEST(SweepEngineTest, SerialAndParallelBitIdentical) {
   ASSERT_EQ(a.trials.size(), 18u);
   EXPECT_EQ(a.failures(), 0u);
 
-  for (const auto schedule : {SweepOptions::Schedule::kDynamic,
-                              SweepOptions::Schedule::kStatic}) {
-    SweepOptions parallel = serial;
-    parallel.jobs = 4;
-    parallel.schedule = schedule;
-    const SweepResult b = run_sweep(grid, parallel, stochastic_trial);
-    EXPECT_EQ(b.jobs, 4u);
-    EXPECT_EQ(a.to_jsonl(), b.to_jsonl());
-    EXPECT_EQ(a.to_csv(), b.to_csv());
-  }
+  SweepOptions parallel = serial;
+  parallel.jobs = 4;
+  const SweepResult b = run_sweep(grid, parallel, stochastic_trial);
+  EXPECT_EQ(b.jobs, 4u);
+  EXPECT_EQ(a.to_jsonl(), b.to_jsonl());
+  EXPECT_EQ(a.to_csv(), b.to_csv());
 }
 
 TEST(SweepEngineTest, CapturedTelemetryBitIdentical) {
@@ -350,6 +348,33 @@ TEST(SweepTelemetryTest, TrialsNeverReachProcessWideSpansOrProfiler) {
   EXPECT_TRUE(telemetry::observing()) << "caller's own state restored";
   telemetry::spans().disarm();
   telemetry::profiler().disarm();
+}
+
+// ---------------------------------------------------------------------------
+// Bench command line
+// ---------------------------------------------------------------------------
+
+TEST(SweepCliTest, ForwardsTelemetryPeriodToTrials) {
+  // A grid bench's trial samplers must tick at --telemetry-period, not at
+  // SweepOptions' default period.
+  const std::filesystem::path dir =
+      std::filesystem::path(testing::TempDir()) / "sweep_cli_period";
+  std::string args[] = {"bench", "--telemetry-out=" + dir.string(),
+                        "--telemetry-period=0.01", "--jobs=3"};
+  char* argv[] = {args[0].data(), args[1].data(), args[2].data(),
+                  args[3].data(), nullptr};
+  int argc = 4;
+  {
+    bench::TelemetrySession telemetry(&argc, argv);
+    bench::SweepCli sweep_cli(&argc, argv);
+    EXPECT_EQ(argc, 1);
+    const SweepOptions opt = sweep_cli.options(42);
+    EXPECT_EQ(opt.jobs, 3u);
+    EXPECT_EQ(opt.base_seed, 42u);
+    EXPECT_TRUE(opt.capture_telemetry);
+    EXPECT_EQ(opt.sample_period_s, 0.01);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

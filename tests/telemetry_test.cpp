@@ -6,15 +6,13 @@
 // coverage for the Histogram/RunningStats primitives the registry builds on.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <new>
 #include <random>
 #include <thread>
 #include <vector>
 
+#include "common/alloc_counter.hpp"
 #include "common/histogram.hpp"
 #include "common/stats.hpp"
 #include "reliability/sr_protocol.hpp"
@@ -22,27 +20,6 @@
 #include "sim/simulator.hpp"
 #include "telemetry/telemetry.hpp"
 #include "verbs/nic.hpp"
-
-// Global allocation counter (the operator-new hook datapath_alloc_test and
-// the benches use); tests compare snapshots around the code they measure.
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc{};
-}
-// std::stable_sort's temporary buffer allocates through nothrow new; under
-// ASan the unreplaced interceptor would pair with the free-based delete as
-// a mismatch.
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n ? n : 1);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace sdr::telemetry {
 namespace {
@@ -270,7 +247,7 @@ TEST_F(TelemetryStackTest, DisarmedHooksAllocateNothing) {
   ASSERT_FALSE(spans().armed());
   ASSERT_FALSE(flight().armed());
   EXPECT_FALSE(observing());
-  const std::uint64_t before = g_allocs.load();
+  const std::uint64_t before = common::allocations();
   for (std::uint32_t i = 0; i < 1000; ++i) {
     if (observing()) {
       emit({.t = SimTime::from_seconds(i * 1e-6), .kind = EventKind::kTx,
@@ -283,7 +260,7 @@ TEST_F(TelemetryStackTest, DisarmedHooksAllocateNothing) {
           .kind = EventKind::kRetransmit, .layer = Layer::kSr, .conn = 1,
           .msg = i, .chunk = 0});
   }
-  EXPECT_EQ(g_allocs.load() - before, 0u);
+  EXPECT_EQ(common::allocations() - before, 0u);
   EXPECT_EQ(spans().size(), 0u);
   EXPECT_EQ(flight().connections(), 0u);
 }

@@ -36,6 +36,25 @@ std::vector<std::uint8_t> pattern(std::size_t n, std::uint8_t seed = 1) {
 // Memory registration
 // ---------------------------------------------------------------------------
 
+TEST(CompletionQueueTest, OverrunDropsAndCounts) {
+  // A full CQ drops the completion and counts the overrun, like hardware
+  // raising a CQ error; it must neither grow past its capacity nor notify.
+  CompletionQueue cq(2);
+  int notified = 0;
+  cq.set_notify([&] { ++notified; });
+  for (std::uint64_t id = 1; id <= 3; ++id) {
+    Cqe cqe;
+    cqe.wr_id = id;
+    cq.push(cqe);
+  }
+  EXPECT_EQ(cq.size(), 2u);
+  EXPECT_EQ(cq.overruns(), 1u);
+  EXPECT_EQ(notified, 2);
+  EXPECT_EQ(cq.poll_one()->wr_id, 1u);
+  EXPECT_EQ(cq.poll_one()->wr_id, 2u);
+  EXPECT_FALSE(cq.poll_one().has_value());
+}
+
 TEST(MrTest, RegisterAndResolve) {
   ProtectionDomain pd;
   std::vector<std::uint8_t> buf(4096);
