@@ -19,11 +19,12 @@
 // Each workload emits one machine-readable line:
 //
 //   BENCH_JSON {"bench":"datapath","workload":...,"packets":...,
-//               "wall_s":...,"packets_per_sec":...,"allocs_per_packet":...}
+//               "wall_s":...,"packets_per_sec":...,"allocs_per_packet":...,
+//               "commit":...,"nproc":...,"ec_isa":...}
 //
-// Append these (with the commit id) to bench/trajectory.jsonl when a PR
-// touches the packet path. Scale run length with argv[1] (default 1.0;
-// CI smoke uses 0.05).
+// Append these to bench/trajectory.jsonl when a PR touches the packet path.
+// Scale run length with argv[1] (default 1.0: every measured window lasts
+// at least ~0.25 s; CI smoke uses 0.05).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -64,12 +65,13 @@ void report(const char* workload, const Measured& m) {
               workload, static_cast<double>(m.packets) / m.wall_s,
               static_cast<unsigned long long>(m.packets), m.wall_s,
               m.allocs_per_packet);
-  std::printf("BENCH_JSON {\"bench\":\"datapath\",\"workload\":\"%s\","
-              "\"packets\":%llu,\"wall_s\":%.6f,\"packets_per_sec\":%.6e,"
-              "\"allocs_per_packet\":%.6f,\"commit\":\"%s\"}\n",
-              workload, static_cast<unsigned long long>(m.packets), m.wall_s,
-              static_cast<double>(m.packets) / m.wall_s,
-              m.allocs_per_packet, kGitCommit);
+  bench::bench_json("\"bench\":\"datapath\",\"workload\":\"%s\","
+                    "\"packets\":%llu,\"wall_s\":%.6f,"
+                    "\"packets_per_sec\":%.6e,\"allocs_per_packet\":%.6f,"
+                    "\"commit\":\"%s\"",
+                    workload, static_cast<unsigned long long>(m.packets),
+                    m.wall_s, static_cast<double>(m.packets) / m.wall_s,
+                    m.allocs_per_packet, kGitCommit);
 }
 
 // ---------------------------------------------------------------------------
@@ -359,24 +361,26 @@ int main(int argc, char** argv) {
   std::printf("data-path benchmark: end-to-end packets/s and allocs/packet "
               "(scale %.2f)\n\n", scale);
 
+  // Iteration counts: at scale 1.0 every measured window lasts at least
+  // ~0.25 s on a 4-vCPU x86 host (shorter windows read +-25 % run to run).
   // Warmup floors: every workload's warmup must visit its full slot /
   // window table at least once so pools and rings reach their high-water
   // capacity before measurement. The smoke-scale (CI) run then shows the
   // same zero-alloc steady state as the full run, and CI asserts on it.
   {
-    const int iters = scaled(512, 72);
+    const int iters = scaled(3072, 72);
     const int warmup = std::max(iters / 8, 40);
     const sdr::Measured m = sdr::run_sdr_clean(iters, warmup, 8, 1 * sdr::MiB);
     sdr::report("sdr_clean", m);
   }
   {
-    const int iters = scaled(1024, 72);
+    const int iters = scaled(5120, 72);
     const int warmup = std::max(iters / 8, 40);
     const sdr::Measured m = sdr::run_rc_lossy(iters, warmup, 1 * sdr::MiB);
     sdr::report("rc_lossy", m);
   }
   {
-    const int iters = scaled(256, 72);
+    const int iters = scaled(3072, 72);
     const int warmup = std::max(iters / 8, 40);
     const sdr::Measured m = sdr::run_sdr_lossy_sr(iters, warmup, 1 * sdr::MiB);
     sdr::report("sdr_lossy_sr", m);

@@ -15,7 +15,7 @@
 // table speedup is recorded, not just the dispatched best. Headline lines:
 //   BENCH_JSON {"bench":"fig11","workload":"mds_encode","isa":...,
 //               "gbps":...,"cores_400g":...,"allocs_per_encode":...,
-//               "commit":...}
+//               "commit":...,"nproc":...,"ec_isa":...}
 //   BENCH_JSON {"bench":"fig11","workload":"xor_encode",...}
 // Unsupported ISAs are skipped with an explicit line, never silently.
 #include <benchmark/benchmark.h>
@@ -159,11 +159,11 @@ int main(int argc, char** argv) {
                  scalar_gbps > 0.0
                      ? bench::speedup_cell(m.gbps / scalar_gbps)
                      : "1.00x"});
-      std::printf(
-          "BENCH_JSON {\"bench\":\"fig11\",\"workload\":\"mds_encode\","
+      bench::bench_json(
+          "\"bench\":\"fig11\",\"workload\":\"mds_encode\","
           "\"isa\":\"%s\",\"k\":%zu,\"m\":%zu,\"chunk_bytes\":%zu,"
           "\"gbps\":%.6f,\"cores_400g\":%.0f,\"allocs_per_encode\":%.3f,"
-          "\"commit\":\"%s\"}\n",
+          "\"commit\":\"%s\"",
           ec::isa_name(isa), kK, kM, kChunk, m.gbps,
           cores_to_hide_400g(m.gbps), m.allocs_per_encode, kGitCommit);
     }
@@ -196,13 +196,14 @@ int main(int argc, char** argv) {
     std::printf("paper shape: XOR needs about half the cores of MDS to hide "
                 "encoding at line rate — measured ratio %.2fx\n",
                 xor_gbps / mds_gbps);
-    std::printf(
-        "BENCH_JSON {\"bench\":\"fig11\",\"workload\":\"xor_encode\","
+    bench::bench_json(
+        "\"bench\":\"fig11\",\"workload\":\"xor_encode\","
         "\"isa\":\"compiler\",\"k\":%zu,\"m\":%zu,\"chunk_bytes\":%zu,"
         "\"gbps\":%.6f,\"cores_400g\":%.0f,\"allocs_per_encode\":%.3f,"
-        "\"commit\":\"%s\"}\n\n",
+        "\"commit\":\"%s\"",
         kK, kM, kChunk, xor_gbps, cores_to_hide_400g(xor_gbps),
         xr_m.allocs_per_encode, kGitCommit);
+    std::printf("\n");
   }
 
   // Resilience: fallback probability for the whole 128 MiB buffer

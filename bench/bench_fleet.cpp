@@ -14,7 +14,8 @@
 //     emitting one machine-readable line each:
 //
 //   BENCH_JSON {"bench":"fleet","workload":"sr"|"ec"|"rc",...,
-//               "allocs_per_message":...,"commit":...}
+//               "allocs_per_message":...,"commit":...,"nproc":...,
+//               "ec_isa":...}
 //
 // The fleet engine allocates per message by design (protocol send/recv
 // state, per-connection arenas are set up beforehand); the figure is
@@ -218,15 +219,15 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(r.peak_concurrent),
                 r.fleet_goodput_gbps, r.jain_fairness, r.p99_ms,
                 r.quiesced ? "quiesced" : "HORIZON CUTOFF");
-    std::printf(
-        "BENCH_JSON {\"bench\":\"fleet\",\"workload\":\"%s\","
+    bench::bench_json(
+        "\"bench\":\"fleet\",\"workload\":\"%s\","
         "\"endpoints\":%llu,\"connections\":%llu,\"qps\":%llu,"
         "\"posted\":%llu,\"completed\":%llu,\"failed\":%llu,"
         "\"peak_concurrent\":%llu,"
         "\"goodput_gbps\":%.6f,\"jain\":%.6f,\"p50_ms\":%.6f,"
         "\"p99_ms\":%.6f,\"p999_ms\":%.6f,\"retransmissions\":%llu,"
         "\"trunk_drops\":%llu,\"quiesced\":%s,\"digest\":\"%016llx\","
-        "\"wall_s\":%.6f,\"allocs_per_message\":%.3f,\"commit\":\"%s\"}\n",
+        "\"wall_s\":%.6f,\"allocs_per_message\":%.3f,\"commit\":\"%s\"",
         fleet::scheme_name(cfg.scheme),
         static_cast<unsigned long long>(r.endpoints),
         static_cast<unsigned long long>(r.connections),

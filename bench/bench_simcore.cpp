@@ -14,10 +14,11 @@
 // steady state (a global operator-new counter), the "zero-allocation"
 // regression check. Each workload emits one machine-readable line:
 //
-//   BENCH_JSON {"bench":"simcore","workload":...,...}
+//   BENCH_JSON {"bench":"simcore","workload":...,...,"commit":...,
+//               "nproc":...,"ec_isa":...}
 //
-// These lines are the simulator's perf trajectory: append them (with the
-// commit id) to bench/trajectory.jsonl when a PR touches the event core.
+// These lines are the simulator's perf trajectory: append them to
+// bench/trajectory.jsonl when a PR touches the event core.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -87,13 +88,14 @@ void run_event_churn(std::uint64_t total_events) {
               static_cast<double>(executed) / wall,
               static_cast<unsigned long long>(executed), wall,
               static_cast<double>(allocs) / static_cast<double>(executed));
-  std::printf("BENCH_JSON {\"bench\":\"simcore\",\"workload\":\"event_churn\","
-              "\"events\":%llu,\"wall_s\":%.6f,\"events_per_sec\":%.6e,"
-              "\"allocs_per_event\":%.6f,\"commit\":\"%s\"}\n",
-              static_cast<unsigned long long>(executed), wall,
-              static_cast<double>(executed) / wall,
-              static_cast<double>(allocs) / static_cast<double>(executed),
-              sdr::kGitCommit);
+  sdr::bench::bench_json(
+      "\"bench\":\"simcore\",\"workload\":\"event_churn\","
+      "\"events\":%llu,\"wall_s\":%.6f,\"events_per_sec\":%.6e,"
+      "\"allocs_per_event\":%.6f,\"commit\":\"%s\"",
+      static_cast<unsigned long long>(executed), wall,
+      static_cast<double>(executed) / wall,
+      static_cast<double>(allocs) / static_cast<double>(executed),
+      sdr::kGitCommit);
 }
 
 // ---------------------------------------------------------------------------
@@ -126,13 +128,14 @@ void run_timer_churn(std::uint64_t pairs) {
               static_cast<double>(pairs) / wall,
               static_cast<unsigned long long>(pairs), wall,
               static_cast<double>(allocs) / static_cast<double>(pairs));
-  std::printf("BENCH_JSON {\"bench\":\"simcore\",\"workload\":\"timer_churn\","
-              "\"pairs\":%llu,\"wall_s\":%.6f,\"pairs_per_sec\":%.6e,"
-              "\"allocs_per_pair\":%.6f,\"commit\":\"%s\"}\n",
-              static_cast<unsigned long long>(pairs), wall,
-              static_cast<double>(pairs) / wall,
-              static_cast<double>(allocs) / static_cast<double>(pairs),
-              sdr::kGitCommit);
+  sdr::bench::bench_json(
+      "\"bench\":\"simcore\",\"workload\":\"timer_churn\","
+      "\"pairs\":%llu,\"wall_s\":%.6f,\"pairs_per_sec\":%.6e,"
+      "\"allocs_per_pair\":%.6f,\"commit\":\"%s\"",
+      static_cast<unsigned long long>(pairs), wall,
+      static_cast<double>(pairs) / wall,
+      static_cast<double>(allocs) / static_cast<double>(pairs),
+      sdr::kGitCommit);
 }
 
 // ---------------------------------------------------------------------------
@@ -196,12 +199,12 @@ void run_packet_delivery(std::uint64_t total_packets) {
               static_cast<unsigned long long>(events),
               static_cast<unsigned long long>(executed), wall,
               static_cast<double>(allocs) / static_cast<double>(measured));
-  std::printf(
-      "BENCH_JSON {\"bench\":\"simcore\",\"workload\":\"packet_delivery\","
+  sdr::bench::bench_json(
+      "\"bench\":\"simcore\",\"workload\":\"packet_delivery\","
       "\"packets\":%llu,\"events\":%llu,\"firings\":%llu,\"delivered\":%llu,"
       "\"wall_s\":%.6f,"
       "\"sim_packets_per_sec\":%.6e,\"events_per_sec\":%.6e,"
-      "\"allocs_per_packet\":%.6f,\"commit\":\"%s\"}\n",
+      "\"allocs_per_packet\":%.6f,\"commit\":\"%s\"",
       static_cast<unsigned long long>(measured),
       static_cast<unsigned long long>(events),
       static_cast<unsigned long long>(executed),

@@ -6,15 +6,18 @@
 // differ from the authors' BlueField-3 testbed (see DESIGN.md §1).
 #pragma once
 
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "common/table.hpp"
 #include "common/units.hpp"
+#include "ec/gf256_kernels.hpp"
 #include "sweep/sweep.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -269,6 +272,24 @@ inline void figure_header(const char* figure, const char* description,
                 static_cast<unsigned long long>(seed));
   }
   std::printf("=====================================================\n");
+}
+
+/// Prints one `BENCH_JSON {...}` line: the caller's printf-formatted fields
+/// (without braces), then the host provenance a trajectory row needs to be
+/// comparable — `nproc` (online cores) and `ec_isa` (the dispatched GF(256)
+/// kernel tier).
+#if defined(__GNUC__)
+__attribute__((format(printf, 1, 2)))
+#endif
+inline void bench_json(const char* fields, ...) {
+  std::printf("BENCH_JSON {");
+  std::va_list args;
+  va_start(args, fields);
+  std::vprintf(fields, args);
+  va_end(args);
+  std::printf(",\"nproc\":%u,\"ec_isa\":\"%s\"}\n",
+              std::thread::hardware_concurrency(),
+              ec::isa_name(ec::active_isa()));
 }
 
 inline std::string speedup_cell(double speedup) {
