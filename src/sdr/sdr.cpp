@@ -324,7 +324,7 @@ Status Qp::send_poll(SendHandle* handle) {
     return Status(StatusCode::kInvalidArgument, "invalid send handle");
   }
   if (!handle->ended_ || !handle->cts_ready_ || !handle->queued_.empty() ||
-      handle->packets_pending_ != 0) {
+      handle->signaled_pending_ != 0) {
     return Status(StatusCode::kNotReady, "");
   }
   // Completed: destroy the message context (one-shot semantics §3.1.2).
@@ -337,7 +337,7 @@ Status Qp::send_abort(SendHandle* handle) {
   if (handle == nullptr || !handle->in_use_) {
     return Status(StatusCode::kInvalidArgument, "invalid send handle");
   }
-  if (handle->packets_pending_ != 0 || handle->packets_injected_ != 0) {
+  if (handle->packets_injected_ != 0) {
     return Status(StatusCode::kFailedPrecondition,
                   "send already injecting: drain it through send_poll");
   }
@@ -352,9 +352,16 @@ void Qp::inject(SendHandle* handle, const std::uint8_t* data,
   const std::size_t mtu = attr_.mtu;
   const std::size_t slot = handle->slot_;
   const std::uint32_t gen = handle->generation_;
+  // Selective signaling: one QP's send completions arrive in post order
+  // (wire frontiers only grow), so only the last WR this call posts on each
+  // channel asks for a CQE; when it fires, every earlier WR of the call on
+  // that channel has left. Packets go round-robin over the channels, so the
+  // last `channels` packets are exactly those last WRs.
+  const std::size_t packets = (length + mtu - 1) / mtu;
   std::size_t sent = 0;
-  while (sent < length) {
+  for (std::size_t p = 0; sent < length; ++p) {
     const std::size_t chunk = std::min(mtu, length - sent);
+    const bool signaled = p + attr_.channels >= packets;
     const std::size_t byte_off = remote_offset + sent;
     const auto packet_index = static_cast<std::uint32_t>(byte_off / mtu);
     const std::uint32_t frag =
@@ -392,7 +399,7 @@ void Qp::inject(SendHandle* handle, const std::uint8_t* data,
       wr.length = chunk;
       wr.with_imm = true;
       wr.imm = imm;
-      wr.signaled = true;
+      wr.signaled = signaled;
       wr.dst_nic = remote_nic_;
       wr.dst_qp = remote_data_qps_[gen * attr_.channels + channel];
       data_qp(gen, channel)->post_send(wr);
@@ -406,11 +413,11 @@ void Qp::inject(SendHandle* handle, const std::uint8_t* data,
           static_cast<std::uint64_t>(slot) * attr_.max_msg_size + byte_off;
       wr.with_imm = true;
       wr.imm = imm;
-      wr.signaled = true;
+      wr.signaled = signaled;
       data_qp(gen, channel)->post_write(wr);
     }
     ++handle->packets_injected_;
-    ++handle->packets_pending_;
+    if (signaled) ++handle->signaled_pending_;
     ++stats_.data_packets_sent;
     sent += chunk;
   }
@@ -696,7 +703,7 @@ void Qp::on_send_cqe() {
       const std::size_t slot = static_cast<std::size_t>(cqe.wr_id);
       if (slot >= send_handles_.size()) continue;
       SendHandle* h = &send_handles_[slot];
-      if (h->in_use_ && h->packets_pending_ > 0) --h->packets_pending_;
+      if (h->in_use_ && h->signaled_pending_ > 0) --h->signaled_pending_;
     }
   }
 }

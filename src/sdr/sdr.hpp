@@ -53,7 +53,6 @@ class SendHandle {
   /// True once the receiver's clear-to-send arrived (injection can start).
   bool cts_ready() const { return cts_ready_; }
   std::uint64_t packets_injected() const { return packets_injected_; }
-  std::uint64_t packets_pending() const { return packets_pending_; }
 
  private:
   friend class Qp;
@@ -65,7 +64,9 @@ class SendHandle {
   bool ended_{false};
   bool cts_ready_{false};
   std::uint64_t packets_injected_{0};
-  std::uint64_t packets_pending_{0};  // handed to NIC, not yet serialized
+  // Signaled WRs (one per inject call and channel) handed to the NIC whose
+  // send CQE has not fired yet.
+  std::uint64_t signaled_pending_{0};
   std::size_t remote_msg_bytes_{0};   // from CTS: posted buffer length
   struct PendingOp {
     const std::uint8_t* data;
@@ -89,7 +90,7 @@ class SendHandle {
     ended_ = false;
     cts_ready_ = false;
     packets_injected_ = 0;
-    packets_pending_ = 0;
+    signaled_pending_ = 0;
     remote_msg_bytes_ = 0;
     queued_.clear();
     in_use_ = false;

@@ -1,5 +1,6 @@
 #include "telemetry/registry.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <utility>
 
@@ -153,15 +154,14 @@ std::uint64_t Registry::add_entry(Entry e) {
 }
 
 void Registry::freeze_entries(const std::vector<std::uint64_t>& ids) {
-  if (ids.empty() || entries_.empty()) return;
-  auto listed = [&ids](const Entry& e) {
-    for (const std::uint64_t id : ids) {
-      if (e.id == id) return true;
-    }
-    return false;
-  };
-  for (Entry& e : entries_) {
-    if (!listed(e)) continue;
+  for (const std::uint64_t id : ids) {
+    // add_entry appends in increasing id order and only clear() removes
+    // entries, so entries_ is sorted by id.
+    const auto it = std::lower_bound(
+        entries_.begin(), entries_.end(), id,
+        [](const Entry& e, std::uint64_t v) { return e.id < v; });
+    if (it == entries_.end() || it->id != id) continue;
+    Entry& e = *it;
     // Copy the last value out of the component that is about to die, so the
     // metric survives for end-of-run export (bench --telemetry-out dumps
     // after the stacks are destroyed). Owned storage is already safe.

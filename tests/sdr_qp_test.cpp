@@ -37,7 +37,7 @@ std::vector<std::uint8_t> pattern(std::size_t n, std::uint8_t seed = 1) {
 class SdrFixture : public ::testing::Test {
  protected:
   void wire(double p_drop_fwd, double p_drop_bwd = 0.0,
-            QpAttr attr = test_attr()) {
+            QpAttr attr = test_attr(), const verbs::NicCaps& caps = {}) {
     // Destruction order matters on re-wire: SDR QPs unregister from their
     // NIC, so contexts must go before the NIC pair.
     ctx_a_.reset();
@@ -47,6 +47,8 @@ class SdrFixture : public ::testing::Test {
     cfg.distance_km = 10.0;
     cfg.seed = 11;
     pair_ = verbs::make_connected_pair(sim_, cfg, p_drop_fwd, p_drop_bwd);
+    pair_.a->set_caps(caps);  // before any QP exists: QPs snapshot caps
+    pair_.b->set_caps(caps);
     ctx_a_ = std::make_unique<Context>(*pair_.a, DevAttr{});
     ctx_b_ = std::make_unique<Context>(*pair_.b, DevAttr{});
     qp_a_ = ctx_a_->create_qp(attr);
@@ -55,6 +57,49 @@ class SdrFixture : public ::testing::Test {
     ASSERT_NE(qp_b_, nullptr);
     ASSERT_TRUE(qp_a_->connect(qp_b_->info()).is_ok());
     ASSERT_TRUE(qp_b_->connect(qp_a_->info()).is_ok());
+  }
+
+  // Steps the simulator through the serialization of the data packets on
+  // the a->b wire, which must carry `wire_packets` in all: `sh` must stay
+  // not ready while any of them is still serializing (or, with the NIC
+  // model, still queued in the injector) and turn ready at exactly the
+  // instant the last bit of the last one leaves.
+  void expect_ready_when_last_packet_leaves(SendHandle* sh,
+                                            std::uint64_t wire_packets) {
+    const sim::Channel* wire = pair_.a->route_to(pair_.b->id());
+    ASSERT_NE(wire, nullptr);
+    const SimTime step{10};
+    const SimTime give_up = sim_.now() + SimTime::from_millis(1);
+    SimTime t = sim_.now();
+    while (wire->stats().sent_packets < wire_packets) {
+      ASSERT_EQ(qp_a_->send_poll(sh).code(), StatusCode::kNotReady);
+      ASSERT_LT(t, give_up) << "packets never reached the wire";
+      t += step;
+      sim_.run_until(t);
+    }
+    ASSERT_EQ(wire->stats().sent_packets, wire_packets);
+    const SimTime last_bit = wire->next_free();
+    ASSERT_GT(last_bit, sim_.now());
+    for (t += step; t < last_bit; t += step) {
+      sim_.run_until(t);
+      ASSERT_EQ(qp_a_->send_poll(sh).code(), StatusCode::kNotReady)
+          << "ready " << (last_bit - t).ns << " ns before the last bit left";
+    }
+    sim_.run_until(last_bit - SimTime{1});
+    EXPECT_EQ(qp_a_->send_poll(sh).code(), StatusCode::kNotReady);
+    sim_.run_until(last_bit);
+    EXPECT_TRUE(qp_a_->send_poll(sh).is_ok());
+  }
+
+  // Posts a receive of `len` bytes on b and runs until its CTS reached a,
+  // so the next send on a injects synchronously.
+  void post_recv_and_deliver_cts(std::vector<std::uint8_t>& dst,
+                                 std::size_t len) {
+    const auto* mr = ctx_b_->mr_reg(dst.data(), dst.size());
+    RecvHandle* rh = nullptr;
+    ASSERT_TRUE(qp_b_->recv_post(dst.data(), len, mr, &rh).is_ok());
+    sim_.run();
+    ASSERT_GT(qp_a_->stats().cts_received, 0u);
   }
 
   sim::Simulator sim_;
@@ -403,6 +448,153 @@ TEST_F(SdrFixture, MultiChannelDistributesTraffic) {
   sim_.run();
   EXPECT_TRUE(qp_b_->recv_done(rh));
   EXPECT_EQ(std::memcmp(dst.data(), src.data(), len), 0);
+}
+
+// ---------------------------------------------------------------------------
+// Selective send signaling: one CQE per inject call and channel
+// ---------------------------------------------------------------------------
+
+TEST_F(SdrFixture, CleanMessageEventCountDoesNotGrowWithPackets) {
+  // Only the last WR of a post on each channel is signaled, so no send
+  // completion lands between two arrivals and the channel delivers the
+  // whole message in one batch: a 256-packet message fires about as many
+  // simulator events as a 16-packet one. Signaling every WR costs one
+  // completion event per packet, plus a split delivery batch wherever a
+  // completion lands between two arrivals.
+  auto events_for = [&](std::size_t packets) -> std::uint64_t {
+    QpAttr attr = test_attr();
+    attr.max_msg_size = 256 * 1024;
+    wire(0.0, 0.0, attr);
+    const std::size_t len = packets * attr.mtu;
+    const auto src = pattern(len, 12);
+    std::vector<std::uint8_t> dst(len, 0);
+    const auto* mr = ctx_b_->mr_reg(dst.data(), dst.size());
+    RecvHandle* rh = nullptr;
+    EXPECT_TRUE(qp_b_->recv_post(dst.data(), len, mr, &rh).is_ok());
+    SendHandle* sh = nullptr;
+    EXPECT_TRUE(qp_a_->send_post(src.data(), len, 0, false, &sh).is_ok());
+    const std::uint64_t fired = sim_.run();
+    EXPECT_TRUE(qp_b_->recv_done(rh));
+    EXPECT_EQ(std::memcmp(dst.data(), src.data(), len), 0);
+    EXPECT_TRUE(qp_a_->send_poll(sh).is_ok());
+    return fired;
+  };
+  const std::uint64_t small = events_for(16);
+  const std::uint64_t large = events_for(256);
+  EXPECT_LE(large, small + 4) << "16 packets: " << small
+                              << " events, 256 packets: " << large;
+}
+
+TEST_F(SdrFixture, SendPollReadyExactlyWhenTheLastPacketLeaves) {
+  // Packet counts that are not multiples of the channel count, fewer
+  // packets than channels, and a short last packet.
+  for (const std::size_t channels : {1u, 2u, 3u}) {
+    for (const std::size_t packets : {2u, 7u, 11u}) {
+      SCOPED_TRACE(testing::Message() << channels << " channels, " << packets
+                                      << " packets");
+      QpAttr attr = test_attr();
+      attr.channels = channels;
+      wire(0.0, 0.0, attr);
+      const std::size_t len = packets * attr.mtu - 100;
+      const auto src = pattern(len, 13);
+      std::vector<std::uint8_t> dst(len, 0);
+      post_recv_and_deliver_cts(dst, len);
+      SendHandle* sh = nullptr;
+      ASSERT_TRUE(qp_a_->send_post(src.data(), len, 0, false, &sh).is_ok());
+      expect_ready_when_last_packet_leaves(sh, packets);
+      sim_.run();
+      EXPECT_EQ(std::memcmp(dst.data(), src.data(), len), 0);
+    }
+  }
+}
+
+TEST_F(SdrFixture, SendPollReadyExactlyWhenTheLastPacketLeavesUd) {
+  QpAttr attr = test_attr();
+  attr.transport = Transport::kUd;
+  attr.channels = 2;
+  wire(0.0, 0.0, attr);
+  const std::size_t len = 9 * attr.mtu;
+  const auto src = pattern(len, 14);
+  std::vector<std::uint8_t> dst(len, 0);
+  post_recv_and_deliver_cts(dst, len);
+  SendHandle* sh = nullptr;
+  ASSERT_TRUE(qp_a_->send_post(src.data(), len, 0, false, &sh).is_ok());
+  expect_ready_when_last_packet_leaves(sh, 9);
+  sim_.run();
+  EXPECT_EQ(std::memcmp(dst.data(), src.data(), len), 0);
+}
+
+TEST_F(SdrFixture, SendPollReadyExactlyWhenTheLastPacketLeavesStreaming) {
+  // Each send_stream_continue signals its own last WR per channel; the
+  // handle is ready only once the stream ended and every call's last
+  // packet left.
+  QpAttr attr = test_attr();
+  attr.channels = 3;
+  wire(0.0, 0.0, attr);
+  const std::size_t len = 16 * attr.mtu;
+  const auto src = pattern(len, 15);
+  std::vector<std::uint8_t> dst(len, 0);
+  post_recv_and_deliver_cts(dst, len);
+  SendHandle* sh = nullptr;
+  ASSERT_TRUE(qp_a_->send_stream_start(0, false, &sh).is_ok());
+  ASSERT_TRUE(
+      qp_a_->send_stream_continue(sh, src.data(), 0, 5 * attr.mtu).is_ok());
+  // The first call's packets all leave; the stream is still open.
+  sim_.run_until(pair_.a->route_to(pair_.b->id())->next_free());
+  EXPECT_EQ(qp_a_->send_poll(sh).code(), StatusCode::kNotReady);
+  // Two more calls back to back, the second while the first serializes.
+  ASSERT_TRUE(qp_a_
+                  ->send_stream_continue(sh, src.data() + 5 * attr.mtu,
+                                         5 * attr.mtu, 4 * attr.mtu)
+                  .is_ok());
+  ASSERT_TRUE(qp_a_
+                  ->send_stream_continue(sh, src.data() + 9 * attr.mtu,
+                                         9 * attr.mtu, 7 * attr.mtu)
+                  .is_ok());
+  ASSERT_TRUE(qp_a_->send_stream_end(sh).is_ok());
+  expect_ready_when_last_packet_leaves(sh, 16);
+  sim_.run();
+  EXPECT_EQ(std::memcmp(dst.data(), src.data(), len), 0);
+}
+
+TEST_F(SdrFixture, SendPollReadyExactlyWhenTheLastPacketLeavesNicModel) {
+  // With the NIC model the injector releases packets to the wire over
+  // time and fires the signaled completion at the monotone wire frontier.
+  verbs::NicCaps caps;
+  caps.enabled = true;
+  QpAttr attr = test_attr();
+  attr.channels = 2;
+  wire(0.0, 0.0, attr, caps);
+  const std::size_t len = 13 * attr.mtu;
+  const auto src = pattern(len, 16);
+  std::vector<std::uint8_t> dst(len, 0);
+  post_recv_and_deliver_cts(dst, len);
+  SendHandle* sh = nullptr;
+  ASSERT_TRUE(qp_a_->send_post(src.data(), len, 0, false, &sh).is_ok());
+  ASSERT_LT(pair_.a->route_to(pair_.b->id())->stats().sent_packets, 13u)
+      << "the injector should still hold packets";
+  expect_ready_when_last_packet_leaves(sh, 13);
+  sim_.run();
+  EXPECT_EQ(std::memcmp(dst.data(), src.data(), len), 0);
+}
+
+TEST_F(SdrFixture, AbortAfterPartialInjectionIsRefused) {
+  // Once any packet was injected, the send must drain through send_poll:
+  // the NIC still reads its buffer.
+  wire(0.0);
+  const std::size_t len = 8 * 1024;
+  const auto src = pattern(len, 17);
+  std::vector<std::uint8_t> dst(len, 0);
+  post_recv_and_deliver_cts(dst, len);
+  SendHandle* sh = nullptr;
+  ASSERT_TRUE(qp_a_->send_stream_start(0, false, &sh).is_ok());
+  ASSERT_TRUE(qp_a_->send_stream_continue(sh, src.data(), 0, 3 * 1024).is_ok());
+  EXPECT_EQ(qp_a_->send_abort(sh).code(), StatusCode::kFailedPrecondition);
+  // Still refused after those packets left and their completion fired.
+  sim_.run();
+  EXPECT_EQ(qp_a_->send_abort(sh).code(), StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(qp_a_->send_stream_end(sh).is_ok());
+  EXPECT_TRUE(qp_a_->send_poll(sh).is_ok());
 }
 
 // ---------------------------------------------------------------------------

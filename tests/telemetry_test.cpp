@@ -333,6 +333,71 @@ TEST_F(TelemetryStackTest, ScopeFreezesFinalValuesOnDestruction) {
   EXPECT_EQ(registry().size(), 0u);
 }
 
+TEST_F(TelemetryStackTest, ScopesDyingOutOfRegistrationOrderKeepEveryValue) {
+  // Freezing looks each id up in the id-ordered entry list. Scopes whose
+  // ids interleave, dying in an order unrelated to registration, must
+  // still each freeze exactly their own entries.
+  registry().enable();
+  constexpr int kScopes = 5;
+  std::uint64_t bound[kScopes] = {};
+  double live[kScopes] = {};
+  std::vector<std::unique_ptr<Scope>> scopes;
+  for (int i = 0; i < kScopes; ++i) {
+    scopes.push_back(std::make_unique<Scope>(
+        registry(), registry().instance_name("order.s")));
+  }
+  Counter unscoped = registry().counter("order.unscoped");
+  // Interleave registrations so that no scope owns a contiguous id range.
+  for (int i = 0; i < kScopes; ++i) {
+    scopes[i]->bind_counter("bound", &bound[i]);
+  }
+  for (int i = kScopes - 1; i >= 0; --i) {
+    scopes[i]->counter("hits").inc(static_cast<std::uint64_t>(10 + i));
+    scopes[i]->bind_gauge("gauge", [&live, i] { return live[i]; });
+  }
+  for (int i = 0; i < kScopes; ++i) {
+    bound[i] = static_cast<std::uint64_t>(100 + i);
+    live[i] = 0.5 + i;
+  }
+  unscoped.inc(7);
+
+  for (const int victim : {2, 0, 4, 1, 3}) {
+    scopes[victim].reset();
+    // The dead scope's backing storage changes after its death; the
+    // survivors' keeps changing too and must still show through.
+    bound[victim] = 0;
+    live[victim] = -1.0;
+    for (int i = 0; i < kScopes; ++i) {
+      if (scopes[i] == nullptr) continue;
+      ++bound[i];
+      live[i] += 1.0;
+    }
+    for (int i = 0; i < kScopes; ++i) {
+      const std::string p = "order.s" + std::to_string(i) + ".";
+      EXPECT_EQ(registry().counter_value(p + "hits"),
+                static_cast<std::uint64_t>(10 + i));
+      if (scopes[i] != nullptr) {
+        EXPECT_EQ(registry().counter_value(p + "bound"), bound[i]);
+        EXPECT_DOUBLE_EQ(registry().gauge_value(p + "gauge"), live[i]);
+      }
+    }
+  }
+  // Every scope is gone: each froze the value it last saw, and the
+  // registry's own counter never moved.
+  const std::uint64_t frozen_bound[kScopes] = {101, 104, 102, 107, 106};
+  const double frozen_live[kScopes] = {1.5, 4.5, 2.5, 7.5, 6.5};
+  for (int i = 0; i < kScopes; ++i) {
+    const std::string p = "order.s" + std::to_string(i) + ".";
+    EXPECT_EQ(registry().counter_value(p + "bound"), frozen_bound[i]) << i;
+    EXPECT_DOUBLE_EQ(registry().gauge_value(p + "gauge"), frozen_live[i])
+        << i;
+    EXPECT_EQ(registry().counter_value(p + "hits"),
+              static_cast<std::uint64_t>(10 + i));
+  }
+  EXPECT_EQ(registry().counter_value("order.unscoped"), 7u);
+  registry().disable();
+}
+
 TEST_F(TelemetryStackTest, InstanceNamesCountPerBase) {
   registry().enable();
   EXPECT_EQ(registry().instance_name("x.y"), "x.y0");
