@@ -278,10 +278,8 @@ inline void figure_header(const char* figure, const char* description,
 /// (without braces), then the host provenance a trajectory row needs to be
 /// comparable — `nproc` (online cores) and `ec_isa` (the dispatched GF(256)
 /// kernel tier).
-#if defined(__GNUC__)
-__attribute__((format(printf, 1, 2)))
-#endif
-inline void bench_json(const char* fields, ...) {
+__attribute__((format(printf, 1, 2))) inline void bench_json(
+    const char* fields, ...) {
   std::printf("BENCH_JSON {");
   std::va_list args;
   va_start(args, fields);

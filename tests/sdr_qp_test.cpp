@@ -5,10 +5,13 @@
 // wraparound.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
 #include "sdr/sdr.hpp"
+#include "sim/channel.hpp"
+#include "sim/drop_model.hpp"
 #include "sim/simulator.hpp"
 #include "verbs/nic.hpp"
 
@@ -60,25 +63,34 @@ class SdrFixture : public ::testing::Test {
   }
 
   // Steps the simulator through the serialization of the data packets on
-  // the a->b wire, which must carry `wire_packets` in all: `sh` must stay
-  // not ready while any of them is still serializing (or, with the NIC
-  // model, still queued in the injector) and turn ready at exactly the
-  // instant the last bit of the last one leaves.
-  void expect_ready_when_last_packet_leaves(SendHandle* sh,
-                                            std::uint64_t wire_packets) {
-    const sim::Channel* wire = pair_.a->route_to(pair_.b->id());
-    ASSERT_NE(wire, nullptr);
+  // the a->b wires (default: the pair's forward link), which must carry
+  // `wire_packets` in all: `sh` must stay not ready while any of them is
+  // still serializing (or, with the NIC model, still queued in the
+  // injector) and turn ready at exactly the instant the last bit of the
+  // last one leaves.
+  void expect_ready_when_last_packet_leaves(
+      SendHandle* sh, std::uint64_t wire_packets,
+      std::vector<const sim::Channel*> wires = {}) {
+    if (wires.empty()) wires.push_back(&pair_.link->forward());
+    auto sent = [&wires] {
+      std::uint64_t n = 0;
+      for (const sim::Channel* w : wires) n += w->stats().sent_packets;
+      return n;
+    };
     const SimTime step{10};
     const SimTime give_up = sim_.now() + SimTime::from_millis(1);
     SimTime t = sim_.now();
-    while (wire->stats().sent_packets < wire_packets) {
+    while (sent() < wire_packets) {
       ASSERT_EQ(qp_a_->send_poll(sh).code(), StatusCode::kNotReady);
       ASSERT_LT(t, give_up) << "packets never reached the wire";
       t += step;
       sim_.run_until(t);
     }
-    ASSERT_EQ(wire->stats().sent_packets, wire_packets);
-    const SimTime last_bit = wire->next_free();
+    ASSERT_EQ(sent(), wire_packets);
+    SimTime last_bit = SimTime::zero();
+    for (const sim::Channel* w : wires) {
+      last_bit = std::max(last_bit, w->next_free());
+    }
     ASSERT_GT(last_bit, sim_.now());
     for (t += step; t < last_bit; t += step) {
       sim_.run_until(t);
@@ -486,42 +498,30 @@ TEST_F(SdrFixture, CleanMessageEventCountDoesNotGrowWithPackets) {
 }
 
 TEST_F(SdrFixture, SendPollReadyExactlyWhenTheLastPacketLeaves) {
-  // Packet counts that are not multiples of the channel count, fewer
-  // packets than channels, and a short last packet.
-  for (const std::size_t channels : {1u, 2u, 3u}) {
-    for (const std::size_t packets : {2u, 7u, 11u}) {
-      SCOPED_TRACE(testing::Message() << channels << " channels, " << packets
-                                      << " packets");
-      QpAttr attr = test_attr();
-      attr.channels = channels;
-      wire(0.0, 0.0, attr);
-      const std::size_t len = packets * attr.mtu - 100;
-      const auto src = pattern(len, 13);
-      std::vector<std::uint8_t> dst(len, 0);
-      post_recv_and_deliver_cts(dst, len);
-      SendHandle* sh = nullptr;
-      ASSERT_TRUE(qp_a_->send_post(src.data(), len, 0, false, &sh).is_ok());
-      expect_ready_when_last_packet_leaves(sh, packets);
-      sim_.run();
-      EXPECT_EQ(std::memcmp(dst.data(), src.data(), len), 0);
+  // Both transports; packet counts that are not multiples of the channel
+  // count, fewer packets than channels, and a short last packet.
+  for (const Transport transport : {Transport::kUc, Transport::kUd}) {
+    for (const std::size_t channels : {1u, 2u, 3u}) {
+      for (const std::size_t packets : {2u, 7u, 11u}) {
+        SCOPED_TRACE(testing::Message()
+                     << (transport == Transport::kUd ? "UD, " : "UC, ")
+                     << channels << " channels, " << packets << " packets");
+        QpAttr attr = test_attr();
+        attr.transport = transport;
+        attr.channels = channels;
+        wire(0.0, 0.0, attr);
+        const std::size_t len = packets * attr.mtu - 100;
+        const auto src = pattern(len, 13);
+        std::vector<std::uint8_t> dst(len, 0);
+        post_recv_and_deliver_cts(dst, len);
+        SendHandle* sh = nullptr;
+        ASSERT_TRUE(qp_a_->send_post(src.data(), len, 0, false, &sh).is_ok());
+        expect_ready_when_last_packet_leaves(sh, packets);
+        sim_.run();
+        EXPECT_EQ(std::memcmp(dst.data(), src.data(), len), 0);
+      }
     }
   }
-}
-
-TEST_F(SdrFixture, SendPollReadyExactlyWhenTheLastPacketLeavesUd) {
-  QpAttr attr = test_attr();
-  attr.transport = Transport::kUd;
-  attr.channels = 2;
-  wire(0.0, 0.0, attr);
-  const std::size_t len = 9 * attr.mtu;
-  const auto src = pattern(len, 14);
-  std::vector<std::uint8_t> dst(len, 0);
-  post_recv_and_deliver_cts(dst, len);
-  SendHandle* sh = nullptr;
-  ASSERT_TRUE(qp_a_->send_post(src.data(), len, 0, false, &sh).is_ok());
-  expect_ready_when_last_packet_leaves(sh, 9);
-  sim_.run();
-  EXPECT_EQ(std::memcmp(dst.data(), src.data(), len), 0);
 }
 
 TEST_F(SdrFixture, SendPollReadyExactlyWhenTheLastPacketLeavesStreaming) {
@@ -540,9 +540,10 @@ TEST_F(SdrFixture, SendPollReadyExactlyWhenTheLastPacketLeavesStreaming) {
   ASSERT_TRUE(
       qp_a_->send_stream_continue(sh, src.data(), 0, 5 * attr.mtu).is_ok());
   // The first call's packets all leave; the stream is still open.
-  sim_.run_until(pair_.a->route_to(pair_.b->id())->next_free());
+  sim_.run_until(pair_.link->forward().next_free());
   EXPECT_EQ(qp_a_->send_poll(sh).code(), StatusCode::kNotReady);
-  // Two more calls back to back, the second while the first serializes.
+  // Two more calls back to back: the third posts while the second's
+  // packets are still serializing.
   ASSERT_TRUE(qp_a_
                   ->send_stream_continue(sh, src.data() + 5 * attr.mtu,
                                          5 * attr.mtu, 4 * attr.mtu)
@@ -555,6 +556,47 @@ TEST_F(SdrFixture, SendPollReadyExactlyWhenTheLastPacketLeavesStreaming) {
   expect_ready_when_last_packet_leaves(sh, 16);
   sim_.run();
   EXPECT_EQ(std::memcmp(dst.data(), src.data(), len), 0);
+}
+
+TEST_F(SdrFixture, SendPollReadyExactlyWhenTheLastPacketLeavesMultipath) {
+  // The two channel QPs ride a fast and a slow path, so a later packet on
+  // the fast path leaves before an earlier one on the slow path: the
+  // post's last packet is not always its last to leave, and each channel
+  // needs its own signaled last WR.
+  QpAttr attr = test_attr();
+  attr.channels = 2;
+  for (const std::size_t packets : {7u, 8u}) {
+    SCOPED_TRACE(testing::Message() << packets << " packets");
+    wire(0.0, 0.0, attr);
+    sim::Channel::Config cfg;
+    cfg.bandwidth_bps = 100e9;
+    cfg.distance_km = 10.0;
+    sim::Channel fast(sim_, cfg, std::make_unique<sim::IidDrop>(0.0));
+    cfg.bandwidth_bps = 10e9;
+    sim::Channel slow(sim_, cfg, std::make_unique<sim::IidDrop>(0.0));
+    for (sim::Channel* path : {&fast, &slow}) {
+      path->set_receiver(
+          [this](sim::Packet&& p) { pair_.b->deliver(std::move(p)); });
+    }
+    // Three route entries: the flow hash puts the two channel QPs on
+    // entries 0 and 2, so channel 0 rides the fast path and channel 1 the
+    // slow one.
+    pair_.a->add_multipath_route(pair_.b->id(), {&fast, &fast, &slow});
+    const QpInfo a = qp_a_->info();
+    const QpInfo b = qp_b_->info();
+    ASSERT_EQ(pair_.a->route_to(b.nic, a.data_qps[0], b.data_qps[0]), &fast);
+    ASSERT_EQ(pair_.a->route_to(b.nic, a.data_qps[1], b.data_qps[1]), &slow);
+
+    const std::size_t len = packets * attr.mtu;
+    const auto src = pattern(len, 18);
+    std::vector<std::uint8_t> dst(len, 0);
+    post_recv_and_deliver_cts(dst, len);
+    SendHandle* sh = nullptr;
+    ASSERT_TRUE(qp_a_->send_post(src.data(), len, 0, false, &sh).is_ok());
+    expect_ready_when_last_packet_leaves(sh, packets, {&fast, &slow});
+    sim_.run();
+    EXPECT_EQ(std::memcmp(dst.data(), src.data(), len), 0);
+  }
 }
 
 TEST_F(SdrFixture, SendPollReadyExactlyWhenTheLastPacketLeavesNicModel) {
@@ -571,7 +613,7 @@ TEST_F(SdrFixture, SendPollReadyExactlyWhenTheLastPacketLeavesNicModel) {
   post_recv_and_deliver_cts(dst, len);
   SendHandle* sh = nullptr;
   ASSERT_TRUE(qp_a_->send_post(src.data(), len, 0, false, &sh).is_ok());
-  ASSERT_LT(pair_.a->route_to(pair_.b->id())->stats().sent_packets, 13u)
+  ASSERT_LT(pair_.link->forward().stats().sent_packets, 13u)
       << "the injector should still hold packets";
   expect_ready_when_last_packet_leaves(sh, 13);
   sim_.run();
