@@ -404,24 +404,22 @@ ArmResult run_protocol_arm(const Scenario& s, const CheckOptions& opts,
     std::optional<reliability::EcReceiver> ec_rcv;
     std::optional<reliability::SrSender> sr_snd;
     std::optional<reliability::SrReceiver> sr_rcv;
+    reliability::SrProtoConfig sr_cfg;
+    sr_cfg.rto_s = rto;
+    sr_cfg.ack_interval_s = ack_iv;
     if (ec) {
       codec.emplace(s.ec_k, s.ec_m);
       reliability::EcProtoConfig cfg;
       cfg.k = s.ec_k;
       cfg.m = s.ec_m;
-      cfg.fallback_rto_s = rto;
-      cfg.fallback_ack_interval_s = ack_iv;
-      ec_snd.emplace(fabric.sim, *qa, ca, profile, *codec, cfg);
-      ec_rcv.emplace(fabric.sim, *qb, cb, profile, *codec, cfg);
+      ec_snd.emplace(fabric.sim, *qa, ca, profile, *codec, cfg, sr_cfg);
+      ec_rcv.emplace(fabric.sim, *qb, cb, profile, *codec, cfg, sr_cfg);
     } else {
-      reliability::SrProtoConfig cfg;
-      cfg.rto_s = rto;
-      cfg.ack_interval_s = ack_iv;
-      cfg.nack_enabled = s.sr_flavor == SrFlavor::kNack;
-      cfg.nack_holdoff_s = s.rtt_s();
-      cfg.adaptive_rto = s.adaptive_rto;
-      sr_snd.emplace(fabric.sim, *qa, ca, profile, cfg);
-      sr_rcv.emplace(fabric.sim, *qb, cb, profile, cfg);
+      sr_cfg.nack_enabled = s.sr_flavor == SrFlavor::kNack;
+      sr_cfg.nack_holdoff_s = s.rtt_s();
+      sr_cfg.adaptive_rto = s.adaptive_rto;
+      sr_snd.emplace(fabric.sim, *qa, ca, profile, sr_cfg);
+      sr_rcv.emplace(fabric.sim, *qb, cb, profile, sr_cfg);
     }
 
     const std::size_t n = s.messages.size();

@@ -1,7 +1,6 @@
 #include "reliability/ec_protocol.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 
 #include "common/logging.hpp"
@@ -11,6 +10,10 @@ namespace sdr::reliability {
 namespace {
 
 constexpr std::uint64_t kNoMessage = ~std::uint64_t{0};
+
+/// Abort safety net, in multiples of FTO + RTT; paper: "a global timeout
+/// is also set at message posting to prevent deadlock".
+constexpr double kGlobalTimeoutFactor = 50.0;
 
 /// Whether a recycled parity buffer of `capacity` bytes may carry a message
 /// that needs `need`: it must be large enough and at most twice that, so a
@@ -60,7 +63,8 @@ std::uint64_t slot_base(const std::vector<std::uint64_t>& table,
 
 EcSender::EcSender(sim::Simulator& simulator, core::Qp& qp,
                    ControlLink& control, const LinkProfile& profile,
-                   const ec::ErasureCodec& codec, EcProtoConfig config)
+                   const ec::ErasureCodec& codec, EcProtoConfig config,
+                   const SrProtoConfig& sr)
     : sim_(simulator),
       qp_(qp),
       control_(control),
@@ -69,7 +73,11 @@ EcSender::EcSender(sim::Simulator& simulator, core::Qp& qp,
       config_(config),
       chunk_bytes_(qp.attr().chunk_size),
       data_blocks_(config.k),
-      parity_blocks_(config.m) {
+      parity_blocks_(config.m),
+      retx_(simulator, sr, profile, telemetry::ProfCategory::kEc,
+            [this](std::uint64_t number, std::size_t chunk, bool) {
+              return resend(number, chunk);
+            }) {
   assert(codec_.k() == config_.k && codec_.m() == config_.m);
   control_.set_receiver(
       [this](const std::uint8_t* d, std::size_t n) { on_control(d, n); });
@@ -120,14 +128,8 @@ Status EcSender::write(const std::uint8_t* data, std::size_t length,
     msg.parity = std::vector<std::uint8_t>(parity_bytes);
   }
   msg.parity.resize(parity_bytes);
-  if (msg.timers.size() < L) msg.timers.resize(L);
-  if (msg.acked.size() < L) msg.acked.resize(L);
-  for (std::size_t s = 0; s < L; ++s) {
-    msg.timers[s].clear();
-    msg.acked[s].resize(0);
-  }
-  msg.sub_done.assign(L, false);
-  msg.subs_pending_fallback = 0;
+  if (msg.fallback.size() < L) msg.fallback.resize(L);
+  for (std::size_t s = 0; s < L; ++s) msg.fallback[s].reset(0);
   // A failed post releases the sends already started (nothing will finish
   // them) and returns the state node to the pool.
   auto abandon = [this, base](const Status& st) {
@@ -209,20 +211,12 @@ void EcSender::on_control(const std::uint8_t* data, std::size_t length) {
       break;
     }
     case ControlType::kSrAck: {
-      // Fallback per-submessage ACK: msg_number is the submessage's own.
-      // Its slot names the message that last posted a data stream there;
-      // a stale ACK (that message finished, the slot moved on) names a
-      // number outside the live message's data submessages.
-      const std::uint64_t base = slot_base(
-          sub_base_, static_cast<std::size_t>(ctl.msg_number %
-                                              qp_.attr().max_inflight));
-      const auto it = messages_.find(base);
-      if (it == messages_.end() || ctl.msg_number < base ||
-          ctl.msg_number - base >= it->second.submessages) {
-        return;
+      // Fallback per-submessage ACK: msg_number is the submessage's own. A
+      // submessage that never entered fallback has no chunks to acknowledge.
+      std::size_t sub = 0;
+      if (MsgState* msg = message_of(ctl.msg_number, sub)) {
+        retx_.apply_ack(msg->fallback[sub], ctl, [](std::size_t, double) {});
       }
-      const std::size_t sub = static_cast<std::size_t>(ctl.msg_number - base);
-      apply_fallback_ack(it->second, base, sub, ctl);
       break;
     }
     default:
@@ -230,11 +224,28 @@ void EcSender::on_control(const std::uint8_t* data, std::size_t length) {
   }
 }
 
+EcSender::MsgState* EcSender::message_of(std::uint64_t number,
+                                         std::size_t& sub) {
+  // The submessage's slot names the message that last posted a data stream
+  // there; a stale number (that message finished, the slot moved on) falls
+  // outside the live message's data submessages.
+  const std::uint64_t base = slot_base(
+      sub_base_, static_cast<std::size_t>(number % qp_.attr().max_inflight));
+  const auto it = messages_.find(base);
+  if (it == messages_.end() || number < base ||
+      number - base >= it->second.submessages) {
+    return nullptr;
+  }
+  sub = static_cast<std::size_t>(number - base);
+  return &it->second;
+}
+
 void EcSender::enter_fallback(MsgState& msg, std::uint64_t base,
                               const std::vector<std::uint32_t>& failed) {
   for (std::uint32_t sub : failed) {
-    if (sub >= msg.submessages || msg.sub_done[sub]) continue;
-    if (!msg.timers[sub].empty()) continue;  // already in fallback
+    if (sub >= msg.submessages) continue;
+    Retransmitter::Stream& stream = msg.fallback[sub];
+    if (!stream.chunks.empty()) continue;  // already in fallback
     if (telemetry::observing()) {
       // a = submessage, b = k.
       telemetry::emit({.t = sim_.now(),
@@ -244,93 +255,33 @@ void EcSender::enter_fallback(MsgState& msg, std::uint64_t base,
                        .chunk = static_cast<std::uint32_t>(sub), .a = sub,
                        .b = config_.k});
     }
-    msg.acked[sub].resize(config_.k);
-    msg.timers[sub].assign(config_.k, sim::EventId{});
-    ++msg.subs_pending_fallback;
+    // Every chunk goes again at once: the NACK says the submessage failed,
+    // not which of its chunks are missing.
+    stream.reset(config_.k);
     for (std::size_t c = 0; c < config_.k; ++c) {
-      fallback_send(msg, base, sub, c, /*retransmission=*/true);
-      arm_fallback_timer(base, sub, c);
+      retx_.retransmit(stream, base + sub, c);
     }
   }
 }
 
-void EcSender::fallback_send(MsgState& msg, std::uint64_t base,
-                             std::size_t sub, std::size_t chunk,
-                             bool retransmission) {
-  (void)base;
+bool EcSender::resend(std::uint64_t number, std::size_t chunk) {
+  std::size_t sub = 0;
+  const MsgState& msg = *message_of(number, sub);
   const std::size_t sub_bytes = config_.k * chunk_bytes_;
   const std::uint8_t* src = msg.data + sub * sub_bytes + chunk * chunk_bytes_;
-  qp_.send_stream_continue(msg.data_handles[sub], src, chunk * chunk_bytes_,
-                           chunk_bytes_);
-  if (retransmission) {
-    ++stats_.fallback_retransmissions;
-    if (telemetry::observing()) {
-      // msg = the submessage's own, a = submessage, b = chunk.
-      telemetry::emit({.t = sim_.now(),
-                       .kind = telemetry::EventKind::kRetransmit,
-                       .layer = telemetry::Layer::kEc,
-                       .conn = qp_.control_qp_num(),
-                       .msg = msg.data_handles[sub]->msg_number(),
-                       .chunk = static_cast<std::uint32_t>(chunk),
-                       .bytes = chunk_bytes_, .a = sub, .b = chunk});
-    }
+  const Status st = qp_.send_stream_continue(
+      msg.data_handles[sub], src, chunk * chunk_bytes_, chunk_bytes_);
+  ++stats_.fallback_retransmissions;
+  if (telemetry::observing()) {
+    // msg = the submessage's own, a = submessage, b = chunk.
+    telemetry::emit({.t = sim_.now(),
+                     .kind = telemetry::EventKind::kRetransmit,
+                     .layer = telemetry::Layer::kEc,
+                     .conn = qp_.control_qp_num(), .msg = number,
+                     .chunk = static_cast<std::uint32_t>(chunk),
+                     .bytes = chunk_bytes_, .a = sub, .b = chunk});
   }
-}
-
-void EcSender::arm_fallback_timer(std::uint64_t base, std::size_t sub,
-                                  std::size_t chunk) {
-  const auto it = messages_.find(base);
-  if (it == messages_.end()) return;
-  it->second.timers[sub][chunk] = sim_.schedule(
-      SimTime::from_seconds(config_.fallback_rto_s),
-      [this, base, sub, chunk] {
-        telemetry::ProfScope prof(telemetry::ProfCategory::kEc);
-        const auto mit = messages_.find(base);
-        if (mit == messages_.end()) return;
-        MsgState& m = mit->second;
-        if (m.sub_done[sub] || m.acked[sub].test(chunk)) return;
-        fallback_send(m, base, sub, chunk, /*retransmission=*/true);
-        arm_fallback_timer(base, sub, chunk);
-      });
-}
-
-void EcSender::apply_fallback_ack(MsgState& msg, std::uint64_t base,
-                                  std::size_t sub,
-                                  const ControlMessage& ack) {
-  (void)base;
-  if (sub >= msg.submessages || msg.sub_done[sub]) return;
-  if (msg.acked[sub].size() == 0) {
-    // ACK for a submessage that never entered fallback (e.g. the receiver
-    // recovered it after our NACK raced its parity) — nothing to cancel.
-    return;
-  }
-  const std::size_t cumulative =
-      std::min<std::size_t>(ack.cumulative, config_.k);
-  auto mark = [&](std::size_t c) {
-    if (msg.acked[sub].test(c)) return;
-    msg.acked[sub].set(c);
-    if (msg.timers[sub][c].valid()) {
-      sim_.cancel(msg.timers[sub][c]);
-      msg.timers[sub][c] = {};
-    }
-  };
-  for (std::size_t c = 0; c < cumulative; ++c) mark(c);
-  // Word scan: countr_zero hops between acked chunks instead of testing
-  // all 64 bit positions per selective word.
-  for (std::size_t w = 0; w < ack.selective.size(); ++w) {
-    std::uint64_t word = ack.selective[w];
-    const std::size_t word_base = ack.selective_base + w * 64;
-    while (word != 0) {
-      const std::size_t c =
-          word_base + static_cast<std::size_t>(std::countr_zero(word));
-      word &= word - 1;
-      if (c < config_.k) mark(c);
-    }
-  }
-  if (msg.acked[sub].all_set()) {
-    msg.sub_done[sub] = true;
-    if (msg.subs_pending_fallback > 0) --msg.subs_pending_fallback;
-  }
+  return st.is_ok();
 }
 
 void EcSender::finish(std::uint64_t base) {
@@ -349,9 +300,7 @@ void EcSender::finish(std::uint64_t base) {
                      .b = stats_.fallback_retransmissions});
   }
   for (std::size_t s = 0; s < msg.submessages; ++s) {
-    for (sim::EventId id : msg.timers[s]) {
-      if (id.valid()) sim_.cancel(id);
-    }
+    retx_.cancel(msg.fallback[s]);
   }
   release_handles(msg);
   DoneFn done = std::move(msg.done);
@@ -377,20 +326,14 @@ void EcSender::release_handles(const MsgState& msg) {
       continue;
     }
     qp_.send_stream_end(handle);
-    reap(handle);
+    reap(sim_, qp_, handle);
   }
   for (core::SendHandle* handle : msg.parity_handles) {
     if (!handle->cts_ready()) {
       qp_.send_abort(handle);
       continue;
     }
-    reap(handle);
-  }
-}
-
-void EcSender::reap(core::SendHandle* handle) {
-  if (qp_.send_poll(handle).code() == StatusCode::kNotReady) {
-    sim_.schedule(SimTime::from_micros(10), [this, handle] { reap(handle); });
+    reap(sim_, qp_, handle);
   }
 }
 
@@ -400,13 +343,15 @@ void EcSender::reap(core::SendHandle* handle) {
 
 EcReceiver::EcReceiver(sim::Simulator& simulator, core::Qp& qp,
                        ControlLink& control, const LinkProfile& profile,
-                       const ec::ErasureCodec& codec, EcProtoConfig config)
+                       const ec::ErasureCodec& codec, EcProtoConfig config,
+                       const SrProtoConfig& sr)
     : sim_(simulator),
       qp_(qp),
       control_(control),
       profile_(profile),
       codec_(codec),
       config_(config),
+      ack_interval_s_(sr.ack_interval_s),
       chunk_bytes_(qp.attr().chunk_size),
       present_(config.k + config.m, false),
       decode_blocks_(config.k + config.m) {
@@ -530,14 +475,9 @@ Status EcReceiver::expect(std::uint8_t* buffer, std::size_t length,
                     [this, base] { cts_tick(base); });
 
   // Global deadlock-prevention timeout (armed at posting).
-  const double wire_chunks =
-      static_cast<double>(length / chunk_bytes_) *
-      (1.0 + static_cast<double>(config_.m) / static_cast<double>(config_.k));
-  const double fto_s =
-      wire_chunks * profile_.chunk_injection_s() + config_.beta * profile_.rtt_s;
   msg.global_timer = sim_.schedule(
-      SimTime::from_seconds(config_.global_timeout_factor *
-                            (fto_s + profile_.rtt_s)),
+      SimTime::from_seconds(kGlobalTimeoutFactor *
+                            (fto_s(length) + profile_.rtt_s)),
       [this, base] {
         const auto it = messages_.find(base);
         if (it == messages_.end() || it->second.complete) return;
@@ -582,7 +522,7 @@ void EcReceiver::on_chunk_event(const core::RecvEvent& event) {
                               : static_cast<std::size_t>(idx - msg.submessages);
   if (msg.sub_recovered[sub]) return;
 
-  if (submessage_recoverable(msg, sub) && try_recover(msg, sub)) {
+  if (recover(msg, sub)) {
     msg.sub_recovered[sub] = true;
     ++msg.subs_recovered;
     if (chunk_completion_hist_.live() && msg.posted_at_s >= 0.0) {
@@ -605,40 +545,28 @@ void EcReceiver::on_chunk_event(const core::RecvEvent& event) {
       encode_control(ack, wire_scratch_);
       control_.send(wire_scratch_.data(), wire_scratch_.size());
     }
-    check_message(msg, base);
+    if (msg.subs_recovered == msg.submessages) complete(msg, base);
   }
 }
 
-bool EcReceiver::submessage_recoverable(const MsgState& msg,
-                                        std::size_t sub) {
+bool EcReceiver::recover(MsgState& msg, std::size_t sub) {
   const AtomicBitmap* data_bits = nullptr;
   const AtomicBitmap* parity_bits = nullptr;
   qp_.recv_bitmap_get(msg.data_handles[sub], &data_bits);
   qp_.recv_bitmap_get(msg.parity_handles[sub], &parity_bits);
   if (data_bits == nullptr || parity_bits == nullptr) return false;
-  for (std::size_t j = 0; j < config_.k; ++j) present_[j] = data_bits->test(j);
-  for (std::size_t t = 0; t < config_.m; ++t) {
-    present_[config_.k + t] = parity_bits->test(t);
-  }
-  return codec_.can_recover(present_);
-}
-
-bool EcReceiver::try_recover(MsgState& msg, std::size_t sub) {
-  const AtomicBitmap* data_bits = nullptr;
-  const AtomicBitmap* parity_bits = nullptr;
-  qp_.recv_bitmap_get(msg.data_handles[sub], &data_bits);
-  qp_.recv_bitmap_get(msg.parity_handles[sub], &parity_bits);
   bool all_data = true;
   for (std::size_t j = 0; j < config_.k; ++j) {
     present_[j] = data_bits->test(j);
     all_data = all_data && present_[j];
   }
+  for (std::size_t t = 0; t < config_.m; ++t) {
+    present_[config_.k + t] = parity_bits->test(t);
+  }
+  if (!codec_.can_recover(present_)) return false;
   if (all_data) {
     ++stats_.clean_submessages;
     return true;
-  }
-  for (std::size_t t = 0; t < config_.m; ++t) {
-    present_[config_.k + t] = parity_bits->test(t);
   }
   const std::size_t sub_bytes = config_.k * chunk_bytes_;
   for (std::size_t j = 0; j < config_.k; ++j) {
@@ -664,20 +592,20 @@ bool EcReceiver::try_recover(MsgState& msg, std::size_t sub) {
   return true;
 }
 
-void EcReceiver::check_message(MsgState& msg, std::uint64_t base) {
-  if (msg.subs_recovered == msg.submessages) complete(msg, base);
+double EcReceiver::fto_s(std::size_t length) const {
+  const double wire_chunks =
+      static_cast<double>(length / chunk_bytes_) *
+      (1.0 + static_cast<double>(config_.m) / static_cast<double>(config_.k));
+  return wire_chunks * profile_.chunk_injection_s() +
+         config_.beta * profile_.rtt_s;
 }
 
 void EcReceiver::arm_fto(MsgState& msg, std::uint64_t base) {
-  const double wire_chunks =
-      static_cast<double>(msg.length / chunk_bytes_) *
-      (1.0 + static_cast<double>(config_.m) / static_cast<double>(config_.k));
-  // + 2 RTT of slack: the timer now starts at posting, before the
-  // RTS/CTS handshake and the first injected byte.
-  const double fto_s = wire_chunks * profile_.chunk_injection_s() +
-                       config_.beta * profile_.rtt_s + 2.0 * profile_.rtt_s;
-  msg.fto_timer = sim_.schedule(SimTime::from_seconds(fto_s),
-                                [this, base] { on_fto(base); });
+  // + 2 RTT of slack: the timer starts at posting, before the RTS/CTS
+  // handshake and the first injected byte.
+  msg.fto_timer = sim_.schedule(
+      SimTime::from_seconds(fto_s(msg.length) + 2.0 * profile_.rtt_s),
+      [this, base] { on_fto(base); });
 }
 
 void EcReceiver::on_fto(std::uint64_t base) {
@@ -733,15 +661,12 @@ void EcReceiver::cts_tick(std::uint64_t base) {
   // itself is still in flight — the retry pace is several RTTs, so an
   // in-flight first chunk wins the race and the duplicate never sends.
   bool silent = false;
-  for (core::RecvHandle* h : msg.data_handles) {
-    if (qp_.recv_packets(h) != 0) continue;
-    qp_.resend_cts(h);
-    silent = true;
-  }
-  for (core::RecvHandle* h : msg.parity_handles) {
-    if (qp_.recv_packets(h) != 0) continue;
-    qp_.resend_cts(h);
-    silent = true;
+  for (const auto* handles : {&msg.data_handles, &msg.parity_handles}) {
+    for (core::RecvHandle* h : *handles) {
+      if (qp_.recv_packets(h) != 0) continue;
+      qp_.resend_cts(h);
+      silent = true;
+    }
   }
   if (!silent) return;  // every stream has started; nothing left to nudge
   msg.cts_timer =
@@ -755,29 +680,20 @@ void EcReceiver::fallback_ack_tick(std::uint64_t base) {
   if (it == messages_.end()) return;
   MsgState& msg = it->second;
   if (msg.complete) return;
-  send_fallback_acks(msg, base);
-  msg.ack_timer =
-      sim_.schedule(SimTime::from_seconds(config_.fallback_ack_interval_s),
-                    [this, base] { fallback_ack_tick(base); });
+  send_fallback_acks(msg);
+  msg.ack_timer = sim_.schedule(SimTime::from_seconds(ack_interval_s_),
+                                [this, base] { fallback_ack_tick(base); });
 }
 
-void EcReceiver::send_fallback_acks(MsgState& msg, std::uint64_t base) {
-  (void)base;
+void EcReceiver::send_fallback_acks(MsgState& msg) {
   for (std::size_t s = 0; s < msg.submessages; ++s) {
     if (msg.sub_recovered[s]) continue;
     const AtomicBitmap* bits = nullptr;
     qp_.recv_bitmap_get(msg.data_handles[s], &bits);
     if (bits == nullptr) continue;
-    ControlMessage& ack = ctrl_scratch_;
-    reset_control(ack, ControlType::kSrAck,
-                  msg.data_handles[s]->msg_number());
-    ack.cumulative = static_cast<std::uint32_t>(bits->first_zero(config_.k));
-    ack.selective_base = 0;
-    ack.selective.reserve(bitmap_words(config_.k));
-    for (std::size_t w = 0; w < bitmap_words(config_.k); ++w) {
-      ack.selective.push_back(bits->load_word(w));
-    }
-    encode_control(ack, wire_scratch_);
+    build_ack(ctrl_scratch_, msg.data_handles[s]->msg_number(), *bits,
+              config_.k);
+    encode_control(ctrl_scratch_, wire_scratch_);
     control_.send(wire_scratch_.data(), wire_scratch_.size());
   }
 }
@@ -803,7 +719,7 @@ void EcReceiver::complete(MsgState& msg, std::uint64_t base) {
   send_ec_ack(base);
   for (std::size_t r = 1; r < kFinalAckRepeats; ++r) {
     // The repeat re-encodes the same ACK: the scratch is reused meanwhile.
-    sim_.schedule(SimTime::from_seconds(config_.fallback_ack_interval_s *
+    sim_.schedule(SimTime::from_seconds(ack_interval_s_ *
                                         static_cast<double>(r)),
                   [this, base] { send_ec_ack(base); });
   }

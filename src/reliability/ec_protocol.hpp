@@ -5,7 +5,7 @@
 // so the fallback path can retransmit into the same buffers) followed by
 // parity (one-shot sends — parity is never retransmitted). On a positive
 // ACK the buffers are released; on an EC NACK the listed submessages switch
-// to Selective Repeat.
+// to Selective Repeat: each becomes a stream of the SR Retransmitter.
 //
 // Receiver: posts L data receive buffers (regions of the application buffer
 // — zero copy) and L parity scratch buffers. Chunk-bitmap events drive
@@ -35,6 +35,7 @@
 #include "reliability/ack_codec.hpp"
 #include "reliability/control_link.hpp"
 #include "reliability/profile.hpp"
+#include "reliability/selective_repeat.hpp"
 #include "sdr/sdr.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/telemetry.hpp"
@@ -46,13 +47,6 @@ struct EcProtoConfig {
   std::size_t m{8};
   /// FTO slack beyond injection, in RTTs (paper's beta = 0.5 alpha).
   double beta{0.5};
-  /// Fallback Selective Repeat RTO.
-  double fallback_rto_s{0.075};
-  /// Fallback receiver ACK cadence.
-  double fallback_ack_interval_s{0.005};
-  /// Abort safety net (multiples of FTO); paper: "a global timeout is also
-  /// set at message posting to prevent deadlock".
-  double global_timeout_factor{50.0};
 };
 
 struct EcSenderStats {
@@ -67,9 +61,11 @@ class EcSender {
  public:
   using DoneFn = std::function<void(const Status&)>;
 
+  /// The fallback retransmits under `sr`'s RTO policy; the receiver sends
+  /// its fallback ACKs every sr.ack_interval_s.
   EcSender(sim::Simulator& simulator, core::Qp& qp, ControlLink& control,
            const LinkProfile& profile, const ec::ErasureCodec& codec,
-           EcProtoConfig config);
+           EcProtoConfig config, const SrProtoConfig& sr);
 
   /// Message length must be a whole number of submessages
   /// (k * chunk_size); callers pad to this granularity.
@@ -85,13 +81,10 @@ class EcSender {
     std::vector<core::SendHandle*> data_handles;    // streaming, kept open
     std::vector<core::SendHandle*> parity_handles;  // one-shot, held to finish
     std::vector<std::uint8_t> parity;               // encoded parity buffer
-    // Fallback SR state, indexed [submessage][chunk-in-submessage]. A
-    // recycled node may hold more than `submessages` entries; only that
-    // prefix is live.
-    std::vector<std::vector<sim::EventId>> timers;
-    std::vector<Bitmap> acked;        // per-submessage chunk acks
-    std::vector<bool> sub_done;
-    std::size_t subs_pending_fallback{0};
+    /// Fallback Selective Repeat: one stream per data submessage, opened
+    /// by the NACK that first lists it. A recycled node may hold more than
+    /// `submessages` entries; only that prefix is live.
+    std::vector<Retransmitter::Stream> fallback;
     double write_at_s{-1.0};  // write() sim time (completion latency)
     DoneFn done;
   };
@@ -100,17 +93,13 @@ class EcSender {
   void on_control(const std::uint8_t* data, std::size_t length);
   void enter_fallback(MsgState& msg, std::uint64_t base,
                       const std::vector<std::uint32_t>& failed);
-  void fallback_send(MsgState& msg, std::uint64_t base, std::size_t sub,
-                     std::size_t chunk, bool retransmission);
-  void arm_fallback_timer(std::uint64_t base, std::size_t sub,
-                          std::size_t chunk);
-  void apply_fallback_ack(MsgState& msg, std::uint64_t base, std::size_t sub,
-                          const ControlMessage& ack);
+  /// The live message whose data submessage is `number`, and its index.
+  MsgState* message_of(std::uint64_t number, std::size_t& sub);
+  bool resend(std::uint64_t number, std::size_t chunk);
   void finish(std::uint64_t base);
   /// Hand every send of `msg` back to the core: abort the CTS-less ones,
   /// end and reap the rest.
   void release_handles(const MsgState& msg);
-  void reap(core::SendHandle* handle);
 
   using MsgMap = std::unordered_map<std::uint64_t, MsgState>;
 
@@ -136,6 +125,7 @@ class EcSender {
   std::vector<std::uint8_t*> parity_blocks_;
   /// Decode scratch: reused per control message, capacity sticks.
   ControlMessage ctrl_scratch_;
+  Retransmitter retx_;  // keyed by the data submessage's message number
   EcSenderStats stats_;
   // Tail-latency rollup: write() -> positive EC ACK.
   telemetry::HistogramHandle msg_completion_hist_;
@@ -157,7 +147,7 @@ class EcReceiver {
 
   EcReceiver(sim::Simulator& simulator, core::Qp& qp, ControlLink& control,
              const LinkProfile& profile, const ec::ErasureCodec& codec,
-             EcProtoConfig config);
+             EcProtoConfig config, const SrProtoConfig& sr);
   /// Completes the receives of messages still in flight, then deregisters
   /// every parity scratch MR. The Qp's context must still be alive.
   ~EcReceiver();
@@ -202,13 +192,15 @@ class EcReceiver {
   void register_metrics();
   void on_chunk_event(const core::RecvEvent& event);
   void cts_tick(std::uint64_t base);
-  bool submessage_recoverable(const MsgState& msg, std::size_t sub);
-  bool try_recover(MsgState& msg, std::size_t sub);
-  void check_message(MsgState& msg, std::uint64_t base);
+  /// Whether submessage `sub` is complete, decoding it in place if its
+  /// data chunks are not all there.
+  bool recover(MsgState& msg, std::size_t sub);
+  /// FTO = (M + M/R) * T_INJ + beta * RTT for a message of `length` bytes.
+  double fto_s(std::size_t length) const;
   void arm_fto(MsgState& msg, std::uint64_t base);
   void on_fto(std::uint64_t base);
   void fallback_ack_tick(std::uint64_t base);
-  void send_fallback_acks(MsgState& msg, std::uint64_t base);
+  void send_fallback_acks(MsgState& msg);
   void complete(MsgState& msg, std::uint64_t base);
   /// recv_complete every receive of `msg`: its slots rebind to the NULL
   /// key, so nothing is bound to its parity scratch any more.
@@ -221,6 +213,7 @@ class EcReceiver {
   LinkProfile profile_;
   const ec::ErasureCodec& codec_;
   EcProtoConfig config_;
+  double ack_interval_s_;  // fallback ACK cadence
   std::size_t chunk_bytes_;
   MsgMap messages_;
   /// Completed-message nodes kept for reuse (see EcSender::free_).

@@ -15,13 +15,18 @@ void ReliableChannel::Options::derive_timeouts() {
   sr.nack_enabled = nack;
   sr.ack_interval_s = std::max(rtt / 16.0, profile.chunk_injection_s() * 8.0);
   sr.nack_holdoff_s = rtt;
-  ec.fallback_rto_s = 3.0 * rtt;
-  ec.fallback_ack_interval_s = sr.ack_interval_s;
 }
 
 ReliableChannel::ReliableChannel(sim::Simulator& simulator, verbs::Nic& src,
                                  verbs::Nic& dst, Options options)
-    : sim_(simulator), options_(options) {
+    : sim_(simulator),
+      options_(options),
+      eager_retx_(simulator, options_.sr, options_.profile,
+                  telemetry::ProfCategory::kSr,
+                  [this](std::uint64_t id, std::size_t, bool) {
+                    eager_transmit(id, eager_sends_.at(id).payload);
+                    return true;
+                  }) {
   src_ctx_ = std::make_unique<core::Context>(src, core::DevAttr{});
   dst_ctx_ = std::make_unique<core::Context>(dst, core::DevAttr{});
   src_qp_ = src_ctx_->create_qp(options_.attr);
@@ -60,10 +65,10 @@ ReliableChannel::ReliableChannel(sim::Simulator& simulator, verbs::Nic& src,
   if (codec_) {
     ec_sender_ = std::make_unique<EcSender>(sim_, *src_qp_, *src_control_,
                                             options_.profile, *codec_,
-                                            options_.ec);
+                                            options_.ec, options_.sr);
     ec_receiver_ = std::make_unique<EcReceiver>(sim_, *dst_qp_, *dst_control_,
                                                 options_.profile, *codec_,
-                                                options_.ec);
+                                                options_.ec, options_.sr);
   }
 
   if (options_.eager_threshold_bytes > 0) {
@@ -114,8 +119,8 @@ Status ReliableChannel::recv(std::uint8_t* buffer, std::size_t length,
 }
 
 // ---------------------------------------------------------------------------
-// Eager small-message path: payload in the control datagram, stop-and-wait
-// reliability, no CTS round trip. Sizes are known on both sides, so the
+// Eager small-message path: payload in the control datagram, retransmitted
+// until acked, no CTS round trip. Sizes are known on both sides, so the
 // eager/rendezvous split never desynchronizes the order-based matching.
 // ---------------------------------------------------------------------------
 
@@ -129,25 +134,19 @@ Status ReliableChannel::eager_send(const std::uint8_t* data,
   EagerSend& state = eager_sends_[id];
   state.payload.assign(data, data + length);
   state.done = std::move(done);
-  eager_transmit(id);
+  state.stream.reset(1);
+  eager_transmit(id, state.payload);
+  eager_retx_.start(state.stream, id);
   return Status::ok();
 }
 
-void ReliableChannel::eager_transmit(std::uint64_t id) {
-  const auto it = eager_sends_.find(id);
-  if (it == eager_sends_.end()) return;
-  EagerSend& state = it->second;
-  ++state.attempts;
-
+void ReliableChannel::eager_transmit(std::uint64_t id,
+                                     const std::vector<std::uint8_t>& payload) {
   ControlMessage& msg = ctrl_scratch_;
   reset_control(msg, ControlType::kEagerData, id);
-  msg.payload.assign(state.payload.begin(), state.payload.end());
+  msg.payload.assign(payload.begin(), payload.end());
   encode_control(msg, wire_scratch_);
   src_control_->send(wire_scratch_.data(), wire_scratch_.size());
-
-  state.timer =
-      sim_.schedule(SimTime::from_seconds(1.5 * options_.profile.rtt_s),
-                    [this, id] { eager_transmit(id); });
 }
 
 Status ReliableChannel::eager_recv(std::uint8_t* buffer, std::size_t length,
@@ -197,7 +196,7 @@ void ReliableChannel::on_src_control(const std::uint8_t* data,
       decode_scratch_.type == ControlType::kEagerAck) {
     const auto it = eager_sends_.find(decode_scratch_.msg_number);
     if (it != eager_sends_.end()) {
-      if (it->second.timer.valid()) sim_.cancel(it->second.timer);
+      eager_retx_.cancel(it->second.stream);
       DoneFn done = std::move(it->second.done);
       eager_sends_.erase(it);
       if (done) done(Status::ok());

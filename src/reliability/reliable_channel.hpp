@@ -40,8 +40,8 @@ class ReliableChannel {
     /// Eager small-message path (the §4.1 rendezvous-vs-eager freedom,
     /// citing [43]): messages up to this many bytes ride the control-path
     /// datagram directly, skipping the SDR CTS round trip. 0 disables.
-    /// Bounded by the control datagram size (~4000 B of payload). Its
-    /// stop-and-wait retransmission timeout is 1.5 RTT of the profile.
+    /// Bounded by the control datagram size (~4000 B of payload). Lost
+    /// datagrams are retransmitted like SR chunks, under `sr`'s RTO policy.
     std::size_t eager_threshold_bytes{0};
 
     /// Pre-posted control-path datagram buffers per ControlLink. The
@@ -51,7 +51,7 @@ class ReliableChannel {
     std::size_t control_recv_buffers{256};
 
     /// Derive protocol timeouts from the link profile (RTO = 3 RTT for the
-    /// RTO scheme, 1.2 RTT with NACK; paper §5.1.1).
+    /// RTO scheme and EC's fallback, 1.5 RTT with NACK; paper §5.1.1).
     void derive_timeouts();
   };
 
@@ -83,15 +83,15 @@ class ReliableChannel {
   Status eager_send(const std::uint8_t* data, std::size_t length,
                     DoneFn done);
   Status eager_recv(std::uint8_t* buffer, std::size_t length, DoneFn done);
-  void eager_transmit(std::uint64_t id);
+  void eager_transmit(std::uint64_t id,
+                      const std::vector<std::uint8_t>& payload);
   void on_src_control(const std::uint8_t* data, std::size_t length);
   void on_dst_control(const std::uint8_t* data, std::size_t length);
 
   struct EagerSend {
     std::vector<std::uint8_t> payload;
     DoneFn done;
-    sim::EventId timer{};
-    int attempts{0};
+    Retransmitter::Stream stream;  // one chunk: the datagram
   };
   struct EagerRecv {
     std::uint8_t* buffer{nullptr};
@@ -127,6 +127,7 @@ class ReliableChannel {
 
   sim::Simulator& sim_;
   Options options_;
+  Retransmitter eager_retx_;  // keyed by eager message id
   std::unique_ptr<core::Context> src_ctx_;
   std::unique_ptr<core::Context> dst_ctx_;
   core::Qp* src_qp_{nullptr};

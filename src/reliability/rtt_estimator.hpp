@@ -17,9 +17,10 @@ class RttEstimator {
  public:
   struct Params {
     double min_rto_s{1e-4};
-    double max_rto_s{10.0};
     double initial_rto_s{0.2};
   };
+  /// RTO ceiling, whatever the samples say.
+  static constexpr double kMaxRtoS = 10.0;
 
   RttEstimator() : params_(Params{}) {}
   explicit RttEstimator(Params params) : params_(params) {}
@@ -38,21 +39,10 @@ class RttEstimator {
     ++samples_;
   }
 
-  /// Exponential backoff on a retransmission timeout (reset by the next
-  /// valid sample implicitly through rto()'s recomputation).
-  void backoff() { backoff_factor_ = std::min(backoff_factor_ * 2.0, 64.0); }
-  void reset_backoff() { backoff_factor_ = 1.0; }
-
   double rto_s() const {
-    // The pre-sample branch honors [min, max] too: backoff on the initial
-    // RTO (e.g. 0.2 s doubled six times = 12.8 s) must not escape the cap.
-    if (samples_ == 0) {
-      return std::clamp(params_.initial_rto_s * backoff_factor_,
-                        params_.min_rto_s, params_.max_rto_s);
-    }
-    const double rto = srtt_ + kK * rttvar_;
-    return std::clamp(rto * backoff_factor_, params_.min_rto_s,
-                      params_.max_rto_s);
+    const double rto = samples_ == 0 ? params_.initial_rto_s
+                                     : srtt_ + kK * rttvar_;
+    return std::clamp(rto, params_.min_rto_s, kMaxRtoS);
   }
 
   double srtt_s() const { return srtt_; }
@@ -68,7 +58,6 @@ class RttEstimator {
   Params params_;
   double srtt_{0.0};
   double rttvar_{0.0};
-  double backoff_factor_{1.0};
   std::uint64_t samples_{0};
 };
 

@@ -2,25 +2,10 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 
-#include "common/failpoint.hpp"
 #include "common/logging.hpp"
 
 namespace sdr::reliability {
-
-namespace {
-
-/// Selective-ACK window: 64-bit words following the cumulative point. "As
-/// much as fits in the ACK payload" (paper §4.1.1): 64 words cover 4096
-/// chunks (512 B on the wire). Undersizing the window makes the sender
-/// spuriously retransmit received-but-unacknowledged chunks.
-constexpr std::size_t kSelectiveWindowWords = 64;
-
-/// A gap must be at least this many chunks old (in completions) to NACK.
-constexpr std::size_t kNackGapThreshold = 2;
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Sender
@@ -32,23 +17,19 @@ SrSender::SrSender(sim::Simulator& simulator, core::Qp& qp,
     : sim_(simulator),
       qp_(qp),
       control_(control),
-      profile_(profile),
-      config_(config),
-      chunk_bytes_(qp.attr().chunk_size) {
-  RttEstimator::Params est_params;
-  est_params.initial_rto_s = config_.rto_s;  // static RTO seeds the estimator
-  // Principled floor: an acknowledgment can never return faster than the
-  // round trip plus the receiver's ACK cadence; an RTO below that would
-  // guarantee spurious retransmission storms.
-  est_params.min_rto_s = profile.rtt_s + 2.0 * config_.ack_interval_s;
-  estimator_ = RttEstimator(est_params);
+      chunk_bytes_(qp.attr().chunk_size),
+      retx_(simulator, config, profile, telemetry::ProfCategory::kSr,
+            [this](std::uint64_t msg_number, std::size_t chunk, bool expired) {
+              return resend(msg_number, chunk, expired);
+            }) {
   control_.set_receiver(
       [this](const std::uint8_t* d, std::size_t n) { on_control(d, n); });
   // Retransmission timers start when the receiver's CTS arrives (that is
   // when injection actually begins); arming them at write() time would
   // spuriously fire while the chunks are still queued behind the CTS.
   qp_.set_cts_handler([this](std::uint64_t msg_number) {
-    arm_all_timers(msg_number);
+    const auto it = messages_.find(msg_number);
+    if (it != messages_.end()) retx_.start(it->second.stream, msg_number);
   });
   if (telemetry::enabled()) register_metrics();
 }
@@ -61,8 +42,8 @@ void SrSender::register_metrics() {
   tele_.bind_counter("retransmissions", &stats_.retransmissions);
   tele_.bind_counter("acks_received", &stats_.acks_received);
   tele_.bind_counter("nacks_received", &stats_.nacks_received);
-  tele_.bind_gauge("srtt_s", [this] { return estimator_.srtt_s(); });
-  tele_.bind_gauge("rto_s", [this] { return current_rto_s(); });
+  tele_.bind_gauge("srtt_s", [this] { return retx_.estimator().srtt_s(); });
+  tele_.bind_gauge("rto_s", [this] { return retx_.rto_s(); });
   tele_.bind_gauge("inflight_messages", [this] {
     return static_cast<double>(messages_.size());
   });
@@ -82,7 +63,7 @@ Status SrSender::write(const std::uint8_t* data, std::size_t length,
   const std::uint64_t msg_number = handle->msg_number();
   MsgState* state;
   if (spare_) {
-    // Reuse the node (and the per-chunk vector capacity inside it) of a
+    // Reuse the node (and the per-chunk array capacity inside it) of a
     // finished message instead of allocating a fresh one.
     spare_.key() = msg_number;
     state = &messages_.insert(std::move(spare_)).position->second;
@@ -93,14 +74,8 @@ Status SrSender::write(const std::uint8_t* data, std::size_t length,
   msg.handle = handle;
   msg.data = data;
   msg.length = length;
-  msg.chunks = (length + chunk_bytes_ - 1) / chunk_bytes_;
-  msg.acked_count = 0;
-  msg.acked.resize(msg.chunks);
-  msg.timers.assign(msg.chunks, sim::EventId{});
-  msg.sent_at_s.assign(msg.chunks, -1.0);
-  msg.retries.assign(msg.chunks, 0);
-  msg.retransmitted.resize(msg.chunks);
-  msg.cts_at_s = -1.0;
+  const std::size_t chunks = (length + chunk_bytes_ - 1) / chunk_bytes_;
+  msg.stream.reset(chunks);
   msg.write_at_s = sim_.now().seconds();
   msg.done = std::move(done);
   ++stats_.messages;
@@ -109,28 +84,17 @@ Status SrSender::write(const std::uint8_t* data, std::size_t length,
     telemetry::emit({.t = sim_.now(), .kind = telemetry::EventKind::kWrite,
                      .layer = telemetry::Layer::kSr,
                      .conn = qp_.control_qp_num(), .msg = msg_number,
-                     .a = length, .b = msg.chunks});
+                     .a = length, .b = chunks});
   }
 
-  for (std::size_t c = 0; c < msg.chunks; ++c) {
-    send_chunk(msg, c, /*retransmission=*/false);
+  for (std::size_t c = 0; c < chunks; ++c) {
+    inject(msg, c, /*retransmission=*/false);
   }
-  if (handle->cts_ready()) arm_all_timers(msg_number);
+  if (handle->cts_ready()) retx_.start(msg.stream, msg_number);
   return Status::ok();
 }
 
-void SrSender::arm_all_timers(std::uint64_t msg_number) {
-  const auto it = messages_.find(msg_number);
-  if (it == messages_.end()) return;
-  MsgState& msg = it->second;
-  msg.cts_at_s = sim_.now().seconds();
-  for (std::size_t c = 0; c < msg.chunks; ++c) {
-    if (!msg.acked.test(c) && !msg.timers[c].valid()) arm_timer(msg_number, c);
-  }
-}
-
-void SrSender::send_chunk(MsgState& msg, std::size_t chunk,
-                          bool retransmission) {
+bool SrSender::inject(MsgState& msg, std::size_t chunk, bool retransmission) {
   const std::size_t offset = chunk * chunk_bytes_;
   const std::size_t len = std::min(chunk_bytes_, msg.length - offset);
   if (retransmission && telemetry::observing()) {
@@ -143,54 +107,33 @@ void SrSender::send_chunk(MsgState& msg, std::size_t chunk,
                      .conn = qp_.control_qp_num(),
                      .msg = msg.handle->msg_number(),
                      .chunk = static_cast<std::uint32_t>(chunk), .bytes = len,
-                     .a = chunk, .b = msg.retries[chunk], .c = len});
+                     .a = chunk, .b = msg.stream.chunks[chunk].retries,
+                     .c = len});
   }
   const Status s =
       qp_.send_stream_continue(msg.handle, msg.data + offset, offset, len);
   if (!s) {
     SDR_WARN("SR chunk injection failed: %s", std::string(to_string(s.code())).c_str());
-    return;
+    return false;
   }
-  msg.sent_at_s[chunk] = sim_.now().seconds();
-  if (retransmission) {
-    msg.retransmitted.set(chunk);
-    if (msg.retries[chunk] < 8) ++msg.retries[chunk];
-    ++stats_.retransmissions;
-  }
+  if (retransmission) ++stats_.retransmissions;
   ++stats_.chunks_sent;
+  return true;
 }
 
-void SrSender::arm_timer(std::uint64_t msg_number, std::size_t chunk) {
-  const auto it = messages_.find(msg_number);
-  if (it == messages_.end()) return;
-  // Per-chunk exponential backoff (capped at 16x — the base RTO is already
-  // conservative) plus up to 25% jitter: without jitter, the RTOs of all
-  // chunks lost in one burst expire together and the retransmission storm
-  // tail-drops itself in congested queues.
-  const double backoff =
-      static_cast<double>(1u << std::min<std::uint8_t>(
-          it->second.retries[chunk], 4));
-  const double jitter = 1.0 + 0.25 * rng_.next_double();
-  it->second.timers[chunk] = sim_.schedule(
-      SimTime::from_seconds(current_rto_s() * backoff * jitter),
-      [this, msg_number, chunk] {
-        telemetry::ProfScope prof(telemetry::ProfCategory::kSr);
-        const auto mit = messages_.find(msg_number);
-        if (mit == messages_.end()) return;
-        MsgState& msg = mit->second;
-        if (msg.acked.test(chunk)) return;
-        if (telemetry::observing()) {
-          // a = chunk, b = retries so far, c = current RTO in microseconds.
-          telemetry::emit(
-              {.t = sim_.now(), .kind = telemetry::EventKind::kRtoFired,
-               .layer = telemetry::Layer::kSr, .conn = qp_.control_qp_num(),
-               .msg = msg_number, .chunk = static_cast<std::uint32_t>(chunk),
-               .a = chunk, .b = msg.retries[chunk],
-               .c = static_cast<std::uint64_t>(current_rto_s() * 1e6)});
-        }
-        send_chunk(msg, chunk, /*retransmission=*/true);
-        arm_timer(msg_number, chunk);
-      });
+bool SrSender::resend(std::uint64_t msg_number, std::size_t chunk,
+                      bool expired) {
+  MsgState& msg = messages_.find(msg_number)->second;
+  if (expired && telemetry::observing()) {
+    // a = chunk, b = retries so far, c = current RTO in microseconds.
+    telemetry::emit(
+        {.t = sim_.now(), .kind = telemetry::EventKind::kRtoFired,
+         .layer = telemetry::Layer::kSr, .conn = qp_.control_qp_num(),
+         .msg = msg_number, .chunk = static_cast<std::uint32_t>(chunk),
+         .a = chunk, .b = msg.stream.chunks[chunk].retries,
+         .c = static_cast<std::uint64_t>(retx_.rto_s() * 1e6)});
+  }
+  return inject(msg, chunk, /*retransmission=*/true);
 }
 
 void SrSender::on_control(const std::uint8_t* data, std::size_t length) {
@@ -199,29 +142,32 @@ void SrSender::on_control(const std::uint8_t* data, std::size_t length) {
   const ControlMessage& msg = ctrl_scratch_;
   const auto it = messages_.find(msg.msg_number);
   if (it == messages_.end()) return;  // stale ACK for a finished message
+  MsgState& state = it->second;
 
   switch (msg.type) {
     case ControlType::kSrAck:
       ++stats_.acks_received;
-      apply_ack(it->second, msg);
+      retx_.apply_ack(state.stream, msg, [&](std::size_t, double sample_s) {
+        if (sample_s >= 0.0) rtt_hist_.record(sample_s);
+        if (chunk_completion_hist_.live() && state.write_at_s >= 0.0) {
+          chunk_completion_hist_.record(sim_.now().seconds() -
+                                        state.write_at_s);
+        }
+      });
       if (telemetry::observing()) {
         // a = cumulative point, b = chunks acked, c = chunks.
         telemetry::emit({.t = sim_.now(),
                          .kind = telemetry::EventKind::kAckApplied,
                          .layer = telemetry::Layer::kSr,
                          .conn = qp_.control_qp_num(), .msg = msg.msg_number,
-                         .a = msg.cumulative, .b = it->second.acked_count,
-                         .c = it->second.chunks});
+                         .a = msg.cumulative, .b = state.stream.acked_count,
+                         .c = state.stream.chunks.size()});
       }
       break;
-    case ControlType::kSrNack: {
+    case ControlType::kSrNack:
       ++stats_.nacks_received;
-      MsgState& state = it->second;
       for (std::uint32_t chunk : msg.indices) {
-        if (chunk >= state.chunks || state.acked.test(chunk)) continue;
-        if (state.timers[chunk].valid()) sim_.cancel(state.timers[chunk]);
-        send_chunk(state, chunk, /*retransmission=*/true);
-        arm_timer(msg.msg_number, chunk);
+        retx_.retransmit(state.stream, msg.msg_number, chunk);
       }
       if (telemetry::observing()) {
         // a = NACKed chunks, b = the first of them.
@@ -233,62 +179,16 @@ void SrSender::on_control(const std::uint8_t* data, std::size_t length) {
                          .b = msg.indices.empty() ? 0u : msg.indices[0]});
       }
       break;
-    }
     default:
       break;
   }
-  // apply_ack may have finished the message.
-  if (const auto again = messages_.find(msg.msg_number);
-      again != messages_.end() &&
-      again->second.acked_count == again->second.chunks) {
-    finish(msg.msg_number);
-  }
-}
-
-void SrSender::apply_ack(MsgState& msg, const ControlMessage& ack) {
-  const std::size_t cumulative =
-      std::min<std::size_t>(ack.cumulative, msg.chunks);
-  for (std::size_t c = 0; c < cumulative; ++c) mark_acked(msg, c);
-  // Word scan over the selective window: countr_zero jumps straight to the
-  // next set bit; clearing it with `word & (word - 1)` makes the loop cost
-  // proportional to acked chunks, not window width.
-  for (std::size_t w = 0; w < ack.selective.size(); ++w) {
-    std::uint64_t word = ack.selective[w];
-    const std::size_t base = ack.selective_base + w * 64;
-    while (word != 0) {
-      const std::size_t chunk =
-          base + static_cast<std::size_t>(std::countr_zero(word));
-      word &= word - 1;
-      if (chunk < msg.chunks) mark_acked(msg, chunk);
-    }
-  }
-}
-
-void SrSender::mark_acked(MsgState& msg, std::size_t chunk) {
-  if (msg.acked.test(chunk)) return;
-  msg.acked.set(chunk);
-  ++msg.acked_count;
-  if (msg.timers[chunk].valid()) {
-    sim_.cancel(msg.timers[chunk]);
-    msg.timers[chunk] = {};
-  }
-  if (!msg.retransmitted.test(chunk) && msg.sent_at_s[chunk] >= 0.0) {
-    // Karn: only never-retransmitted chunks yield unambiguous RTT samples.
-    // Chunks queued before the CTS only start travelling when it arrives.
-    const double departed = std::max(msg.sent_at_s[chunk], msg.cts_at_s);
-    const double sample = sim_.now().seconds() - departed;
-    if (config_.adaptive_rto) estimator_.update(sample);
-    rtt_hist_.record(sample);
-  }
-  if (chunk_completion_hist_.live() && msg.write_at_s >= 0.0) {
-    chunk_completion_hist_.record(sim_.now().seconds() - msg.write_at_s);
-  }
+  if (state.stream.complete()) finish(msg.msg_number);
 }
 
 void SrSender::finish(std::uint64_t msg_number) {
   const auto it = messages_.find(msg_number);
   if (it == messages_.end()) return;
-  // Extract rather than erase: the node (with its vector capacity) is kept
+  // Extract rather than erase: the node (with its array capacity) is kept
   // for the next write(). The callback runs after the extraction so a
   // re-entrant write() sees a consistent map either way.
   auto node = messages_.extract(it);
@@ -301,24 +201,16 @@ void SrSender::finish(std::uint64_t msg_number) {
     telemetry::emit({.t = sim_.now(), .kind = telemetry::EventKind::kMsgDone,
                      .layer = telemetry::Layer::kSr,
                      .conn = qp_.control_qp_num(), .msg = msg_number,
-                     .a = msg.chunks, .b = stats_.retransmissions});
+                     .a = msg.stream.chunks.size(),
+                     .b = stats_.retransmissions});
   }
   qp_.send_stream_end(msg.handle);
-  reap(msg.handle);
+  reap(sim_, qp_, msg.handle);
   DoneFn done = std::move(msg.done);
   msg.handle = nullptr;
   msg.data = nullptr;
   spare_ = std::move(node);
   if (done) done(Status::ok());
-}
-
-void SrSender::reap(core::SendHandle* handle) {
-  // Poll the handle until the backend confirms injection completed, then it
-  // is recycled; lazy polling keeps completion latency off the ACK path.
-  if (qp_.send_poll(handle).code() == StatusCode::kNotReady) {
-    sim_.schedule(SimTime::from_micros(10),
-                  [this, handle] { reap(handle); });
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -409,25 +301,7 @@ void SrReceiver::send_ack(MsgState& msg) {
   if (!qp_.recv_bitmap_get(msg.handle, &bitmap)) return;
 
   ControlMessage& ack = ctrl_scratch_;
-  reset_control(ack, ControlType::kSrAck, msg.handle->msg_number());
-  std::size_t cumulative = bitmap->first_zero(msg.chunks);
-  // Failpoint for the conformance harness (src/check/): claim one chunk
-  // beyond the true cumulative point, silently "acknowledging" the first
-  // missing chunk — the classic off-by-one a bitmap ACK encoder can make.
-  if (SDR_FAILPOINT("sr.ack_cumulative_off_by_one") &&
-      cumulative < msg.chunks) {
-    ++cumulative;
-  }
-  ack.cumulative = static_cast<std::uint32_t>(cumulative);
-  // Selective window: words starting at the cumulative point.
-  const std::size_t base_word = cumulative / 64;
-  ack.selective_base = static_cast<std::uint32_t>(base_word * 64);
-  ack.selective.reserve(kSelectiveWindowWords);
-  for (std::size_t w = 0; w < kSelectiveWindowWords; ++w) {
-    const std::size_t wi = base_word + w;
-    if (wi >= bitmap_words(msg.chunks)) break;
-    ack.selective.push_back(bitmap->load_word(wi));
-  }
+  build_ack(ack, msg.handle->msg_number(), *bitmap, msg.chunks);
   encode_control(ack, wire_scratch_);
   control_.send(wire_scratch_.data(), wire_scratch_.size());
   ++stats_.acks_sent;
@@ -445,6 +319,8 @@ void SrReceiver::maybe_nack(MsgState& msg, std::size_t completed_chunk) {
   const AtomicBitmap* bitmap = nullptr;
   if (!qp_.recv_bitmap_get(msg.handle, &bitmap)) return;
   const std::size_t cumulative = bitmap->first_zero(msg.chunks);
+  // A gap must be at least this many chunks old (in completions) to NACK.
+  constexpr std::size_t kNackGapThreshold = 2;
   if (completed_chunk < cumulative + kNackGapThreshold) return;
 
   // send_ack and maybe_nack never overlap within one callback, so they can

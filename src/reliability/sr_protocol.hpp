@@ -21,34 +21,16 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/bitmap.hpp"
-#include "common/rng.hpp"
 #include "common/status.hpp"
 #include "reliability/ack_codec.hpp"
 #include "reliability/control_link.hpp"
 #include "reliability/profile.hpp"
-#include "reliability/rtt_estimator.hpp"
+#include "reliability/selective_repeat.hpp"
 #include "sdr/sdr.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace sdr::reliability {
-
-struct SrProtoConfig {
-  /// Chunk retransmission timeout. The paper sets RTO = RTT + alpha*RTT;
-  /// the "SR RTO" evaluation scenario corresponds to 3 RTT.
-  double rto_s{0.075};
-  /// Receiver ACK cadence.
-  double ack_interval_s{0.005};
-  /// Enable receiver-side NACKs on bitmap gaps.
-  bool nack_enabled{false};
-  /// Re-NACK suppression interval (seconds); ~1 RTT is sensible.
-  double nack_holdoff_s{0.025};
-  /// Adaptive RTO (paper §4.1.1 "RTO tuning"): estimate the RTO from
-  /// per-chunk acknowledgment RTT samples (RFC 6298 / Karn) instead of
-  /// using the static rto_s. rto_s still seeds the initial timeout.
-  bool adaptive_rto{false};
-};
 
 struct SrSenderStats {
   std::uint64_t messages{0};
@@ -75,52 +57,31 @@ class SrSender {
   /// harness): replaces the static RTO for timers armed from now on.
   /// Already-armed chunk timers keep their old deadline — exactly the race
   /// the harness wants to explore. No effect while adaptive_rto is on.
-  void set_static_rto(double rto_s) { config_.rto_s = rto_s; }
+  void set_static_rto(double rto_s) { retx_.set_static_rto(rto_s); }
 
   const SrSenderStats& stats() const { return stats_; }
+  const RttEstimator& rtt_estimator() const { return retx_.estimator(); }
 
  private:
   struct MsgState {
     core::SendHandle* handle{nullptr};
     const std::uint8_t* data{nullptr};
     std::size_t length{0};
-    std::size_t chunks{0};
-    std::size_t acked_count{0};
-    Bitmap acked;
-    std::vector<sim::EventId> timers;
-    // Adaptive RTO bookkeeping: last transmission time per chunk, and
-    // whether the chunk was ever retransmitted (Karn's algorithm excludes
-    // retransmitted chunks from RTT sampling). cts_at_s records when the
-    // receiver's CTS arrived — chunks issued before it only start
-    // travelling then, so RTT samples are measured from max(sent, cts).
-    // retries drives per-chunk exponential backoff of the timer.
-    std::vector<double> sent_at_s;
-    std::vector<std::uint8_t> retries;
-    Bitmap retransmitted;
-    double cts_at_s{-1.0};
+    Retransmitter::Stream stream;  // one entry per chunk
     double write_at_s{-1.0};  // write() sim time (completion latency)
     DoneFn done;
   };
 
-  double current_rto_s() const {
-    return config_.adaptive_rto ? estimator_.rto_s() : config_.rto_s;
-  }
-
   void register_metrics();
-  void send_chunk(MsgState& msg, std::size_t chunk, bool retransmission);
-  void arm_timer(std::uint64_t msg_number, std::size_t chunk);
-  void arm_all_timers(std::uint64_t msg_number);
+  /// Put one chunk on the wire; false if the core refused it.
+  bool inject(MsgState& msg, std::size_t chunk, bool retransmission);
+  bool resend(std::uint64_t msg_number, std::size_t chunk, bool expired);
   void on_control(const std::uint8_t* data, std::size_t length);
-  void apply_ack(MsgState& msg, const ControlMessage& ack);
-  void mark_acked(MsgState& msg, std::size_t chunk);
   void finish(std::uint64_t msg_number);
-  void reap(core::SendHandle* handle);
 
   sim::Simulator& sim_;
   core::Qp& qp_;
   ControlLink& control_;
-  LinkProfile profile_;
-  SrProtoConfig config_;
   std::size_t chunk_bytes_;
   std::unordered_map<std::uint64_t, MsgState> messages_;
   /// Finished-message state kept for reuse: the map node and the per-chunk
@@ -130,17 +91,13 @@ class SrSender {
   std::unordered_map<std::uint64_t, MsgState>::node_type spare_;
   /// Decode scratch: reused per control message, capacity sticks.
   ControlMessage ctrl_scratch_;
-  RttEstimator estimator_;
-  Rng rng_{0x5EEDCAFE};  // retransmission-timer jitter
+  Retransmitter retx_;
   SrSenderStats stats_;
-  telemetry::HistogramHandle rtt_hist_;  // adaptive-RTO RTT samples
+  telemetry::HistogramHandle rtt_hist_;  // Karn RTT samples
   // Tail-latency rollups: write() -> chunk acked / message finished.
   telemetry::HistogramHandle chunk_completion_hist_;
   telemetry::HistogramHandle msg_completion_hist_;
   telemetry::Scope tele_;  // last member: unbinds before stats_ dies
-
- public:
-  const RttEstimator& rtt_estimator() const { return estimator_; }
 };
 
 struct SrReceiverStats {

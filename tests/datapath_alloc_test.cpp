@@ -432,13 +432,14 @@ struct EcAllocRun {
     reliability::EcProtoConfig config;
     config.k = 4;
     config.m = 2;
-    config.fallback_rto_s = 3.0 * profile.rtt_s;
-    config.fallback_ack_interval_s = profile.rtt_s / 4.0;
+    reliability::SrProtoConfig sr;
+    sr.rto_s = 3.0 * profile.rtt_s;
+    sr.ack_interval_s = profile.rtt_s / 4.0;
     codec = std::make_unique<ec::ReedSolomon>(config.k, config.m);
-    sender = std::make_unique<reliability::EcSender>(sim, *qa, *ctrl_a,
-                                                     profile, *codec, config);
+    sender = std::make_unique<reliability::EcSender>(
+        sim, *qa, *ctrl_a, profile, *codec, config, sr);
     receiver = std::make_unique<reliability::EcReceiver>(
-        sim, *qb, *ctrl_b, profile, *codec, config);
+        sim, *qb, *ctrl_b, profile, *codec, config, sr);
 
     src.assign(kMsgBytes, 0x5A);
     dst.assign(kInflight * kMsgBytes, 0);

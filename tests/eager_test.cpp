@@ -88,7 +88,7 @@ TEST(EagerPathTest, LargeMessagesStillUseRendezvous) {
 
 TEST(EagerPathTest, SurvivesControlPathLoss) {
   // 20% loss on the data/control direction: eager data or its ack may
-  // vanish; the stop-and-wait retransmission must converge.
+  // vanish; the retransmission must converge.
   EagerHarness h(2048, 0.2, 0.0);
   for (int i = 0; i < 10; ++i) {
     h.transfer(512, static_cast<std::uint8_t>(i));

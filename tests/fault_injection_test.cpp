@@ -1,8 +1,8 @@
 // Deterministic fault-injection tests: with ScriptedDrop the exact loss
 // pattern is chosen, so the protocols' responses can be asserted precisely —
 // SR retransmits exactly the dropped chunks; EC recovers exactly up to its
-// code tolerance and falls back one drop beyond it; both deliver a message
-// whose CTS was lost.
+// code tolerance and falls back one drop beyond it, and its fallback backs
+// off into a black hole; both deliver a message whose CTS was lost.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -42,6 +42,16 @@ struct ScriptedPair {
 
   explicit ScriptedPair(std::vector<std::uint64_t> drops,
                         std::vector<std::uint64_t> backward_drops = {}) {
+    wire(std::make_unique<sim::ScriptedDrop>(std::move(drops)),
+         std::move(backward_drops));
+  }
+  explicit ScriptedPair(std::unique_ptr<sim::DropModel> forward) {
+    wire(std::move(forward), {});
+  }
+
+ private:
+  void wire(std::unique_ptr<sim::DropModel> forward,
+            std::vector<std::uint64_t> backward_drops) {
     sim::Channel::Config cfg;
     cfg.bandwidth_bps = 100e9;
     cfg.distance_km = 100.0;
@@ -49,7 +59,7 @@ struct ScriptedPair {
     a = std::make_unique<verbs::Nic>(sim, 1);
     b = std::make_unique<verbs::Nic>(sim, 2);
     link = std::make_unique<sim::DuplexLink>(
-        sim, cfg, std::make_unique<sim::ScriptedDrop>(std::move(drops)),
+        sim, cfg, std::move(forward),
         std::make_unique<sim::ScriptedDrop>(std::move(backward_drops)));
     link->forward().set_receiver(
         [nic = b.get()](sim::Packet&& p) { nic->deliver(std::move(p)); });
@@ -153,10 +163,11 @@ TEST(FaultInjectionTest, EcRecoversExactlyMDropsInPlace) {
   EcProtoConfig config;
   config.k = 8;
   config.m = 4;
-  config.fallback_rto_s = 3.0 * profile.rtt_s;
-  config.fallback_ack_interval_s = profile.rtt_s / 4.0;
-  EcSender sender(pair.sim, *qa, ca, profile, codec, config);
-  EcReceiver receiver(pair.sim, *qb, cb, profile, codec, config);
+  SrProtoConfig sr;
+  sr.rto_s = 3.0 * profile.rtt_s;
+  sr.ack_interval_s = profile.rtt_s / 4.0;
+  EcSender sender(pair.sim, *qa, ca, profile, codec, config, sr);
+  EcReceiver receiver(pair.sim, *qb, cb, profile, codec, config, sr);
 
   const std::size_t len = 8 * 1024;  // exactly one submessage
   const auto src = pattern(len, 2);
@@ -199,10 +210,11 @@ TEST(FaultInjectionTest, EcFallsBackExactlyBeyondTolerance) {
   EcProtoConfig config;
   config.k = 8;
   config.m = 4;
-  config.fallback_rto_s = 3.0 * profile.rtt_s;
-  config.fallback_ack_interval_s = profile.rtt_s / 4.0;
-  EcSender sender(pair.sim, *qa, ca, profile, codec, config);
-  EcReceiver receiver(pair.sim, *qb, cb, profile, codec, config);
+  SrProtoConfig sr;
+  sr.rto_s = 3.0 * profile.rtt_s;
+  sr.ack_interval_s = profile.rtt_s / 4.0;
+  EcSender sender(pair.sim, *qa, ca, profile, codec, config, sr);
+  EcReceiver receiver(pair.sim, *qb, cb, profile, codec, config, sr);
 
   const std::size_t len = 8 * 1024;
   const auto src = pattern(len, 3);
@@ -220,6 +232,72 @@ TEST(FaultInjectionTest, EcFallsBackExactlyBeyondTolerance) {
   EXPECT_EQ(receiver.stats().ftos_fired, 1u);
   EXPECT_EQ(receiver.stats().fallback_submessages, 1u);
   EXPECT_GT(sender.stats().fallback_retransmissions, 0u);
+}
+
+/// Drops forward packets [0, lost) and every one from `black_hole` on.
+class BlackHoleAfter final : public sim::DropModel {
+ public:
+  BlackHoleAfter(std::uint64_t lost, std::uint64_t black_hole)
+      : lost_(lost), black_hole_(black_hole) {}
+  bool should_drop(Rng& /*rng*/, std::size_t /*bytes*/) override {
+    const std::uint64_t i = counter_++;
+    return i < lost_ || i >= black_hole_;
+  }
+
+ private:
+  std::uint64_t lost_;
+  std::uint64_t black_hole_;
+  std::uint64_t counter_{0};
+};
+
+TEST(FaultInjectionTest, EcFallbackBacksOffIntoABlackHole) {
+  // The first transmission loses m+1 = 5 of its 12 chunks, so the FTO NACKs
+  // the submessage; from then on the forward path drops everything. The
+  // fallback must back off like SR: after the NACK resends all k chunks,
+  // a chunk's n-th timeout waits at least RTO * 2^min(n, 4), so over the
+  // horizon H each chunk fires at most 3 + H / (16 RTO) times. A fixed
+  // RTO would fire H / RTO times.
+  ScriptedPair pair(std::make_unique<BlackHoleAfter>(5, 12));
+  core::Context ctx_a(*pair.a, core::DevAttr{});
+  core::Context ctx_b(*pair.b, core::DevAttr{});
+  core::Qp* qa = ctx_a.create_qp(one_packet_chunks());
+  core::Qp* qb = ctx_b.create_qp(one_packet_chunks());
+  qa->connect(qb->info());
+  qb->connect(qa->info());
+  ControlLink ca(*pair.a), cb(*pair.b);
+  ca.connect(2, cb.qp_number());
+  cb.connect(1, ca.qp_number());
+
+  LinkProfile profile;
+  profile.bandwidth_bps = 100e9;
+  profile.rtt_s = rtt_s(100.0);
+  profile.mtu = 1024;
+  profile.chunk_bytes = 1024;
+  ec::ReedSolomon codec(8, 4);
+  EcProtoConfig config;
+  config.k = 8;
+  config.m = 4;
+  SrProtoConfig sr;
+  sr.rto_s = 3.0 * profile.rtt_s;
+  sr.ack_interval_s = profile.rtt_s / 4.0;
+  EcSender sender(pair.sim, *qa, ca, profile, codec, config, sr);
+  EcReceiver receiver(pair.sim, *qb, cb, profile, codec, config, sr);
+
+  const std::size_t len = 8 * 1024;  // exactly one submessage
+  const auto src = pattern(len, 7);
+  std::vector<std::uint8_t> dst(len, 0);
+  const auto* mr = ctx_b.mr_reg(dst.data(), dst.size());
+  receiver.expect(dst.data(), len, mr, [](const Status&) {});
+  sender.write(src.data(), len, [](const Status&) {});
+  constexpr double kHorizonS = 2.0;
+  pair.sim.run_until(SimTime::from_seconds(kHorizonS));
+
+  EXPECT_EQ(receiver.stats().fallback_submessages, 1u);
+  const double per_chunk = 1.0 + 3.0 + kHorizonS / (16.0 * sr.rto_s);
+  const auto bound = static_cast<std::uint64_t>(config.k * per_chunk);
+  EXPECT_GT(sender.stats().fallback_retransmissions, 4 * config.k)
+      << "the timers must keep firing into the black hole";
+  EXPECT_LE(sender.stats().fallback_retransmissions, bound);
 }
 
 TEST(FaultInjectionTest, SrRecoversALostCts) {
@@ -293,10 +371,11 @@ TEST(FaultInjectionTest, EcRecoversALostCts) {
   EcProtoConfig config;
   config.k = 8;
   config.m = 4;
-  config.fallback_rto_s = 3.0 * profile.rtt_s;
-  config.fallback_ack_interval_s = profile.rtt_s / 4.0;
-  EcSender sender(pair.sim, *qa, ca, profile, codec, config);
-  EcReceiver receiver(pair.sim, *qb, cb, profile, codec, config);
+  SrProtoConfig sr;
+  sr.rto_s = 3.0 * profile.rtt_s;
+  sr.ack_interval_s = profile.rtt_s / 4.0;
+  EcSender sender(pair.sim, *qa, ca, profile, codec, config, sr);
+  EcReceiver receiver(pair.sim, *qb, cb, profile, codec, config, sr);
 
   const std::size_t len = 8 * 1024;  // exactly one submessage
   const auto src = pattern(len, 6);

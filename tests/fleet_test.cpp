@@ -137,6 +137,7 @@ INSTANTIATE_TEST_SUITE_P(AllSchemes, FleetSchemeTest,
 // a mismatch means protocol behaviour moved, not just its cost.
 struct PinnedFleet {
   Scheme scheme;
+  double p_drop;
   std::uint64_t digest;
   std::uint64_t messages_posted;
   std::uint64_t useful_bytes;
@@ -146,14 +147,19 @@ struct PinnedFleet {
 };
 
 TEST(FleetTest, SmallConfigDigestsArePinned) {
+  // At 1e-2 EC enters fallback: its NACKs resend 4 submessages (k = 4).
   const PinnedFleet pins[] = {
-      {Scheme::kSr, 1177716874911283273ULL, 88, 4276224, 68, 1, 3},
-      {Scheme::kEc, 11343702935381600925ULL, 88, 4276224, 68, 0, 3},
-      {Scheme::kRc, 10631157728260879080ULL, 88, 4276224, 61, 0, 0},
+      {Scheme::kSr, 1e-3, 1177716874911283273ULL, 88, 4276224, 68, 1, 3},
+      {Scheme::kEc, 1e-3, 11343702935381600925ULL, 88, 4276224, 68, 0, 3},
+      {Scheme::kEc, 1e-2, 7188185133440951909ULL, 88, 4276224, 68, 16, 30},
+      {Scheme::kRc, 1e-3, 10631157728260879080ULL, 88, 4276224, 61, 0, 0},
   };
   for (const PinnedFleet& pin : pins) {
-    const FleetResult r = run_fleet(small_config(pin.scheme));
-    SCOPED_TRACE(scheme_name(pin.scheme));
+    FleetConfig cfg = small_config(pin.scheme);
+    cfg.p_drop = pin.p_drop;
+    const FleetResult r = run_fleet(cfg);
+    SCOPED_TRACE(std::string(scheme_name(pin.scheme)) + " p_drop " +
+                 std::to_string(pin.p_drop));
     EXPECT_EQ(r.digest, pin.digest);
     EXPECT_EQ(r.messages_posted, pin.messages_posted);
     EXPECT_EQ(r.messages_completed, pin.messages_posted);

@@ -163,9 +163,9 @@ TEST(ReliabilityIntegrationTest, EcGlobalTimeoutAbortsOnBlackHole) {
   reliability::EcProtoConfig config;
   config.k = 8;
   config.m = 4;
-  config.global_timeout_factor = 5.0;  // fail fast for the test
-  reliability::EcSender sender(sim, *qa, ca, profile, codec, config);
-  reliability::EcReceiver receiver(sim, *qb, cb, profile, codec, config);
+  const reliability::SrProtoConfig sr;
+  reliability::EcSender sender(sim, *qa, ca, profile, codec, config, sr);
+  reliability::EcReceiver receiver(sim, *qb, cb, profile, codec, config, sr);
 
   const std::size_t len = 16 * 1024;  // 2 submessages
   const auto src = pattern(len, 4);

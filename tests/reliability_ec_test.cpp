@@ -80,12 +80,13 @@ class EcProtoFixture : public ::testing::Test {
     EcProtoConfig config;
     config.k = k;
     config.m = m;
-    config.fallback_rto_s = 3.0 * profile_.rtt_s;
-    config.fallback_ack_interval_s = profile_.rtt_s / 4.0;
+    SrProtoConfig sr;
+    sr.rto_s = 3.0 * profile_.rtt_s;
+    sr.ack_interval_s = profile_.rtt_s / 4.0;
     sender_ = std::make_unique<EcSender>(sim_, *qp_a_, *ctrl_a_, profile_,
-                                         *codec_, config);
+                                         *codec_, config, sr);
     receiver_ = std::make_unique<EcReceiver>(sim_, *qp_b_, *ctrl_b_,
-                                             profile_, *codec_, config);
+                                             profile_, *codec_, config, sr);
   }
 
   void transfer(std::size_t bytes, std::uint8_t seed,

@@ -1,12 +1,15 @@
 // End-to-end tests of the executable Selective Repeat protocol over the SDR
 // stack: delivery under loss (data and control directions), NACK mode, ACK
-// wire codec, multiple sequential messages.
+// wire codec, multiple sequential messages; and unit tests of the
+// retransmitter every retransmitting path shares.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
 #include "reliability/ack_codec.hpp"
+#include "reliability/selective_repeat.hpp"
 #include "reliability/sr_protocol.hpp"
 #include "sdr/sdr.hpp"
 #include "sim/simulator.hpp"
@@ -230,6 +233,177 @@ TEST(AckCodecTest, EmptyPayloadsRoundTrip) {
   ControlMessage decoded;
   ASSERT_TRUE(decode_control(wire.data(), wire.size(), decoded));
   EXPECT_EQ(decoded, msg);
+}
+
+// ---------------------------------------------------------------------------
+// Retransmitter
+// ---------------------------------------------------------------------------
+
+/// One Retransmitter whose streams are keyed by their index here; every
+/// resend "injects" successfully and is logged with its time.
+struct RetxHarness {
+  struct Resend {
+    double t_s;
+    std::uint64_t key;
+    std::size_t chunk;
+    bool expired;
+  };
+
+  explicit RetxHarness(SrProtoConfig config)
+      : streams(1),
+        retx(sim, config, profile(), telemetry::ProfCategory::kSr,
+             [this](std::uint64_t key, std::size_t chunk, bool expired) {
+               resends.push_back({sim.now().seconds(), key, chunk, expired});
+               return true;
+             }) {}
+
+  static LinkProfile profile() {
+    LinkProfile p;
+    p.rtt_s = 1e-4;
+    return p;
+  }
+
+  /// Open stream `key` with `chunks` chunks, sent now, and start it.
+  Retransmitter::Stream& open(std::uint64_t key, std::size_t chunks) {
+    Retransmitter::Stream& s = streams[key];
+    s.reset(chunks);
+    retx.start(s, key);
+    return s;
+  }
+
+  void run_for(double seconds) {
+    sim.run_until(sim.now() + SimTime::from_seconds(seconds));
+  }
+
+  sim::Simulator sim;
+  std::vector<Retransmitter::Stream> streams;
+  std::vector<Resend> resends;
+  Retransmitter retx;
+};
+
+SrProtoConfig static_rto(double rto_s) {
+  SrProtoConfig config;
+  config.rto_s = rto_s;
+  config.ack_interval_s = 1e-5;
+  return config;
+}
+
+TEST(RetransmitterTest, BackoffDoublesUpTo16xWithJitterBelowAQuarter) {
+  constexpr double kRto = 1e-3;
+  constexpr std::size_t kChunks = 8;
+  RetxHarness h(static_rto(kRto));
+  h.open(0, kChunks);
+  h.run_for(3.0);
+
+  // The n-th timeout of a chunk waits RTO * 2^min(n, 4) * jitter, with
+  // jitter in [1, 1.25). Timestamps are whole nanoseconds.
+  std::vector<double> last(kChunks, 0.0);
+  std::vector<int> fired(kChunks, 0);
+  double min_jitter = 2.0, max_jitter = 0.0;
+  for (const auto& r : h.resends) {
+    ASSERT_TRUE(r.expired);
+    const double backoff =
+        static_cast<double>(1 << std::min(fired[r.chunk], 4));
+    const double jitter = (r.t_s - last[r.chunk]) / (kRto * backoff);
+    EXPECT_GE(jitter, 1.0 - 1e-6) << "chunk " << r.chunk;
+    EXPECT_LT(jitter, 1.25 + 1e-6) << "chunk " << r.chunk;
+    min_jitter = std::min(min_jitter, jitter);
+    max_jitter = std::max(max_jitter, jitter);
+    last[r.chunk] = r.t_s;
+    ++fired[r.chunk];
+  }
+  for (std::size_t c = 0; c < kChunks; ++c) {
+    // 3 s covers the 2+4+8 RTO ramp and then > 100 capped timeouts.
+    EXPECT_GT(fired[c], 100) << "chunk " << c;
+    EXPECT_EQ(h.streams[0].chunks[c].retries, 8u) << "retries saturate";
+  }
+  EXPECT_GT(max_jitter - min_jitter, 0.2) << "jitter must spread the timers";
+}
+
+TEST(RetransmitterTest, KarnSamplesOnlyFirstTransmissions) {
+  SrProtoConfig config = static_rto(0.01);
+  config.adaptive_rto = true;
+  RetxHarness h(config);
+  Retransmitter::Stream& s = h.open(0, 2);
+  h.run_for(1e-3);
+  h.retx.retransmit(s, 0, 1);  // a NACK resends chunk 1
+  h.run_for(1e-3);
+
+  ControlMessage ack;
+  reset_control(ack, ControlType::kSrAck, 0);
+  ack.cumulative = 2;
+  std::vector<double> samples(2, 0.0);
+  h.retx.apply_ack(s, ack, [&](std::size_t c, double sample_s) {
+    samples[c] = sample_s;
+  });
+  EXPECT_NEAR(samples[0], 2e-3, 1e-9);
+  EXPECT_LT(samples[1], 0.0) << "a retransmitted chunk yields no sample";
+  EXPECT_EQ(h.retx.estimator().samples(), 1u);
+  EXPECT_NEAR(h.retx.estimator().srtt_s(), 2e-3, 1e-9);
+}
+
+TEST(RetransmitterTest, ChunkQueuedBeforeTheCtsIsMeasuredFromIt) {
+  RetxHarness h(static_rto(0.1));
+  Retransmitter::Stream& s = h.streams[0];
+  s.reset(1);  // sent now, queued behind the CTS
+  h.run_for(5e-3);
+  h.retx.start(s, 0);  // the CTS arrives
+  h.run_for(1e-3);
+  double sample_s = 0.0;
+  ASSERT_TRUE(h.retx.ack_chunk(s, 0, sample_s));
+  EXPECT_NEAR(sample_s, 1e-3, 1e-9);
+}
+
+TEST(RetransmitterTest, EachChunkIsAckedOnce) {
+  RetxHarness h(static_rto(1e-3));
+  Retransmitter::Stream& s = h.open(0, 130);
+  std::vector<int> acked(130, 0);
+  const auto count = [&](std::size_t c, double) { ++acked[c]; };
+
+  ControlMessage ack;
+  reset_control(ack, ControlType::kSrAck, 0);
+  ack.cumulative = 3;
+  ack.selective = {(1ULL << 2) | (1ULL << 5), 1ULL << 1};
+  h.retx.apply_ack(s, ack, count);
+  // Overlapping ACK: a later cumulative point and a window past the end.
+  reset_control(ack, ControlType::kSrAck, 0);
+  ack.cumulative = 7;
+  ack.selective_base = 64;
+  ack.selective = {(1ULL << 1) | (1ULL << 2), ~0ULL, ~0ULL};
+  h.retx.apply_ack(s, ack, count);
+
+  std::size_t distinct = 0;
+  for (std::size_t c = 0; c < acked.size(); ++c) {
+    EXPECT_LE(acked[c], 1) << "chunk " << c;
+    distinct += static_cast<std::size_t>(acked[c]);
+  }
+  // [0, 7), 65, 66 and 128..129 from the third window word.
+  EXPECT_EQ(distinct, 7u + 2u + 2u);
+  EXPECT_EQ(s.acked_count, distinct);
+  double sample_s = 0.0;
+  EXPECT_FALSE(h.retx.ack_chunk(s, 0, sample_s));
+
+  // Acked chunks lost their timers; only the others expire, once each by
+  // 1.25 RTO.
+  h.run_for(1.3e-3);
+  for (const auto& r : h.resends) EXPECT_EQ(acked[r.chunk], 0) << r.chunk;
+  EXPECT_EQ(h.resends.size(), 130u - distinct);
+}
+
+TEST(RetransmitterTest, SetStaticRtoLeavesArmedTimersAlone) {
+  RetxHarness h(static_rto(10e-3));
+  h.open(0, 1);
+  h.retx.set_static_rto(1e-3);
+  h.run_for(9.9e-3);
+  EXPECT_TRUE(h.resends.empty()) << "the armed timer kept its 10 ms RTO";
+  h.run_for(15e-3);
+  ASSERT_GE(h.resends.size(), 2u);
+  EXPECT_GE(h.resends[0].t_s, 10e-3 - 1e-9);
+  EXPECT_LT(h.resends[0].t_s, 12.5e-3);
+  // Re-armed after the retransmission: the new RTO, backed off once.
+  const double next = h.resends[1].t_s - h.resends[0].t_s;
+  EXPECT_GE(next, 2e-3 - 1e-9);
+  EXPECT_LT(next, 2.5e-3);
 }
 
 }  // namespace
