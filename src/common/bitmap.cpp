@@ -1,4 +1,4 @@
 #include "common/bitmap.hpp"
 
-// Bitmap is header-only today; this TU anchors the library target and keeps
-// a stable home for future out-of-line additions.
+// AtomicBitmap is header-only today; this TU anchors the library target and
+// keeps a stable home for future out-of-line additions.

@@ -1,11 +1,8 @@
-// Dense bitmaps used throughout the SDR stack.
-//
-// Two variants share one word-level layout:
-//  * Bitmap        — single-threaded, used by frontends, models, tests.
-//  * AtomicBitmap  — lock-free concurrent set/test, used by DPA workers that
-//                    update per-packet bitmaps from multiple threads
-//                    (paper §3.4.2: "atomically update the corresponding
-//                    chunk in the per-packet bitmap").
+// Dense bitmap used throughout the SDR stack: AtomicBitmap, lock-free
+// concurrent set/test, used by DPA workers that update per-packet bitmaps
+// from multiple threads (paper §3.4.2: "atomically update the corresponding
+// chunk in the per-packet bitmap") and by the message table's chunk and
+// packet bitmaps.
 #pragma once
 
 #include <algorithm>
@@ -13,7 +10,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 namespace sdr {
 
@@ -21,111 +17,6 @@ namespace sdr {
 constexpr std::size_t bitmap_words(std::size_t bits) {
   return (bits + 63) / 64;
 }
-
-class Bitmap {
- public:
-  Bitmap() = default;
-  explicit Bitmap(std::size_t bits)
-      : bits_(bits), words_(bitmap_words(bits), 0) {}
-
-  std::size_t size() const { return bits_; }
-  bool empty() const { return bits_ == 0; }
-
-  void resize(std::size_t bits) {
-    bits_ = bits;
-    words_.assign(bitmap_words(bits), 0);
-  }
-
-  void set(std::size_t i) { words_[i >> 6] |= (1ULL << (i & 63)); }
-  void clear(std::size_t i) { words_[i >> 6] &= ~(1ULL << (i & 63)); }
-  bool test(std::size_t i) const {
-    return (words_[i >> 6] >> (i & 63)) & 1ULL;
-  }
-
-  void clear_all() { words_.assign(words_.size(), 0); }
-  void set_all() {
-    words_.assign(words_.size(), ~0ULL);
-    mask_tail();
-  }
-
-  /// Number of set bits.
-  std::size_t popcount() const {
-    std::size_t n = 0;
-    for (std::uint64_t w : words_) n += static_cast<std::size_t>(__builtin_popcountll(w));
-    return n;
-  }
-
-  bool all_set() const { return popcount() == bits_; }
-  bool none_set() const {
-    for (std::uint64_t w : words_)
-      if (w != 0) return false;
-    return true;
-  }
-
-  /// Index of the first zero bit, or size() if all bits are set. Used by
-  /// SR receivers to compute the cumulative ACK point.
-  std::size_t first_zero() const {
-    for (std::size_t wi = 0; wi < words_.size(); ++wi) {
-      const std::uint64_t inverted = ~words_[wi];
-      if (inverted != 0) {
-        const std::size_t bit =
-            (wi << 6) + static_cast<std::size_t>(__builtin_ctzll(inverted));
-        return bit < bits_ ? bit : bits_;
-      }
-    }
-    return bits_;
-  }
-
-  /// Index of the first set bit, or size() if none. Used by EC receivers to
-  /// arm the fallback timeout when "the first bit is observed".
-  std::size_t first_set() const {
-    for (std::size_t wi = 0; wi < words_.size(); ++wi) {
-      if (words_[wi] != 0) {
-        return (wi << 6) + static_cast<std::size_t>(__builtin_ctzll(words_[wi]));
-      }
-    }
-    return bits_;
-  }
-
-  /// Append the zero-bit indices within [begin, end) to `out`.
-  /// Used by SR receivers/EC decoders to enumerate missing chunks.
-  /// Word scan: skips fully-set words in one compare instead of 64 tests.
-  void collect_zeros(std::size_t begin, std::size_t end,
-                     std::vector<std::size_t>& out) const {
-    end = std::min(end, bits_);
-    std::size_t i = begin;
-    while (i < end) {
-      const std::size_t wi = i >> 6;
-      const std::size_t word_base = wi << 6;
-      std::uint64_t missing = ~words_[wi] & (~0ULL << (i & 63));
-      while (missing != 0) {
-        const std::size_t bit =
-            word_base + static_cast<std::size_t>(__builtin_ctzll(missing));
-        if (bit >= end) break;
-        out.push_back(bit);
-        missing &= missing - 1;
-      }
-      i = word_base + 64;
-    }
-  }
-
-  /// Raw word access — the SDR API hands the reliability layer a pointer to
-  /// the chunk bitmap (recv_bitmap_get), so the words are the wire/ABI form.
-  const std::uint64_t* words() const { return words_.data(); }
-  std::uint64_t* words() { return words_.data(); }
-  std::size_t word_count() const { return words_.size(); }
-
- private:
-  void mask_tail() {
-    const std::size_t tail = bits_ & 63;
-    if (tail != 0 && !words_.empty()) {
-      words_.back() &= (1ULL << tail) - 1;
-    }
-  }
-
-  std::size_t bits_{0};
-  std::vector<std::uint64_t> words_;
-};
 
 /// Concurrent bitmap with the semantics DPA workers need: `set_and_check`
 /// atomically sets a bit and reports whether this call was the one that set

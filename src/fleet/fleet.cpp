@@ -124,8 +124,11 @@ struct Conn {
   std::uint64_t completed{0};
   std::uint64_t failed{0};  // receiver done with an error (e.g. EC abort)
 
-  std::vector<std::uint8_t> send_buf;
-  std::vector<std::uint8_t> recv_arena;
+  // One slot of max_wire_bytes per window entry. Never filled: the fleet
+  // checks only counts and timestamps, and no transport reads a receive
+  // byte before writing it (EC decode reads only chunks whose bitmap bit
+  // is set), so untouched pages stay unfaulted. Null when plan is empty.
+  std::unique_ptr<std::uint8_t[]> recv_arena;
   std::vector<std::uint32_t> free_slots;
   std::vector<std::uint32_t> slot_of_seq;
   // Outstanding completion callbacks per message: the reliable schemes
@@ -202,6 +205,10 @@ class FleetEngine {
   std::unique_ptr<verbs::Fabric> fabric_;
   std::vector<verbs::Nic*> dc_nics_;
   std::vector<std::unique_ptr<Conn>> conns_;
+  // The source of every message: the bytes are a constant nothing
+  // checks, so all connections share one read-only buffer, as long as the
+  // largest wire message and filled once before the first post.
+  std::vector<std::uint8_t> send_src_;
   std::vector<Conn*> collective_edges_;  // [participant] -> outgoing edge
   std::vector<TenantRollup> rollups_;    // tenants..., collective last
   std::vector<std::uint64_t> endpoint_bytes_;  // per sender endpoint
@@ -250,7 +257,7 @@ void Conn::start(std::size_t seq) {
   ++inflight;
 
   const std::uint32_t len = wire_bytes[seq];
-  std::uint8_t* dst = recv_arena.data() +
+  std::uint8_t* dst = recv_arena.get() +
                       static_cast<std::size_t>(slot) * max_wire_bytes;
   if (rel != nullptr) {
     Conn* self = this;
@@ -259,7 +266,7 @@ void Conn::start(std::size_t seq) {
       self->on_recv_done(seq, static_cast<bool>(st));
     });
     const Status ss = rel->send(
-        send_buf.data(), len,
+        eng->send_src_.data(), len,
         [self, seq](const Status&) { self->part_done(seq); });
     if (!rs || !ss) {
       // A refused post is a fleet-configuration bug (undersized message
@@ -276,7 +283,7 @@ void Conn::start(std::size_t seq) {
   parts_left[seq] = 1;
   verbs::WriteWr wr;
   wr.wr_id = seq;
-  wr.local_addr = send_buf.data();
+  wr.local_addr = eng->send_src_.data();
   wr.length = len;
   wr.rkey = rx_mr->rkey();
   wr.remote_offset = static_cast<std::size_t>(slot) * max_wire_bytes;
@@ -376,8 +383,10 @@ std::unique_ptr<Conn> FleetEngine::make_conn(std::size_t tenant_idx,
       conn->is_collective ? conn->plan.size()
                           : cfg_.tenants[tenant_idx].window;
   conn->window = window;
-  conn->send_buf.assign(max_wire, 0xA5);
-  conn->recv_arena.assign(window * max_wire, 0);
+  if (max_wire > 0) {
+    conn->recv_arena =
+        std::make_unique_for_overwrite<std::uint8_t[]>(window * max_wire);
+  }
   conn->free_slots.reserve(window);
   for (std::size_t s = window; s > 0; --s) {
     conn->free_slots.push_back(static_cast<std::uint32_t>(s - 1));
@@ -401,8 +410,8 @@ std::unique_ptr<Conn> FleetEngine::make_conn(std::size_t tenant_idx,
     conn->rx = dst->create_qp(rx_cfg);
     conn->tx->connect(dst->id(), conn->rx->num());
     conn->rx->connect(src->id(), conn->tx->num());
-    conn->rx_mr = dst->pd().register_mr(conn->recv_arena.data(),
-                                        conn->recv_arena.size());
+    conn->rx_mr =
+        dst->pd().register_mr(conn->recv_arena.get(), window * max_wire);
     Conn* raw = conn.get();
     conn->rx_cq->set_notify([raw] {
       while (auto cqe = raw->rx_cq->poll_one()) {
@@ -419,7 +428,6 @@ std::unique_ptr<Conn> FleetEngine::make_conn(std::size_t tenant_idx,
     options.profile.p_drop_packet = cfg_.p_drop;
     options.profile.mtu = kMtu;
     options.attr.mtu = kMtu;
-    options.control_recv_buffers = 32;
     if (cfg_.scheme == Scheme::kEc) {
       options.attr.chunk_size = kMtu;  // one coded chunk per packet
       options.ec.k = kEcK;
@@ -708,6 +716,11 @@ FleetResult FleetEngine::run() {
   build_topology();
   build_connections();
   if (collective_on) build_collective();
+  std::size_t largest = 0;
+  for (const auto& conn : conns_) {
+    largest = std::max(largest, conn->max_wire_bytes);
+  }
+  send_src_.assign(largest, 0xA5);
 
   // Posted counts: tenant plans are fully posted by construction intent;
   // count them as posted when their arrival fires (next_post advances), so

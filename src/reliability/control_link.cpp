@@ -2,25 +2,32 @@
 
 namespace sdr::reliability {
 
-ControlLink::ControlLink(verbs::Nic& nic, std::size_t recv_buffers,
-                         std::size_t buffer_bytes)
-    : nic_(nic) {
-  cq_ = std::make_unique<verbs::CompletionQueue>(recv_buffers + 16);
+namespace {
+// Datagram buffer size: one MTU. The largest datagram is an eager one,
+// 4000 B of payload plus its 23 B header.
+constexpr std::size_t kBufferBytes = 4096;
+// Posted receive buffers. One is in use at a time, since drain() runs
+// inside the CQ push of each arrival; the rest are headroom.
+constexpr std::size_t kRecvBuffers = 4;
+}  // namespace
+
+ControlLink::ControlLink(verbs::Nic& nic) : nic_(nic) {
+  cq_ = std::make_unique<verbs::CompletionQueue>(kRecvBuffers + 16);
   verbs::QpConfig cfg;
   cfg.type = verbs::QpType::kUD;
-  cfg.mtu = buffer_bytes;
+  cfg.mtu = kBufferBytes;
   cfg.recv_cq = cq_.get();
   cfg.send_cq = nullptr;
   qp_ = nic_.create_qp(cfg);
   cq_->set_notify([this] { drain(); });
 
-  buffer_bytes_ = buffer_bytes;
-  buffers_.resize(recv_buffers * buffer_bytes);
-  for (std::size_t i = 0; i < recv_buffers; ++i) {
+  buffers_ = std::make_unique_for_overwrite<std::uint8_t[]>(kRecvBuffers *
+                                                             kBufferBytes);
+  for (std::size_t i = 0; i < kRecvBuffers; ++i) {
     verbs::RecvWr rwr;
     rwr.wr_id = i;
-    rwr.addr = buffers_.data() + i * buffer_bytes_;
-    rwr.length = buffer_bytes_;
+    rwr.addr = buffers_.get() + i * kBufferBytes;
+    rwr.length = kBufferBytes;
     qp_->post_recv(rwr);
   }
 }
@@ -52,14 +59,14 @@ void ControlLink::drain() {
     if (!cqe->is_recv) continue;
     const std::size_t buf = static_cast<std::size_t>(cqe->wr_id);
     ++received_;
-    std::uint8_t* addr = buffers_.data() + buf * buffer_bytes_;
+    std::uint8_t* addr = buffers_.get() + buf * kBufferBytes;
     if (on_receive_) {
       on_receive_(addr, cqe->byte_len);
     }
     verbs::RecvWr rwr;
     rwr.wr_id = buf;
     rwr.addr = addr;
-    rwr.length = buffer_bytes_;
+    rwr.length = kBufferBytes;
     qp_->post_recv(rwr);
   }
 }

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <vector>
 
 #include "verbs/cq.hpp"
 #include "verbs/nic.hpp"
@@ -15,12 +14,13 @@ namespace sdr::reliability {
 
 class ControlLink {
  public:
-  /// Creates a UD QP on `nic` with `recv_buffers` pre-posted datagram
-  /// buffers of `buffer_bytes` each.
+  /// Creates a UD QP on `nic` with a few pre-posted 4 KiB datagram
+  /// buffers. A few suffice at any load: the CQ notify drains inline, so
+  /// each datagram is consumed and its buffer re-posted before the next
+  /// delivery can reach the QP, and at most one buffer is ever in use.
   /// Lifetime: the link owns a QP inside `nic` and unregisters it on
   /// destruction — the NIC must outlive the ControlLink.
-  ControlLink(verbs::Nic& nic, std::size_t recv_buffers = 256,
-              std::size_t buffer_bytes = 4096);
+  explicit ControlLink(verbs::Nic& nic);
   ~ControlLink();
   ControlLink(const ControlLink&) = delete;
   ControlLink& operator=(const ControlLink&) = delete;
@@ -53,9 +53,9 @@ class ControlLink {
   verbs::Qp* qp_{nullptr};
   verbs::NicId peer_nic_{0};
   verbs::QpNumber peer_qp_{0};
-  // Receive buffers: one flat allocation, buffer i at [i * buffer_bytes_].
-  std::vector<std::uint8_t> buffers_;
-  std::size_t buffer_bytes_{0};
+  // Receive buffers: one flat allocation, buffer i at [i * kBufferBytes].
+  // Never zero-filled: a handler reads only the bytes a datagram wrote.
+  std::unique_ptr<std::uint8_t[]> buffers_;
   ReceiveFn on_receive_;
   std::uint64_t sent_{0};
   std::uint64_t received_{0};

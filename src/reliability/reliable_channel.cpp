@@ -34,8 +34,8 @@ ReliableChannel::ReliableChannel(sim::Simulator& simulator, verbs::Nic& src,
   src_qp_->connect(dst_qp_->info());
   dst_qp_->connect(src_qp_->info());
 
-  src_control_ = std::make_unique<ControlLink>(src, options_.control_recv_buffers);
-  dst_control_ = std::make_unique<ControlLink>(dst, options_.control_recv_buffers);
+  src_control_ = std::make_unique<ControlLink>(src);
+  dst_control_ = std::make_unique<ControlLink>(dst);
   src_control_->connect(dst.id(), dst_control_->qp_number());
   dst_control_->connect(src.id(), src_control_->qp_number());
 

@@ -44,12 +44,6 @@ class ReliableChannel {
     /// datagrams are retransmitted like SR chunks, under `sr`'s RTO policy.
     std::size_t eager_threshold_bytes{0};
 
-    /// Pre-posted control-path datagram buffers per ControlLink. The
-    /// default suits a single heavily pipelined channel; fleet scenarios
-    /// with hundreds of channels shrink it (each buffer is a ~4 KiB
-    /// allocation, two links per channel).
-    std::size_t control_recv_buffers{256};
-
     /// Derive protocol timeouts from the link profile (RTO = 3 RTT for the
     /// RTO scheme and EC's fallback, 1.5 RTT with NACK; paper §5.1.1).
     void derive_timeouts();

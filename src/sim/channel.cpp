@@ -15,6 +15,7 @@ Channel::Channel(Simulator& simulator, Config config,
           propagation_delay_s(config.distance_km) + config.extra_delay_s)) {
   assert(drop_model_ && "channel requires a drop model");
   drop_model_->reset(rng_);
+  pool_.reserve(kInitialSlots);
   if (telemetry::enabled()) register_metrics();
 }
 
@@ -151,7 +152,7 @@ void Channel::fifo_push(std::uint32_t slot, SimTime arrival) {
 }
 
 void Channel::fifo_grow() {
-  const std::size_t cap = fifo_.empty() ? 64 : fifo_.size() * 2;
+  const std::size_t cap = fifo_.empty() ? kInitialSlots : fifo_.size() * 2;
   std::vector<FifoEntry> grown(cap);
   for (std::size_t i = 0; i < fifo_count_; ++i) {
     grown[i] = fifo_[(fifo_head_ + i) & (fifo_.size() - 1)];

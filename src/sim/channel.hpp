@@ -97,6 +97,10 @@ class Channel {
 
  private:
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+  // Initial capacity of the packet pool (reserved at construction) and of
+  // the FIFO ring (on first use): enough in-flight packets that a steady
+  // flow never grows them inside a measured window.
+  static constexpr std::size_t kInitialSlots = 64;
 
   // Free-list pool of in-flight packets: send() parks the packet in a slot
   // and schedules an inline {this, slot} delivery closure, so the steady

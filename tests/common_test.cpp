@@ -321,53 +321,8 @@ TEST(TraceArrivalsTest, DefaultSpanIsLastTimestampAndDegenerateIsFinite) {
 }
 
 // ---------------------------------------------------------------------------
-// Bitmap
+// AtomicBitmap
 // ---------------------------------------------------------------------------
-
-TEST(BitmapTest, SetTestClear) {
-  Bitmap bm(130);
-  EXPECT_EQ(bm.size(), 130u);
-  EXPECT_TRUE(bm.none_set());
-  bm.set(0);
-  bm.set(64);
-  bm.set(129);
-  EXPECT_TRUE(bm.test(0));
-  EXPECT_TRUE(bm.test(64));
-  EXPECT_TRUE(bm.test(129));
-  EXPECT_FALSE(bm.test(1));
-  EXPECT_EQ(bm.popcount(), 3u);
-  bm.clear(64);
-  EXPECT_FALSE(bm.test(64));
-  EXPECT_EQ(bm.popcount(), 2u);
-}
-
-TEST(BitmapTest, FirstZeroAndFirstSet) {
-  Bitmap bm(200);
-  EXPECT_EQ(bm.first_zero(), 0u);
-  EXPECT_EQ(bm.first_set(), 200u);
-  for (std::size_t i = 0; i < 67; ++i) bm.set(i);
-  EXPECT_EQ(bm.first_zero(), 67u);
-  EXPECT_EQ(bm.first_set(), 0u);
-  bm.set_all();
-  EXPECT_EQ(bm.first_zero(), 200u);
-  EXPECT_TRUE(bm.all_set());
-}
-
-TEST(BitmapTest, CollectZeros) {
-  Bitmap bm(20);
-  for (std::size_t i = 0; i < 20; i += 2) bm.set(i);
-  std::vector<std::size_t> zeros;
-  bm.collect_zeros(0, 20, zeros);
-  ASSERT_EQ(zeros.size(), 10u);
-  EXPECT_EQ(zeros.front(), 1u);
-  EXPECT_EQ(zeros.back(), 19u);
-}
-
-TEST(BitmapTest, SetAllMasksTail) {
-  Bitmap bm(70);
-  bm.set_all();
-  EXPECT_EQ(bm.popcount(), 70u);
-}
 
 TEST(AtomicBitmapTest, SetAndCheckReportsTransition) {
   AtomicBitmap bm(128);

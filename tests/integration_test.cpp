@@ -10,6 +10,7 @@
 #include "common/logging.hpp"
 #include "common/status.hpp"
 #include "ec/reed_solomon.hpp"
+#include "reliability/control_link.hpp"
 #include "reliability/ec_protocol.hpp"
 #include "reliability/sr_protocol.hpp"
 #include "sdr/sdr.hpp"
@@ -248,6 +249,46 @@ TEST(ReliabilityIntegrationTest, InterleavedSrMessagesComplete) {
   EXPECT_EQ(send_done, 4);
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(std::memcmp(dsts[i].data(), srcs[i].data(), len), 0) << i;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Control link
+// ---------------------------------------------------------------------------
+
+// A control link posts a few receive buffers, not one per datagram in
+// flight: each arrival is drained and its buffer re-posted inside the
+// delivery. A back-to-back burst far deeper than that must arrive whole.
+TEST(ControlLinkTest, BurstDeeperThanThePostedBuffersArrivesIntact) {
+  sim::Simulator sim;
+  sim::Channel::Config cfg;
+  cfg.bandwidth_bps = 400e9;
+  cfg.distance_km = 10.0;
+  cfg.seed = 7;
+  verbs::NicPair pair = verbs::make_connected_pair(sim, cfg, 0.0, 0.0);
+  reliability::ControlLink ca(*pair.a), cb(*pair.b);
+  ca.connect(pair.b->id(), cb.qp_number());
+  cb.connect(pair.a->id(), ca.qp_number());
+  std::vector<std::vector<std::uint8_t>> received;
+  cb.set_receiver([&](const std::uint8_t* data, std::size_t length) {
+    received.emplace_back(data, data + length);
+  });
+
+  // The first datagram is the largest the stack sends: an eager one, 4000 B
+  // of payload plus its 23 B header.
+  constexpr std::size_t kBurst = 64;
+  std::vector<std::vector<std::uint8_t>> sent;
+  for (std::size_t i = 0; i < kBurst; ++i) {
+    sent.push_back(pattern(4023 - 60 * i, static_cast<std::uint8_t>(i)));
+    ca.send(sent.back().data(), sent.back().size());
+  }
+  sim.run();
+
+  EXPECT_EQ(pair.b->find_qp(cb.qp_number())->stats().packets_discarded, 0u);
+  EXPECT_EQ(cb.received(), kBurst);
+  ASSERT_EQ(received.size(), kBurst);
+  for (std::size_t i = 0; i < kBurst; ++i) {
+    EXPECT_TRUE(received[i] == sent[i]) << "datagram " << i;
   }
 }
 
