@@ -93,22 +93,30 @@ struct Measurement {
   double allocs_per_encode{0.0};
 };
 
-/// Times `reps` encode calls of one 2 MiB submessage via `encode` and
-/// reports application-data throughput plus heap allocations per call.
+/// Times back-to-back encode calls of one 2 MiB submessage via `encode` for
+/// at least 0.1 s and reports application-data throughput plus heap
+/// allocations per call.
 template <typename EncodeFn>
-Measurement measure(EncodeFn&& encode, int reps = 24) {
+Measurement measure(EncodeFn&& encode) {
+  constexpr double kMinSeconds = 0.1;
   encode();  // warm-up: tables, page faults
-  const std::uint64_t allocs_before =
-      common::allocations();
+  const std::uint64_t allocs_before = common::allocations();
   const auto begin = std::chrono::steady_clock::now();
-  for (int i = 0; i < reps; ++i) encode();
-  const auto end = std::chrono::steady_clock::now();
+  std::uint64_t reps = 0;
+  double seconds = 0.0;
+  do {
+    encode();
+    ++reps;
+    seconds = std::chrono::duration<double>(
+                  std::chrono::steady_clock::now() - begin)
+                  .count();
+  } while (seconds < kMinSeconds);
   const std::uint64_t allocs_after = common::allocations();
-  const double seconds = std::chrono::duration<double>(end - begin).count();
   Measurement m;
   m.gbps = static_cast<double>(reps) * (kK * kChunk) * 8.0 / seconds / 1e9;
   m.allocs_per_encode =
-      static_cast<double>(allocs_after - allocs_before) / reps;
+      static_cast<double>(allocs_after - allocs_before) /
+      static_cast<double>(reps);
   return m;
 }
 

@@ -123,7 +123,6 @@ int main(int argc, char** argv) {
       {"SR RTO", reliability::ReliableChannel::Kind::kSrRto},
       {"SR NACK", reliability::ReliableChannel::Kind::kSrNack},
       {"EC MDS(32,8)", reliability::ReliableChannel::Kind::kEcMds},
-      {"auto (guided)", reliability::ReliableChannel::Kind::kAuto},
   };
   for (const Run& run : runs) {
     std::uint64_t retr = 0;

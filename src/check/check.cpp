@@ -347,13 +347,11 @@ SeedReport check_seed(std::uint64_t seed, const CheckOptions& opts,
   report.scenario = shrink_scenario(generate_scenario(seed), shrink_level);
 
   report.arms.push_back(run_sr_arm(report.scenario, opts));
-  if (opts.run_ec) report.arms.push_back(run_ec_arm(report.scenario, opts));
-  if (opts.run_rc) report.arms.push_back(run_rc_arm(report.scenario, opts));
+  report.arms.push_back(run_ec_arm(report.scenario, opts));
+  report.arms.push_back(run_rc_arm(report.scenario, opts));
 
   run_differential_oracle(report.arms, &report.failures);
-  if (opts.run_ec) {
-    run_ec_kernel_oracle(report.scenario, seed, &report.failures);
-  }
+  run_ec_kernel_oracle(report.scenario, seed, &report.failures);
   if (model_oracle_applies(report.scenario)) {
     run_model_oracle(report.scenario, report.arms[0], &report.failures);
   }

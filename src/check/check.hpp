@@ -1,6 +1,6 @@
 // sdrcheck: property-based conformance checking over random scenarios.
 //
-// check_seed() runs one seed through all enabled arms (SR, EC, RC — see
+// check_seed() runs one seed through all three arms (SR, EC, RC — see
 // runner.hpp) and layers the cross-arm oracles on top of the per-arm ones:
 //
 //   * differential — SR, EC and RC must deliver byte-identical payloads
@@ -32,8 +32,6 @@
 namespace sdr::check {
 
 struct CheckOptions {
-  bool run_ec{true};
-  bool run_rc{true};
   /// Keep each arm's flight-recorder JSON dump (bounded rings of protocol
   /// state transitions) in ArmResult::flight_json; it is written next to
   /// the seed repro line when an oracle fails. The recorder itself is

@@ -92,10 +92,8 @@ class AtomicBitmap {
     return true;
   }
 
-  /// Raw word access for consumers that poll the bitmap with plain loads
-  /// (host software reading DPA-updated memory). Word count follows
-  /// bitmap_words(size()).
-  const std::atomic<std::uint64_t>* word_data() const { return words_; }
+  /// Word access for consumers that read the bitmap a word at a time.
+  /// Word count follows bitmap_words(size()).
   std::uint64_t load_word(std::size_t w) const {
     return words_[w].load(std::memory_order_acquire);
   }

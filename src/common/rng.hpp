@@ -237,40 +237,4 @@ class PoissonProcess {
   double last_;
 };
 
-/// Trace-driven arrival process: replays a recorded schedule of absolute
-/// arrival offsets (seconds). When the trace is exhausted the schedule
-/// wraps, shifted by the trace span each cycle, so a short recorded burst
-/// can drive an arbitrarily long run while preserving its temporal shape.
-/// Fully deterministic — no generator draws.
-class TraceArrivals {
- public:
-  /// `times_s` must be non-decreasing and non-empty; `span_s` is the wrap
-  /// period (defaults to the last timestamp, i.e. back-to-back replay).
-  explicit TraceArrivals(std::vector<double> times_s, double span_s = 0.0)
-      : times_(std::move(times_s)),
-        span_(span_s > 0.0 ? span_s : (times_.empty() ? 1.0 : times_.back())) {
-    if (times_.empty()) times_.push_back(0.0);
-    if (span_ <= 0.0) span_ = 1.0;  // all-zero trace: degenerate but finite
-  }
-
-  std::size_t size() const { return times_.size(); }
-  double span() const { return span_; }
-
-  double next() {
-    const double t =
-        static_cast<double>(cycle_) * span_ + times_[index_];
-    if (++index_ == times_.size()) {
-      index_ = 0;
-      ++cycle_;
-    }
-    return t;
-  }
-
- private:
-  std::vector<double> times_;
-  double span_;
-  std::size_t index_{0};
-  std::uint64_t cycle_{0};
-};
-
 }  // namespace sdr

@@ -1,7 +1,5 @@
-// Error handling for the SDR SDK.
-//
-// The public SDR API mirrors the paper's C-style int-returning calls
-// (Table 1); internally we carry a Status so call sites can attach context.
+// Error handling for the SDR SDK: every fallible call returns a Status, a
+// code plus a message that carries the call site's context.
 #pragma once
 
 #include <cstdint>
@@ -42,10 +40,6 @@ class Status {
   StatusCode code() const { return code_; }
   const std::string& message() const { return message_; }
 
-  /// The integer the C-style facade returns: 0 on success, negative errno-
-  /// style code on failure (matching the paper's `int` API convention).
-  std::int32_t to_int() const { return static_cast<std::int32_t>(code_); }
-
  private:
   StatusCode code_{StatusCode::kOk};
   std::string message_;
@@ -74,25 +68,5 @@ inline std::ostream& operator<<(std::ostream& os, const Status& s) {
   if (!s.message().empty()) os << ": " << s.message();
   return os;
 }
-
-/// Minimal expected-like wrapper for fallible constructors/factories.
-template <typename T>
-class Result {
- public:
-  Result(T value) : value_(std::move(value)), ok_(true) {}  // NOLINT
-  Result(Status status) : status_(std::move(status)), ok_(false) {}  // NOLINT
-
-  bool is_ok() const { return ok_; }
-  explicit operator bool() const { return ok_; }
-  const Status& status() const { return status_; }
-  T& value() & { return value_; }
-  const T& value() const& { return value_; }
-  T&& value() && { return std::move(value_); }
-
- private:
-  T value_{};
-  Status status_{};
-  bool ok_{false};
-};
 
 }  // namespace sdr

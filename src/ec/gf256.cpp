@@ -104,8 +104,9 @@ void Gf256::mul_set(std::uint8_t* dst, const std::uint8_t* src, std::uint8_t c,
 void Gf256::xor_acc(std::uint8_t* dst, const std::uint8_t* src,
                     std::size_t n) {
   // Word-wide XOR; the compiler vectorizes this to AVX-512 under
-  // -march=native, matching the paper's "~100 lines of C++ with OpenMP and
-  // AVX-512" XOR implementation.
+  // -march=native. The paper's XOR encoder ("~100 lines of C++ with OpenMP
+  // and AVX-512") also spreads parity blocks over threads; this one runs on
+  // the calling core.
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     std::uint64_t a, b;

@@ -6,15 +6,9 @@
 
 #include "ec/gf256_kernels.hpp"
 
-#ifdef SDR_HAVE_OPENMP
-#include <omp.h>
-#endif
-
 namespace sdr::ec {
 
 namespace {
-/// Block-len threshold above which encode parallelizes across byte ranges.
-constexpr std::size_t kParallelThreshold = 256 * 1024;
 /// Sub-range the fused pass works through: the data slice plus the active
 /// parity rows stay cache-resident while every coefficient is applied.
 constexpr std::size_t kCacheBlock = 4096;
@@ -61,36 +55,18 @@ void ReedSolomon::encode_with(const GfKernels& kernels,
   // per register group while accumulating into the (cache-resident) parity
   // rows. XOR accumulation is order-independent, so the output is
   // byte-identical to the row-at-a-time formulation under any kernel.
-  auto encode_range = [&](std::size_t begin, std::size_t end) {
-    std::uint8_t* dst[kMaxBlocks];
-    for (std::size_t blk = begin; blk < end; blk += kCacheBlock) {
-      const std::size_t n = std::min(kCacheBlock, end - blk);
-      for (std::size_t p = 0; p < m_; ++p) {
-        dst[p] = parity[p] + blk;
-        kernels.mul_set(dst[p], data[0] + blk, parity_by_data_[p], n);
-      }
-      for (std::size_t d = 1; d < k_; ++d) {
-        kernels.mul_acc_multi(dst, parity_by_data_.data() + d * m_, m_,
-                              data[d] + blk, n);
-      }
+  std::uint8_t* dst[kMaxBlocks];
+  for (std::size_t blk = 0; blk < block_len; blk += kCacheBlock) {
+    const std::size_t n = std::min(kCacheBlock, block_len - blk);
+    for (std::size_t p = 0; p < m_; ++p) {
+      dst[p] = parity[p] + blk;
+      kernels.mul_set(dst[p], data[0] + blk, parity_by_data_[p], n);
     }
-  };
-
-#ifdef SDR_HAVE_OPENMP
-  if (block_len >= kParallelThreshold) {
-    const int threads = omp_get_max_threads();
-    const std::size_t chunk = (block_len + threads - 1) / threads;
-#pragma omp parallel for schedule(static)
-    for (int t = 0; t < threads; ++t) {
-      const std::size_t begin = static_cast<std::size_t>(t) * chunk;
-      if (begin < block_len) {
-        encode_range(begin, std::min(block_len, begin + chunk));
-      }
+    for (std::size_t d = 1; d < k_; ++d) {
+      kernels.mul_acc_multi(dst, parity_by_data_.data() + d * m_, m_,
+                            data[d] + blk, n);
     }
-    return;
   }
-#endif
-  encode_range(0, block_len);
 }
 
 bool ReedSolomon::can_recover(const PresenceMap& present) const {

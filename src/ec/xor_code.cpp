@@ -6,10 +6,6 @@
 
 #include "ec/gf256.hpp"
 
-#ifdef SDR_HAVE_OPENMP
-#include <omp.h>
-#endif
-
 namespace sdr::ec {
 
 XorCode::XorCode(std::size_t k, std::size_t m) : k_(k), m_(m) {
@@ -27,7 +23,7 @@ void XorCode::encode(std::span<const std::uint8_t* const> data,
                      std::size_t block_len) const {
   assert(data.size() == k_ && parity.size() == m_);
 
-  auto encode_parity = [&](std::size_t p) {
+  for (std::size_t p = 0; p < m_; ++p) {
     std::uint8_t* out = parity[p];
     bool first = true;
     for (std::size_t j = p; j < k_; j += m_) {
@@ -39,16 +35,7 @@ void XorCode::encode(std::span<const std::uint8_t* const> data,
       }
     }
     if (first) std::memset(out, 0, block_len);
-  };
-
-#ifdef SDR_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-  for (long long p = 0; p < static_cast<long long>(m_); ++p) {
-    encode_parity(static_cast<std::size_t>(p));
   }
-#else
-  for (std::size_t p = 0; p < m_; ++p) encode_parity(p);
-#endif
 }
 
 bool XorCode::can_recover(const PresenceMap& present) const {

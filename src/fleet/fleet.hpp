@@ -16,9 +16,9 @@
 //     and doorbell PCIe costs, SQ-depth backpressure, per-QP/per-verb token
 //     buckets — so endpoints contend for injection, not just bandwidth.
 //   * Traffic: a seeded tenant mix (traffic.hpp) of Zipf-sized messages
-//     with Poisson or trace-driven arrivals, windowed per connection with
-//     FIFO backlog, plus a dependency-driven ring collective (reduce-
-//     scatter + allgather schedule) running as one tenant among many.
+//     with Poisson arrivals, windowed per connection with FIFO backlog,
+//     plus a dependency-driven ring collective (reduce-scatter + allgather
+//     schedule) running as one tenant among many.
 //   * Schemes: every data connection runs the trial's reliability scheme —
 //     SDR+SR, SDR+EC (sizes padded to whole submessages), or verbs RC
 //     (write-with-immediate, Go-Back-N) as the commodity baseline.

@@ -14,18 +14,13 @@ std::vector<PlannedMessage> plan_messages(const TenantTraffic& tenant,
   const ZipfSampler zipf(tenant.size_ranks, tenant.zipf_s);
 
   PoissonProcess poisson(tenant.msgs_per_s);
-  TraceArrivals trace(tenant.trace_s);
 
   std::int64_t last_ns = -1;
   for (std::size_t i = 0; i < count; ++i) {
     PlannedMessage msg;
-    const double arrival_s = tenant.arrivals == ArrivalKind::kPoisson
-                                 ? poisson.next(rng)
-                                 : trace.next();
-    msg.arrival_ns = SimTime::from_seconds(arrival_s).ns;
-    // Integer-ns rounding (and all-zero traces) can collapse neighbours;
-    // keep arrivals strictly ordered so per-message latency accounting is
-    // unambiguous.
+    msg.arrival_ns = SimTime::from_seconds(poisson.next(rng)).ns;
+    // Integer-ns rounding can collapse neighbours; keep arrivals strictly
+    // ordered so per-message latency accounting is unambiguous.
     if (msg.arrival_ns <= last_ns) msg.arrival_ns = last_ns + 1;
     last_ns = msg.arrival_ns;
 

@@ -3,9 +3,8 @@
 // A tenant is a class of traffic sharing one statistical shape — the
 // small-op/bulk dichotomy of production RDMA fleets (Storm-style traces):
 // message sizes follow a Zipf rank distribution over power-of-two size
-// classes (rank 1 = the base size = most frequent), and arrivals follow
-// either a Poisson process or a recorded trace replayed through
-// TraceArrivals. Every schedule is derived from (tenant seed, connection
+// classes (rank 1 = the base size = most frequent), and arrivals follow a
+// Poisson process. Every schedule is derived from (tenant seed, connection
 // index) with derive_seed, so a fleet plan depends only on the seed and the
 // configuration — never on construction order or thread count.
 #pragma once
@@ -18,8 +17,6 @@
 #include "common/rng.hpp"
 
 namespace sdr::fleet {
-
-enum class ArrivalKind : std::uint8_t { kPoisson, kTrace };
 
 /// Statistical shape of one tenant's per-connection traffic.
 struct TenantTraffic {
@@ -34,9 +31,6 @@ struct TenantTraffic {
   double zipf_s{1.2};
   /// Per-connection in-flight message cap; arrivals beyond it queue.
   std::size_t window{8};
-  ArrivalKind arrivals{ArrivalKind::kPoisson};
-  /// Recorded arrival offsets (seconds) for kTrace; replayed with wrap.
-  std::vector<double> trace_s{};
 
   std::size_t max_msg_bytes() const {
     return base_msg_bytes << (size_ranks > 0 ? size_ranks - 1 : 0);
@@ -50,10 +44,10 @@ struct PlannedMessage {
 };
 
 /// Generate `count` messages for one connection of `tenant`. Arrival times
-/// are strictly ordered (Poisson gaps are positive; trace replay is
-/// monotone); sizes are drawn independently per message. The generator is
-/// seeded from (seed, connection_index) so connections are uncorrelated and
-/// the plan is reproducible in isolation.
+/// are strictly ordered (Poisson gaps are positive); sizes are drawn
+/// independently per message. The generator is seeded from (seed,
+/// connection_index) so connections are uncorrelated and the plan is
+/// reproducible in isolation.
 std::vector<PlannedMessage> plan_messages(const TenantTraffic& tenant,
                                           std::size_t count,
                                           std::uint64_t seed,

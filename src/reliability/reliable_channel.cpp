@@ -1,6 +1,5 @@
 #include "reliability/reliable_channel.hpp"
 
-#include <bit>
 #include <cstring>
 
 #include "ec/reed_solomon.hpp"
@@ -10,7 +9,7 @@ namespace sdr::reliability {
 
 void ReliableChannel::Options::derive_timeouts() {
   const double rtt = profile.rtt_s;
-  const bool nack = kind == Kind::kSrNack || kind == Kind::kAuto;
+  const bool nack = kind == Kind::kSrNack;
   sr.rto_s = (nack ? 1.5 : 3.0) * rtt;
   sr.nack_enabled = nack;
   sr.ack_interval_s = std::max(rtt / 16.0, profile.chunk_injection_s() * 8.0);
@@ -42,7 +41,6 @@ ReliableChannel::ReliableChannel(sim::Simulator& simulator, verbs::Nic& src,
   switch (options_.kind) {
     case Kind::kSrRto:
     case Kind::kSrNack:
-    case Kind::kAuto:  // the SR arm; the EC arm is a nested channel below
       sr_sender_ = std::make_unique<SrSender>(sim_, *src_qp_, *src_control_,
                                               options_.profile, options_.sr);
       sr_receiver_ = std::make_unique<SrReceiver>(
@@ -54,13 +52,6 @@ ReliableChannel::ReliableChannel(sim::Simulator& simulator, verbs::Nic& src,
     case Kind::kEcXor:
       codec_ = std::make_unique<ec::XorCode>(options_.ec.k, options_.ec.m);
       break;
-  }
-  if (options_.kind == Kind::kAuto) {
-    Options ec_options = options_;
-    ec_options.kind = Kind::kEcMds;
-    ec_options.eager_threshold_bytes = 0;  // eager handled by this layer
-    auto_ec_ = std::unique_ptr<ReliableChannel>(
-        new ReliableChannel(simulator, src, dst, ec_options));
   }
   if (codec_) {
     ec_sender_ = std::make_unique<EcSender>(sim_, *src_qp_, *src_control_,
@@ -90,11 +81,6 @@ Status ReliableChannel::send(const std::uint8_t* data, std::size_t length,
       length <= options_.eager_threshold_bytes) {
     return eager_send(data, length, std::move(done));
   }
-  if (auto_ec_ && auto_use_ec(length)) {
-    ++auto_ec_count_;
-    return auto_ec_->send(data, length, std::move(done));
-  }
-  if (auto_ec_) ++auto_sr_count_;
   if (sr_sender_) return sr_sender_->write(data, length, std::move(done));
   return ec_sender_->write(data, length, std::move(done));
 }
@@ -104,9 +90,6 @@ Status ReliableChannel::recv(std::uint8_t* buffer, std::size_t length,
   if (options_.eager_threshold_bytes > 0 &&
       length <= options_.eager_threshold_bytes) {
     return eager_recv(buffer, length, std::move(done));
-  }
-  if (auto_ec_ && auto_use_ec(length)) {
-    return auto_ec_->recv(buffer, length, std::move(done));
   }
   const verbs::MemoryRegion* mr = recv_mr(buffer, length);
   if (mr == nullptr) {
@@ -208,38 +191,8 @@ void ReliableChannel::on_src_control(const std::uint8_t* data,
 }
 
 std::uint64_t ReliableChannel::retransmissions() const {
-  std::uint64_t total = auto_ec_ ? auto_ec_->retransmissions() : 0;
-  if (sr_sender_) return total + sr_sender_->stats().retransmissions;
-  return total + ec_sender_->stats().fallback_retransmissions;
-}
-
-// Model-guided routing for kAuto: both endpoints evaluate the same pure
-// function of the message length, so their order-based matching on the two
-// underlying QP pairs never desynchronizes.
-bool ReliableChannel::auto_use_ec(std::size_t length) {
-  // EC requires whole submessages; anything else goes SR.
-  const std::size_t granularity = options_.ec.k * options_.attr.chunk_size;
-  if (length % granularity != 0) return false;
-
-  const std::size_t bucket = std::bit_width(length);
-  if (const auto it = auto_choice_cache_.find(bucket);
-      it != auto_choice_cache_.end()) {
-    return it->second;
-  }
-  const model::LinkParams link = options_.profile.to_model();
-  const std::uint64_t chunks = length / options_.attr.chunk_size;
-  model::SchemeParams params;
-  params.ec.k = options_.ec.k;
-  params.ec.m = options_.ec.m;
-  const double t_sr = model::expected_completion_s(
-      options_.sr.nack_enabled ? model::Scheme::kSrNack
-                               : model::Scheme::kSrRto,
-      link, chunks);
-  const double t_ec = model::expected_completion_s(model::Scheme::kEcMds,
-                                                   link, chunks, params);
-  const bool use_ec = t_ec < t_sr;
-  auto_choice_cache_[bucket] = use_ec;
-  return use_ec;
+  if (sr_sender_) return sr_sender_->stats().retransmissions;
+  return ec_sender_->stats().fallback_retransmissions;
 }
 
 const verbs::MemoryRegion* ReliableChannel::recv_mr(std::uint8_t* buffer,

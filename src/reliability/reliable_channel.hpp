@@ -14,7 +14,6 @@
 #include "reliability/control_link.hpp"
 #include "reliability/ec_protocol.hpp"
 #include "reliability/profile.hpp"
-#include "model/protocols.hpp"
 #include "reliability/sr_protocol.hpp"
 #include "sdr/sdr.hpp"
 #include "sim/simulator.hpp"
@@ -23,12 +22,7 @@ namespace sdr::reliability {
 
 class ReliableChannel {
  public:
-  /// kAuto is the §5.2 "guided choice" automated per message: the channel
-  /// hosts BOTH an SR and an EC stack (two SDR QP pairs on the same NICs)
-  /// and routes every message to the scheme the completion-time model
-  /// predicts is faster for its size — both endpoints classify by length,
-  /// so order-based matching stays consistent without negotiation.
-  enum class Kind { kSrRto, kSrNack, kEcMds, kEcXor, kAuto };
+  enum class Kind { kSrRto, kSrNack, kEcMds, kEcXor };
 
   struct Options {
     Kind kind{Kind::kSrRto};
@@ -105,19 +99,6 @@ class ReliableChannel {
   std::vector<std::uint8_t> wire_scratch_;
   ControlMessage decode_scratch_;
   ControlLink::ReceiveFn protocol_src_handler_;
-
-  // ---- kAuto: a second (EC) stack and the model-guided router ----
-  bool auto_use_ec(std::size_t length);
-  std::unique_ptr<ReliableChannel> auto_ec_;  // EC stack on its own QPs
-  std::map<std::size_t, bool> auto_choice_cache_;  // size bucket -> EC?
-
- public:
-  std::uint64_t auto_ec_messages() const { return auto_ec_count_; }
-  std::uint64_t auto_sr_messages() const { return auto_sr_count_; }
-
- private:
-  std::uint64_t auto_ec_count_{0};
-  std::uint64_t auto_sr_count_{0};
 
   sim::Simulator& sim_;
   Options options_;

@@ -37,10 +37,6 @@ Recommendation recommend(const LinkProfile& profile,
       const auto dist = model::sample_distribution(
           scheme, link, chunks, options.tail_samples, options.seed, params);
       c.p999_s = dist.p999;
-    } else if (options.tail_weight > 0.0) {
-      // Closed-form tail: no Monte-Carlo budget needed.
-      c.p999_s = model::quantile_completion_s(scheme, link, chunks, 0.999,
-                                              params);
     }
     c.slowdown_vs_ideal = c.expected_s / ideal;
     candidates.push_back(std::move(c));
@@ -57,12 +53,8 @@ Recommendation recommend(const LinkProfile& profile,
   }
 
   std::stable_sort(candidates.begin(), candidates.end(),
-                   [&](const Candidate& a, const Candidate& b) {
-                     const double ca =
-                         a.expected_s + options.tail_weight * a.p999_s;
-                     const double cb =
-                         b.expected_s + options.tail_weight * b.p999_s;
-                     return ca < cb;
+                   [](const Candidate& a, const Candidate& b) {
+                     return a.expected_s < b.expected_s;
                    });
 
   Recommendation rec;

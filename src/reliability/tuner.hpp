@@ -37,11 +37,10 @@ struct TunerOptions {
   /// balanced default).
   std::vector<std::pair<std::size_t, std::size_t>> ec_splits{
       {32, 4}, {32, 8}, {16, 8}, {8, 8}};
-  /// Samples for tail estimation; 0 disables (expectation-only ranking).
+  /// Monte-Carlo samples behind each candidate's p99.9 (reported, not
+  /// ranked on: candidates rank by expected completion time); 0 skips it.
   std::uint64_t tail_samples{2000};
   std::uint64_t seed{0x7a11f00dULL};
-  /// Rank by this percentile weight: cost = mean + tail_weight * p99.9.
-  double tail_weight{0.0};
 };
 
 Recommendation recommend(const LinkProfile& profile, std::size_t message_bytes,

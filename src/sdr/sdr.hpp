@@ -9,8 +9,11 @@
 // against late packets (§3.3); the backend logic is the same code the DPA
 // engine runs multi-threaded (src/dpa).
 //
-// C++ class API below; a C-style facade mirroring Table 1 verbatim is in
-// sdr/sdr.h.
+// Each Table 1 call is one method below, named after the call less its sdr_
+// prefix. The exceptions: context_create is the Context constructor,
+// qp_create and mr_reg are Context::create_qp and Context::mr_reg, and
+// qp_info_get and qp_connect are Qp::info and Qp::connect (docs/API.md has
+// the table).
 #pragma once
 
 #include <cstdint>

@@ -41,18 +41,16 @@ ResolvedAccess IndirectMkeyTable::resolve(std::uint64_t offset,
 
 const MemoryRegion* ProtectionDomain::register_mr(std::uint8_t* addr,
                                                   std::size_t length) {
-  const MemoryKey lkey = next_key_++;
   const MemoryKey rkey = next_key_++;
-  auto mr = std::make_unique<MemoryRegion>(lkey, rkey, addr, length, false);
+  auto mr = std::make_unique<MemoryRegion>(rkey, addr, length, false);
   const MemoryRegion* raw = mr.get();
   mrs_.emplace(rkey, std::move(mr));
   return raw;
 }
 
 const MemoryRegion* ProtectionDomain::alloc_null_mr() {
-  const MemoryKey lkey = next_key_++;
   const MemoryKey rkey = next_key_++;
-  auto mr = std::make_unique<MemoryRegion>(lkey, rkey, nullptr, 0, true);
+  auto mr = std::make_unique<MemoryRegion>(rkey, nullptr, 0, true);
   const MemoryRegion* raw = mr.get();
   mrs_.emplace(rkey, std::move(mr));
   return raw;

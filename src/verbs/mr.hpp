@@ -17,12 +17,10 @@ namespace sdr::verbs {
 /// the paper's stage-1 late-packet protection (§3.3).
 class MemoryRegion {
  public:
-  MemoryRegion(MemoryKey lkey, MemoryKey rkey, std::uint8_t* addr,
-               std::size_t length, bool is_null)
-      : lkey_(lkey), rkey_(rkey), addr_(addr), length_(length),
-        is_null_(is_null) {}
+  MemoryRegion(MemoryKey rkey, std::uint8_t* addr, std::size_t length,
+               bool is_null)
+      : rkey_(rkey), addr_(addr), length_(length), is_null_(is_null) {}
 
-  MemoryKey lkey() const { return lkey_; }
   MemoryKey rkey() const { return rkey_; }
   std::uint8_t* addr() const { return addr_; }
   std::size_t length() const { return length_; }
@@ -33,7 +31,6 @@ class MemoryRegion {
   }
 
  private:
-  MemoryKey lkey_;
   MemoryKey rkey_;
   std::uint8_t* addr_;
   std::size_t length_;

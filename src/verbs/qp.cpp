@@ -139,25 +139,21 @@ void Qp::emit_packets_for_write(const WriteWr& wr) {
 }
 
 Status Qp::post_send(const SendWr& wr) {
+  if (config_.type != QpType::kUD) {
+    return Status(StatusCode::kInvalidArgument,
+                  "two-sided sends need a UD QP");
+  }
   if (wr.length > config_.mtu) {
     return Status(StatusCode::kInvalidArgument,
                   "two-sided send exceeds one MTU");
   }
-  NicId dst_nic = remote_nic_;
-  QpNumber dst_qp = remote_qp_;
-  if (config_.type == QpType::kUD) {
-    dst_nic = wr.dst_nic;
-    dst_qp = wr.dst_qp;
-    if (dst_qp == 0) {
-      return Status(StatusCode::kInvalidArgument, "UD send needs dst_qp");
-    }
-  } else if (!connected_) {
-    return Status(StatusCode::kNotConnected, "QP is not connected");
+  if (wr.dst_qp == 0) {
+    return Status(StatusCode::kInvalidArgument, "UD send needs dst_qp");
   }
 
   WirePacket pkt;
-  pkt.dst_nic = dst_nic;
-  pkt.dst_qp = dst_qp;
+  pkt.dst_nic = wr.dst_nic;
+  pkt.dst_qp = wr.dst_qp;
   pkt.src_qp = num_;
   pkt.psn = next_psn_++;
   pkt.opcode = wr.with_imm ? Opcode::kSendOnlyImm : Opcode::kSendOnly;
@@ -169,25 +165,19 @@ Status Qp::post_send(const SendWr& wr) {
     pkt.payload = common::PayloadRef::pooled_copy(wr.local_addr, wr.length);
   }
 
-  if (config_.type == QpType::kRC) {
-    rc_unacked_.push_back(Unacked{pkt, wr.wr_id, true, wr.signaled});
-    send_packet(std::move(pkt));
-    rc_arm_timer();
-  } else {
-    send_packet(std::move(pkt));
-    if (wr.signaled) {
-      if (injector_ != nullptr) {
-        injector_->attach_completion(wr.wr_id,
-                                     static_cast<std::uint32_t>(wr.length));
-      } else {
-        sim::Channel* ch = nic_.route_to(dst_nic, num_, dst_qp);
-        const SimTime done = ch ? ch->next_free() : nic_.simulator().now();
-        const auto wr_id = wr.wr_id;
-        const auto bytes = static_cast<std::uint32_t>(wr.length);
-        nic_.simulator().schedule_at(done, [this, wr_id, bytes] {
-          complete_send(wr_id, bytes, WcStatus::kSuccess);
-        });
-      }
+  send_packet(std::move(pkt));
+  if (wr.signaled) {
+    if (injector_ != nullptr) {
+      injector_->attach_completion(wr.wr_id,
+                                   static_cast<std::uint32_t>(wr.length));
+    } else {
+      sim::Channel* ch = nic_.route_to(wr.dst_nic, num_, wr.dst_qp);
+      const SimTime done = ch ? ch->next_free() : nic_.simulator().now();
+      const auto wr_id = wr.wr_id;
+      const auto bytes = static_cast<std::uint32_t>(wr.length);
+      nic_.simulator().schedule_at(done, [this, wr_id, bytes] {
+        complete_send(wr_id, bytes, WcStatus::kSuccess);
+      });
     }
   }
   return Status::ok();
@@ -244,6 +234,15 @@ void Qp::complete_send(std::uint64_t wr_id, std::uint32_t bytes,
 
 void Qp::on_packet(WirePacket&& pkt) {
   ++stats_.packets_received;
+  // UD carries only two-sided sends, and UC and RC carry none: a
+  // datagram addressed to a connected QP is discarded like a Write
+  // addressed to a UD QP.
+  const bool send =
+      pkt.opcode == Opcode::kSendOnly || pkt.opcode == Opcode::kSendOnlyImm;
+  if (send != (config_.type == QpType::kUD)) {
+    ++stats_.packets_discarded;
+    return;
+  }
   switch (config_.type) {
     case QpType::kUD: receive_ud(std::move(pkt)); break;
     case QpType::kUC: receive_uc(std::move(pkt)); break;
@@ -265,10 +264,6 @@ void Qp::deliver_recv_cqe(const WirePacket& pkt, std::uint32_t bytes) {
 }
 
 void Qp::receive_ud(WirePacket&& pkt) {
-  if (pkt.opcode != Opcode::kSendOnly && pkt.opcode != Opcode::kSendOnlyImm) {
-    ++stats_.packets_discarded;  // UD supports only two-sided sends
-    return;
-  }
   if (recv_queue_.empty()) {
     ++stats_.packets_discarded;  // receiver-not-ready drop
     return;
@@ -318,11 +313,6 @@ void Qp::place_write_payload(const WirePacket& pkt, bool& access_ok) {
 }
 
 void Qp::receive_uc(WirePacket&& pkt) {
-  if (pkt.opcode == Opcode::kSendOnly || pkt.opcode == Opcode::kSendOnlyImm) {
-    receive_ud(std::move(pkt));  // UC also supports two-sided sends
-    return;
-  }
-
   // ePSN tracking (paper §3.2.1): a PSN mismatch mid-message discards the
   // remainder of that message; sync is only regained at the start of a new
   // message (FIRST/ONLY opcode).
@@ -429,12 +419,6 @@ void Qp::receive_rc(WirePacket&& pkt) {
   rc_epsn_ = pkt.psn + 1;
   ++rc_unacked_count_;
 
-  if (pkt.opcode == Opcode::kSendOnly || pkt.opcode == Opcode::kSendOnlyImm) {
-    receive_ud(std::move(pkt));
-    rc_receiver_maybe_ack(/*force=*/true);
-    return;
-  }
-
   bool access_ok = true;
   place_write_payload(pkt, access_ok);
   if (access_ok && is_write_end(pkt.opcode) && carries_imm(pkt.opcode)) {
@@ -515,39 +499,6 @@ void Qp::rc_sr_receive(WirePacket&& pkt) {
   // Duplicates (already placed, or behind the cumulative point).
   if (pkt.psn < rc_epsn_ || rc_ooo_received_.count(pkt.psn) != 0) {
     ++stats_.packets_discarded;
-    rc_receiver_maybe_ack(/*force=*/true);
-    return;
-  }
-
-  const bool is_send =
-      pkt.opcode == Opcode::kSendOnly || pkt.opcode == Opcode::kSendOnlyImm;
-  if (is_send) {
-    // Two-sided sends consume posted receives and must stay in order; an
-    // out-of-order send is NAKed like Go-Back-N.
-    if (pkt.psn != rc_epsn_) {
-      ++stats_.packets_discarded;
-      if (!rc_nak_outstanding_) {
-        rc_nak_outstanding_ = true;
-        ++stats_.rc_naks_sent;
-        if (telemetry::observing()) {
-          telemetry::emit({.t = nic_.simulator().now(),
-                           .kind = telemetry::EventKind::kNak,
-                           .layer = telemetry::Layer::kRc, .conn = num_,
-                           .a = rc_epsn_, .b = pkt.psn});
-        }
-        WirePacket nak;
-        nak.dst_nic = remote_nic_;
-        nak.dst_qp = pkt.src_qp;
-        nak.src_qp = num_;
-        nak.psn = rc_epsn_;
-        nak.opcode = Opcode::kNak;
-        nic_.send_packet(std::move(nak));
-      }
-      return;
-    }
-    rc_nak_outstanding_ = false;
-    rc_epsn_ = pkt.psn + 1;
-    receive_ud(std::move(pkt));
     rc_receiver_maybe_ack(/*force=*/true);
     return;
   }

@@ -88,7 +88,8 @@ class Qp {
   /// RDMA Write [with immediate]. UC/RC only.
   Status post_write(const WriteWr& wr);
 
-  /// Two-sided send. UD (addressed) or RC (connected).
+  /// Two-sided send of at most one MTU, addressed per send. UD only: UC
+  /// and RC QPs return kInvalidArgument.
   Status post_send(const SendWr& wr);
 
   /// Post a receive buffer for two-sided receives.

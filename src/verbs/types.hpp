@@ -35,7 +35,7 @@ enum class Opcode : std::uint8_t {
   kWriteMiddle,
   kWriteLast,
   kWriteLastImm,
-  kSendOnly,         // two-sided send (UD / RC), single packet
+  kSendOnly,         // two-sided send (UD), single packet
   kSendOnlyImm,
   kAck,              // RC acknowledgment
   kNak,              // RC negative acknowledgment (PSN gap)
@@ -57,7 +57,7 @@ constexpr bool carries_imm(Opcode op) {
 /// One packet on the simulated wire. Payload bytes are carried by
 /// reference (common::PayloadRef): RDMA Writes borrow a slice of the
 /// registered source buffer directly (zero-copy, like the DMA engine the
-/// paper's NIC uses), two-sided sends hold a pooled refcounted copy.
+/// paper's NIC uses), UD sends hold a pooled refcounted copy.
 /// Duplicating the packet — channel duplication, the RC retransmit queue —
 /// duplicates the reference, never the bytes.
 struct WirePacket {
@@ -107,9 +107,8 @@ struct WriteWr {
   bool signaled{true};
 };
 
-/// Two-sided send (UD / RC): at most one MTU of payload.
-/// `dst_nic`/`dst_qp` address the datagram for UD queue pairs and are
-/// ignored on connected (UC/RC) queue pairs.
+/// Two-sided send (UD): at most one MTU of payload, addressed to
+/// (`dst_nic`, `dst_qp`).
 struct SendWr {
   std::uint64_t wr_id{0};
   const std::uint8_t* local_addr{nullptr};
@@ -121,7 +120,7 @@ struct SendWr {
   QpNumber dst_qp{0};
 };
 
-/// Receive work request (UD / RC send consumers).
+/// Receive work request (consumed by UD sends).
 struct RecvWr {
   std::uint64_t wr_id{0};
   std::uint8_t* addr{nullptr};

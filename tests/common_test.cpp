@@ -297,29 +297,6 @@ TEST(PoissonProcessTest, ArrivalsStrictlyIncreaseAtMeanRate) {
   EXPECT_NEAR(last, 0.5 + n / 1000.0, 0.5);
 }
 
-TEST(TraceArrivalsTest, ReplaysAndWrapsWithSpanShift) {
-  TraceArrivals trace({0.1, 0.3, 0.4}, 0.5);
-  EXPECT_DOUBLE_EQ(trace.next(), 0.1);
-  EXPECT_DOUBLE_EQ(trace.next(), 0.3);
-  EXPECT_DOUBLE_EQ(trace.next(), 0.4);
-  // Second cycle: same shape shifted by the span.
-  EXPECT_DOUBLE_EQ(trace.next(), 0.6);
-  EXPECT_DOUBLE_EQ(trace.next(), 0.8);
-  EXPECT_DOUBLE_EQ(trace.next(), 0.9);
-  EXPECT_DOUBLE_EQ(trace.next(), 1.1);
-}
-
-TEST(TraceArrivalsTest, DefaultSpanIsLastTimestampAndDegenerateIsFinite) {
-  TraceArrivals trace({0.0, 0.2});
-  EXPECT_DOUBLE_EQ(trace.span(), 0.2);
-  // An all-zero trace must not wrap onto itself forever.
-  TraceArrivals zeros({0.0, 0.0});
-  EXPECT_GT(zeros.span(), 0.0);
-  EXPECT_DOUBLE_EQ(zeros.next(), 0.0);
-  EXPECT_DOUBLE_EQ(zeros.next(), 0.0);
-  EXPECT_GT(zeros.next(), 0.0);
-}
-
 // ---------------------------------------------------------------------------
 // AtomicBitmap
 // ---------------------------------------------------------------------------

@@ -137,88 +137,6 @@ TEST(EagerPathTest, OversizedEagerRejected) {
             StatusCode::kInvalidArgument);
 }
 
-// ---------------------------------------------------------------------------
-// kAuto: model-guided per-message scheme routing
-// ---------------------------------------------------------------------------
-
-struct AutoHarness {
-  sim::Simulator sim;
-  verbs::NicPair pair;
-  std::unique_ptr<ReliableChannel> channel;
-
-  explicit AutoHarness(double p_drop, std::size_t eager_threshold = 2048) {
-    sim::Channel::Config cfg;
-    cfg.bandwidth_bps = 100e9;
-    cfg.distance_km = 3750.0;  // BDP-heavy link: EC wins mid-size
-    cfg.seed = 31;
-    pair = verbs::make_connected_pair(sim, cfg, p_drop, 0.0);
-
-    ReliableChannel::Options options;
-    options.kind = ReliableChannel::Kind::kAuto;
-    options.profile.bandwidth_bps = cfg.bandwidth_bps;
-    options.profile.rtt_s = rtt_s(cfg.distance_km);
-    options.profile.p_drop_packet = std::max(p_drop, 1e-4);
-    options.profile.mtu = 1024;
-    options.profile.chunk_bytes = 1024;
-    options.attr.mtu = 1024;
-    options.attr.chunk_size = 1024;
-    options.attr.max_msg_size = 1024 * 1024;
-    options.attr.max_inflight = 64;
-    options.ec.k = 8;
-    options.ec.m = 4;
-    options.eager_threshold_bytes = eager_threshold;
-    options.derive_timeouts();
-    channel = std::make_unique<ReliableChannel>(sim, *pair.a, *pair.b,
-                                                options);
-  }
-
-  void transfer(std::size_t bytes, std::uint8_t seed) {
-    std::vector<std::uint8_t> src(bytes), dst(bytes, 0);
-    for (std::size_t i = 0; i < bytes; ++i) {
-      src[i] = static_cast<std::uint8_t>(seed + i * 131);
-    }
-    bool ok = false;
-    channel->recv(dst.data(), bytes, [&](const Status& s) {
-      ok = s.is_ok();
-    });
-    channel->send(src.data(), bytes, [](const Status&) {});
-    sim.run();
-    ASSERT_TRUE(ok) << bytes << " bytes";
-    ASSERT_EQ(std::memcmp(dst.data(), src.data(), bytes), 0);
-  }
-};
-
-TEST(AutoChannelTest, RoutesBySizeAcrossAllThreeTiers) {
-  AutoHarness h(0.001);
-  h.transfer(1024, 1);        // eager tier
-  h.transfer(256 * 1024, 2);  // BDP-scale at 1e-3: the model picks EC
-  h.transfer(9 * 1024, 3);    // not a whole submessage (8 KiB grain) -> SR
-  EXPECT_EQ(h.channel->eager_messages(), 1u);
-  EXPECT_EQ(h.channel->auto_ec_messages(), 1u);
-  EXPECT_EQ(h.channel->auto_sr_messages(), 1u);
-}
-
-TEST(AutoChannelTest, MixedTrafficUnderLossStaysCorrect) {
-  AutoHarness h(0.02);
-  const std::size_t sizes[] = {512,       64 * 1024, 1500,
-                               128 * 1024, 8 * 1024, 256 * 1024};
-  for (std::size_t i = 0; i < std::size(sizes); ++i) {
-    h.transfer(sizes[i], static_cast<std::uint8_t>(50 + i));
-  }
-  EXPECT_GT(h.channel->eager_messages(), 0u);
-  EXPECT_GT(h.channel->auto_ec_messages() + h.channel->auto_sr_messages(),
-            0u);
-}
-
-TEST(AutoChannelTest, ChoiceIsDeterministicAndCached) {
-  AutoHarness h(0.001);
-  // Same-size transfers must route identically (cache or not).
-  h.transfer(256 * 1024, 9);
-  const auto ec_before = h.channel->auto_ec_messages();
-  h.transfer(256 * 1024, 10);
-  EXPECT_EQ(h.channel->auto_ec_messages(), ec_before + 1);
-}
-
 TEST(AckCodecPayloadTest, EagerDataRoundTrip) {
   ControlMessage msg;
   msg.type = ControlType::kEagerData;

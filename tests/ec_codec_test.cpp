@@ -201,27 +201,35 @@ TEST(ReedSolomonTest, ParityIsDeterministic) {
   }
 }
 
-TEST(ReedSolomonTest, LargeBlocksParallelEncodeMatchesSerial) {
-  // Above the OpenMP threshold the parallel path must produce identical
-  // parity to a byte-range-serial reference.
+TEST(ReedSolomonTest, MultiCacheBlockEncodeIsByteLocal) {
+  // Encode walks a block 4 KiB at a time. The code is byte-local, so a
+  // block spanning several of those sub-ranges (plus a ragged tail) must
+  // get the same parity as encoding each 1000-byte window on its own.
   const std::size_t k = 8, m = 4;
-  const std::size_t big = 512 * 1024;  // above kParallelThreshold
+  const std::size_t len = 3 * 4096 + 100;
+  const std::size_t window = 1000;
   ReedSolomon rs(k, m);
-  Blocks blocks(k, m, big, 77);
-  auto data = blocks.data_ptrs();
-  auto parity = blocks.parity_ptrs();
+  Blocks blocks(k, m, len, 77);
+  const auto data = blocks.data_ptrs();
+  const auto parity = blocks.parity_ptrs();
   rs.encode(std::span<const std::uint8_t* const>(data),
-            std::span<std::uint8_t* const>(parity), big);
+            std::span<std::uint8_t* const>(parity), len);
 
-  // Reference: encode only the first 64 bytes with a fresh call and
-  // compare the prefix (the kernel is byte-local).
-  Blocks ref(k, m, big, 77);
-  auto rdata = ref.data_ptrs();
-  auto rparity = ref.parity_ptrs();
-  rs.encode(std::span<const std::uint8_t* const>(rdata),
-            std::span<std::uint8_t* const>(rparity), 64);
-  for (std::size_t p = 0; p < m; ++p) {
-    EXPECT_EQ(std::memcmp(parity[p], rparity[p], 64), 0);
+  std::vector<std::uint8_t> window_parity(m * window);
+  for (std::size_t off = 0; off < len; off += window) {
+    const std::size_t n = std::min(window, len - off);
+    std::vector<const std::uint8_t*> wdata(k);
+    for (std::size_t d = 0; d < k; ++d) wdata[d] = data[d] + off;
+    std::vector<std::uint8_t*> wparity(m);
+    for (std::size_t p = 0; p < m; ++p) {
+      wparity[p] = &window_parity[p * window];
+    }
+    rs.encode(std::span<const std::uint8_t* const>(wdata),
+              std::span<std::uint8_t* const>(wparity), n);
+    for (std::size_t p = 0; p < m; ++p) {
+      EXPECT_EQ(std::memcmp(parity[p] + off, wparity[p], n), 0)
+          << "parity " << p << " at offset " << off;
+    }
   }
 }
 

@@ -60,20 +60,6 @@ TEST(TrafficPlanTest, DeterministicPerConnectionAndUncorrelated) {
   EXPECT_TRUE(differs);
 }
 
-TEST(TrafficPlanTest, TraceArrivalsReplayTheRecordedShape) {
-  TenantTraffic tenant;
-  tenant.arrivals = ArrivalKind::kTrace;
-  tenant.trace_s = {0.001, 0.002, 0.010};
-  const auto plan = plan_messages(tenant, 5, 7, 0);
-  ASSERT_EQ(plan.size(), 5u);
-  EXPECT_EQ(plan[0].arrival_ns, 1'000'000);
-  EXPECT_EQ(plan[1].arrival_ns, 2'000'000);
-  EXPECT_EQ(plan[2].arrival_ns, 10'000'000);
-  // Wrapped cycle: shifted by the trace span (last timestamp, 10 ms).
-  EXPECT_EQ(plan[3].arrival_ns, 11'000'000);
-  EXPECT_EQ(plan[4].arrival_ns, 12'000'000);
-}
-
 // ---------------------------------------------------------------------------
 // run_fleet purity and accounting
 // ---------------------------------------------------------------------------

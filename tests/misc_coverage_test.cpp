@@ -1,6 +1,6 @@
 // Final coverage batch: streaming sends with user immediates, multi-QP
-// contexts, RC two-sided sends, UD receive queues, model helpers and
-// histogram weighting not exercised elsewhere.
+// contexts, UD receive queues, model helpers and histogram weighting not
+// exercised elsewhere.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -120,51 +120,6 @@ TEST_F(StreamImmFixture, MultipleQpsPerContextAreIndependent) {
 // ---------------------------------------------------------------------------
 // Verbs odds and ends
 // ---------------------------------------------------------------------------
-
-TEST(VerbsCoverageTest, RcTwoSidedSendConsumesPostedReceive) {
-  sim::Simulator sim;
-  sim::Channel::Config cfg;
-  cfg.bandwidth_bps = 100e9;
-  cfg.distance_km = 10.0;
-  cfg.seed = 9;
-  verbs::NicPair pair = verbs::make_connected_pair(sim, cfg, 0.0, 0.0);
-  verbs::CompletionQueue tx_cq, rx_cq;
-  verbs::QpConfig qcfg;
-  qcfg.type = verbs::QpType::kRC;
-  qcfg.mtu = 1024;
-  qcfg.send_cq = &tx_cq;
-  qcfg.recv_cq = &rx_cq;
-  verbs::Qp* tx = pair.a->create_qp(qcfg);
-  verbs::Qp* rx = pair.b->create_qp(qcfg);
-  tx->connect(pair.b->id(), rx->num());
-  rx->connect(pair.a->id(), tx->num());
-
-  std::vector<std::uint8_t> recv_buf(512, 0);
-  verbs::RecvWr rwr;
-  rwr.wr_id = 42;
-  rwr.addr = recv_buf.data();
-  rwr.length = recv_buf.size();
-  rx->post_recv(rwr);
-
-  const auto msg = pattern(300, 7);
-  verbs::SendWr swr;
-  swr.wr_id = 1;
-  swr.local_addr = msg.data();
-  swr.length = msg.size();
-  swr.with_imm = true;
-  swr.imm = 777;
-  ASSERT_TRUE(tx->post_send(swr).is_ok());
-  sim.run();
-
-  ASSERT_EQ(rx_cq.size(), 1u);
-  const auto cqe = rx_cq.poll_one();
-  EXPECT_EQ(cqe->wr_id, 42u);
-  EXPECT_EQ(cqe->imm, 777u);
-  EXPECT_EQ(std::memcmp(recv_buf.data(), msg.data(), msg.size()), 0);
-  // RC send completes after the ACK.
-  ASSERT_EQ(tx_cq.size(), 1u);
-  EXPECT_EQ(tx_cq.poll_one()->status, verbs::WcStatus::kSuccess);
-}
 
 TEST(VerbsCoverageTest, UdReceiveQueueConsumedInOrder) {
   sim::Simulator sim;

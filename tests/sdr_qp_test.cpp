@@ -853,5 +853,120 @@ TEST_F(SdrFixture, LossyTransferNeverCorruptsReceivedChunks) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Negative paths: every misuse of a Table 1 call must map to its documented
+// status code, not to silence or UB. The sdrcheck harness relies on these
+// codes ("fails loudly") when classifying oracle violations. The QPs here
+// start unconnected.
+// ---------------------------------------------------------------------------
+
+class CApiFixture : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    sim::Channel::Config cfg;
+    cfg.bandwidth_bps = 100e9;
+    cfg.distance_km = 5.0;
+    pair_ = verbs::make_connected_pair(sim_, cfg, 0.0, 0.0);
+    ctx_a_ = std::make_unique<Context>(*pair_.a, DevAttr{});
+    ctx_b_ = std::make_unique<Context>(*pair_.b, DevAttr{});
+    attr_.mtu = 1024;
+    attr_.chunk_size = 1024;
+    attr_.max_msg_size = 4 * 1024;
+    attr_.max_inflight = 4;
+    qa_ = ctx_a_->create_qp(attr_);
+    qb_ = ctx_b_->create_qp(attr_);
+    ASSERT_NE(qa_, nullptr);
+    ASSERT_NE(qb_, nullptr);
+  }
+
+  void connect() {
+    ASSERT_TRUE(qa_->connect(qb_->info()).is_ok());
+    ASSERT_TRUE(qb_->connect(qa_->info()).is_ok());
+  }
+
+  sim::Simulator sim_;
+  verbs::NicPair pair_;
+  std::unique_ptr<Context> ctx_a_, ctx_b_;
+  QpAttr attr_;
+  Qp* qa_{nullptr};
+  Qp* qb_{nullptr};
+  std::vector<std::uint8_t> buf_ = std::vector<std::uint8_t>(4 * 1024, 0x5A);
+};
+
+TEST_F(CApiFixture, PostBeforeConnectIsRejected) {
+  SendHandle* sh = nullptr;
+  EXPECT_EQ(qa_->send_post(buf_.data(), 1024, 0, false, &sh).code(),
+            StatusCode::kNotConnected);
+  const auto* mr = ctx_b_->mr_reg(buf_.data(), buf_.size());
+  RecvHandle* rh = nullptr;
+  EXPECT_EQ(qb_->recv_post(buf_.data(), 1024, mr, &rh).code(),
+            StatusCode::kNotConnected);
+}
+
+TEST_F(CApiFixture, DoubleRecvCompleteIsRejected) {
+  connect();
+  const auto* mr = ctx_b_->mr_reg(buf_.data(), buf_.size());
+  RecvHandle* rh = nullptr;
+  ASSERT_TRUE(qb_->recv_post(buf_.data(), 1024, mr, &rh).is_ok());
+  SendHandle* sh = nullptr;
+  ASSERT_TRUE(qa_->send_post(buf_.data(), 1024, 0, false, &sh).is_ok());
+  sim_.run();
+  ASSERT_TRUE(qb_->recv_complete(rh).is_ok());
+  // The handle's slot is released; a second complete is an invalid handle.
+  EXPECT_EQ(qb_->recv_complete(rh).code(), StatusCode::kInvalidArgument);
+  // So is reading the bitmap or immediate through the dead handle.
+  const AtomicBitmap* bitmap = nullptr;
+  EXPECT_EQ(qb_->recv_bitmap_get(rh, &bitmap).code(),
+            StatusCode::kInvalidArgument);
+  std::uint32_t imm = 0;
+  EXPECT_EQ(qb_->recv_imm_get(rh, &imm).code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(CApiFixture, OversizeSendIsOutOfRange) {
+  connect();
+  std::vector<std::uint8_t> big(attr_.max_msg_size + attr_.chunk_size);
+  SendHandle* sh = nullptr;
+  EXPECT_EQ(qa_->send_post(big.data(), big.size(), 0, false, &sh).code(),
+            StatusCode::kOutOfRange);
+}
+
+TEST_F(CApiFixture, UnalignedStreamOffsetIsRejected) {
+  connect();
+  SendHandle* sh = nullptr;
+  ASSERT_TRUE(qa_->send_stream_start(0, false, &sh).is_ok());
+  // offset % mtu != 0
+  EXPECT_EQ(qa_->send_stream_continue(sh, buf_.data(), 512, 1024).code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST_F(CApiFixture, ContinueAfterEndIsFailedPrecondition) {
+  connect();
+  SendHandle* sh = nullptr;
+  ASSERT_TRUE(qa_->send_stream_start(0, false, &sh).is_ok());
+  ASSERT_TRUE(qa_->send_stream_continue(sh, buf_.data(), 0, 1024).is_ok());
+  ASSERT_TRUE(qa_->send_stream_end(sh).is_ok());
+  EXPECT_EQ(qa_->send_stream_continue(sh, buf_.data(), 0, 1024).code(),
+            StatusCode::kFailedPrecondition);
+}
+
+TEST_F(CApiFixture, SendSlotExhaustionIsResourceExhausted) {
+  connect();
+  // Fill every send slot (no receiver posted, so none completes).
+  for (std::size_t i = 0; i < attr_.max_inflight; ++i) {
+    SendHandle* sh = nullptr;
+    ASSERT_TRUE(qa_->send_stream_start(0, false, &sh).is_ok()) << "slot " << i;
+  }
+  SendHandle* sh = nullptr;
+  EXPECT_EQ(qa_->send_stream_start(0, false, &sh).code(),
+            StatusCode::kResourceExhausted);
+}
+
+TEST_F(CApiFixture, SendPollBeforeCompletionIsNotReady) {
+  connect();
+  SendHandle* sh = nullptr;
+  ASSERT_TRUE(qa_->send_stream_start(0, false, &sh).is_ok());
+  EXPECT_EQ(qa_->send_poll(sh).code(), StatusCode::kNotReady);
+}
+
 }  // namespace
 }  // namespace sdr::core

@@ -275,11 +275,7 @@ std::uint64_t find_sr_rto_scripted_seed(std::uint64_t from) {
 
 TEST(Sdrcheck, InjectedAckOffByOneIsCaughtAndShrunk) {
   const std::uint64_t seed = find_sr_rto_scripted_seed(100);
-  CheckOptions opts;
-  // The bug lives in the SR path; skipping the other arms keeps the
-  // shrink search fast and the repro focused.
-  opts.run_ec = false;
-  opts.run_rc = false;
+  const CheckOptions opts;
 
   // Sanity: the seed passes with the failpoint disarmed.
   ASSERT_TRUE(check_seed(seed, opts).ok());

@@ -244,6 +244,38 @@ TEST_F(QpFixture, UdRejectsOversizedSend) {
   EXPECT_EQ(tx->post_send(swr).code(), StatusCode::kInvalidArgument);
 }
 
+TEST_F(QpFixture, ConnectedQpsRejectTwoSidedSend) {
+  // Two-sided sends are UD-only; UC and RC QPs carry RDMA Writes. A
+  // datagram a UD QP addresses to one of them is discarded on arrival.
+  connect(0.0);
+  Qp* ud = make_qp(*pair_.a, QpType::kUD, nullptr, nullptr);
+  for (QpType type : {QpType::kUC, QpType::kRC}) {
+    CompletionQueue rx_cq;
+    Qp* tx = make_qp(*pair_.a, type, nullptr, nullptr);
+    Qp* rx = make_qp(*pair_.b, type, nullptr, &rx_cq);
+    ASSERT_TRUE(tx->connect(pair_.b->id(), rx->num()).is_ok());
+    std::vector<std::uint8_t> recv_buf(64);
+    RecvWr rwr;
+    rwr.addr = recv_buf.data();
+    rwr.length = recv_buf.size();
+    rx->post_recv(rwr);
+    const auto msg = pattern(64);
+    SendWr swr;
+    swr.local_addr = msg.data();
+    swr.length = msg.size();
+    swr.dst_nic = pair_.b->id();
+    swr.dst_qp = rx->num();
+    EXPECT_EQ(tx->post_send(swr).code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(tx->stats().packets_sent, 0u);
+
+    ASSERT_TRUE(ud->post_send(swr).is_ok());
+    sim_.run();
+    EXPECT_EQ(rx->stats().packets_received, 1u);
+    EXPECT_EQ(rx->stats().packets_discarded, 1u);
+    EXPECT_EQ(rx_cq.size(), 0u);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // UC
 // ---------------------------------------------------------------------------
