@@ -18,7 +18,7 @@
 //               "ec_isa":...}
 //
 // The fleet engine allocates per message by design (protocol send/recv
-// state, per-connection arenas are set up beforehand); the figure is
+// state; connections are set up beforehand); the figure is
 // reported honestly, not forced to zero. Scale run length with argv[1]
 // (default 1.0; CI smoke uses 0.25 which shrinks the fleet, not the
 // semantics).

@@ -112,7 +112,7 @@ struct Conn {
   verbs::Qp* tx{nullptr};
   verbs::Qp* rx{nullptr};
   std::unique_ptr<verbs::CompletionQueue> rx_cq;
-  const verbs::MemoryRegion* rx_mr{nullptr};
+  const verbs::MemoryRegion* rx_mr{nullptr};  // over the engine's sink
 
   std::vector<PlannedMessage> plan;        // useful bytes + arrival ns
   std::vector<std::uint32_t> wire_bytes;   // scheme-padded post length
@@ -120,17 +120,10 @@ struct Conn {
 
   std::size_t next_arrival{0};  // arrivals seen (tenant conns)
   std::size_t next_post{0};     // next index to hand to the protocol
-  std::size_t inflight{0};
+  std::size_t inflight{0};      // at most `window`
   std::uint64_t completed{0};
   std::uint64_t failed{0};  // receiver done with an error (e.g. EC abort)
 
-  // One slot of max_wire_bytes per window entry. Never filled: the fleet
-  // checks only counts and timestamps, and no transport reads a receive
-  // byte before writing it (EC decode reads only chunks whose bitmap bit
-  // is set), so untouched pages stay unfaulted. Null when plan is empty.
-  std::unique_ptr<std::uint8_t[]> recv_arena;
-  std::vector<std::uint32_t> free_slots;
-  std::vector<std::uint32_t> slot_of_seq;
   // Outstanding completion callbacks per message: the reliable schemes
   // deliver a receiver done AND a sender done (the sender's message-table
   // slot frees only at the final ACK, ~0.5 RTT after delivery); the window
@@ -209,6 +202,13 @@ class FleetEngine {
   // checks, so all connections share one read-only buffer, as long as the
   // largest wire message and filled once before the first post.
   std::vector<std::uint8_t> send_src_;
+  // The destination of every message, sized and filled like send_src_.
+  // Every message is a prefix of that one constant source, so each write
+  // lands the bytes already there; EC decode reads only chunks its bitmap
+  // marks and rebuilds the same constant. Nothing else reads a receive
+  // byte, so every connection shares one sink, which stays in cache. A
+  // member, not a static: sweep trials run fleets in parallel.
+  std::vector<std::uint8_t> recv_sink_;
   std::vector<Conn*> collective_edges_;  // [participant] -> outgoing edge
   std::vector<TenantRollup> rollups_;    // tenants..., collective last
   std::vector<std::uint64_t> endpoint_bytes_;  // per sender endpoint
@@ -243,28 +243,17 @@ void Conn::try_post() {
 }
 
 void Conn::start(std::size_t seq) {
-  if (free_slots.empty()) {
-    // Slot exhaustion is a windowing bug (try_post gates on `window`, and
-    // collective edges hold one slot per step); popping an empty vector
-    // would be silent UB, so fail loudly instead.
-    std::fprintf(stderr, "fleet: conn %zu seq %zu: no free payload slot\n",
-                 id, seq);
-    std::abort();
-  }
-  const std::uint32_t slot = free_slots.back();
-  free_slots.pop_back();
-  slot_of_seq[seq] = slot;
   ++inflight;
+  assert(inflight <= window);  // try_post gates tenant posts on the window
 
   const std::uint32_t len = wire_bytes[seq];
-  std::uint8_t* dst = recv_arena.get() +
-                      static_cast<std::size_t>(slot) * max_wire_bytes;
   if (rel != nullptr) {
     Conn* self = this;
     parts_left[seq] = 2;
-    const Status rs = rel->recv(dst, len, [self, seq](const Status& st) {
-      self->on_recv_done(seq, static_cast<bool>(st));
-    });
+    const Status rs =
+        rel->recv(eng->recv_sink_.data(), len, [self, seq](const Status& st) {
+          self->on_recv_done(seq, static_cast<bool>(st));
+        });
     const Status ss = rel->send(
         eng->send_src_.data(), len,
         [self, seq](const Status&) { self->part_done(seq); });
@@ -286,7 +275,7 @@ void Conn::start(std::size_t seq) {
   wr.local_addr = eng->send_src_.data();
   wr.length = len;
   wr.rkey = rx_mr->rkey();
-  wr.remote_offset = static_cast<std::size_t>(slot) * max_wire_bytes;
+  wr.remote_offset = 0;
   wr.with_imm = true;
   wr.imm = static_cast<std::uint32_t>(seq);
   wr.signaled = false;
@@ -316,7 +305,6 @@ void Conn::on_recv_done(std::size_t seq, bool ok) {
 
 void Conn::part_done(std::size_t seq) {
   if (--parts_left[seq] != 0) return;
-  free_slots.push_back(slot_of_seq[seq]);
   --inflight;
   if (!is_collective) try_post();
 }
@@ -373,25 +361,14 @@ std::unique_ptr<Conn> FleetEngine::make_conn(std::size_t tenant_idx,
   }
   conn->max_wire_bytes = max_wire;
 
-  // Collective edges get one slot per ring step: the ring dependency
+  // A collective edge's window spans every ring step: the ring dependency
   // releases step g on receiver completion of step g-1, but the sender
-  // side of a slot only frees at the final ACK ~0.5 RTT later — under
+  // side of a message only frees at the final ACK ~0.5 RTT later — under
   // loss the dependency chain can overtake the trailing ACKs by more than
-  // any fixed window, so per-step slots are the only bound that is always
-  // safe (plans are small: 2*(dcs-1)*iterations steps).
-  const std::size_t window =
-      conn->is_collective ? conn->plan.size()
-                          : cfg_.tenants[tenant_idx].window;
-  conn->window = window;
-  if (max_wire > 0) {
-    conn->recv_arena =
-        std::make_unique_for_overwrite<std::uint8_t[]>(window * max_wire);
-  }
-  conn->free_slots.reserve(window);
-  for (std::size_t s = window; s > 0; --s) {
-    conn->free_slots.push_back(static_cast<std::uint32_t>(s - 1));
-  }
-  conn->slot_of_seq.assign(conn->plan.size(), 0);
+  // any fixed window, so only a window of all the steps is always safe
+  // (plans are small: 2*(dcs-1)*iterations steps).
+  conn->window = conn->is_collective ? conn->plan.size()
+                                     : cfg_.tenants[tenant_idx].window;
   conn->parts_left.assign(conn->plan.size(), 0);
   if (conn->is_collective) conn->step_done.assign(conn->plan.size(), 0);
 
@@ -410,8 +387,6 @@ std::unique_ptr<Conn> FleetEngine::make_conn(std::size_t tenant_idx,
     conn->rx = dst->create_qp(rx_cfg);
     conn->tx->connect(dst->id(), conn->rx->num());
     conn->rx->connect(src->id(), conn->tx->num());
-    conn->rx_mr =
-        dst->pd().register_mr(conn->recv_arena.get(), window * max_wire);
     Conn* raw = conn.get();
     conn->rx_cq->set_notify([raw] {
       while (auto cqe = raw->rx_cq->poll_one()) {
@@ -721,6 +696,18 @@ FleetResult FleetEngine::run() {
     largest = std::max(largest, conn->max_wire_bytes);
   }
   send_src_.assign(largest, 0xA5);
+  recv_sink_.assign(largest, 0xA5);
+  if (cfg_.scheme == Scheme::kRc && largest > 0) {
+    // One registration over the sink per destination NIC; every RC write
+    // targets its first byte.
+    for (verbs::Nic* nic : dc_nics_) {
+      const verbs::MemoryRegion* mr =
+          nic->pd().register_mr(recv_sink_.data(), recv_sink_.size());
+      for (const auto& conn : conns_) {
+        if (&conn->rx->nic() == nic) conn->rx_mr = mr;
+      }
+    }
+  }
 
   // Posted counts: tenant plans are fully posted by construction intent;
   // count them as posted when their arrival fires (next_post advances), so

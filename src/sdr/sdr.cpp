@@ -10,7 +10,6 @@ namespace sdr::core {
 
 namespace {
 constexpr std::uint64_t kCtsBufferFactor = 2;  // posted CTS recvs per slot
-constexpr std::size_t kCqeBatch = 64;  // stack batch for CQ drains
 constexpr std::size_t kUdStagingDepth = 256;  // datagram buffers per UD QP
 }
 
@@ -557,44 +556,40 @@ void Qp::send_cts(const CtsMessage& cts) {
 
 void Qp::on_control_cqe() {
   telemetry::ProfScope prof(telemetry::ProfCategory::kSdr);
-  verbs::Cqe batch[kCqeBatch];
-  std::size_t n;
-  while ((n = control_cq_->poll(batch, kCqeBatch)) > 0) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const verbs::Cqe& cqe = batch[i];
-      if (!cqe.is_recv || cqe.byte_len < sizeof(CtsMessage)) continue;
-      const std::size_t buf = static_cast<std::size_t>(cqe.wr_id);
-      CtsMessage cts;
-      std::uint8_t* cts_buf = cts_buffers_.data() + buf * sizeof(CtsMessage);
-      std::memcpy(&cts, cts_buf, sizeof(cts));
-      // Recycle the CTS buffer.
-      verbs::RecvWr rwr;
-      rwr.wr_id = buf;
-      rwr.addr = cts_buf;
-      rwr.length = sizeof(CtsMessage);
-      control_qp_->post_recv(rwr);
-      ++stats_.cts_received;
-      if (telemetry::observing()) {
-        telemetry::emit({.t = sim_now(), .kind = telemetry::EventKind::kCts,
-                         .msg = cts.msg_number});
-      }
-
-      // Order-based matching: the in-flight send for this msg_number, if
-      // started, lives at its slot.
-      const std::size_t slot = slot_of(cts.msg_number);
-      SendHandle* h = &send_handles_[slot];
-      if (h->in_use_ && h->msg_number_ == cts.msg_number) {
-        // Receiver-side CTS retry can deliver duplicates; the first one
-        // already flushed the queue and armed the protocol timers.
-        if (h->cts_ready_) continue;
-        h->cts_ready_ = true;
-        h->remote_msg_bytes_ = cts.msg_bytes;
-        flush_queued(h);
-      } else {
-        cts_pending_[slot] = PendingCts{cts, true};
-      }
-      if (cts_handler_) cts_handler_(cts.msg_number);
+  while (const auto next = control_cq_->poll_one()) {
+    const verbs::Cqe& cqe = *next;
+    if (!cqe.is_recv || cqe.byte_len < sizeof(CtsMessage)) continue;
+    const std::size_t buf = static_cast<std::size_t>(cqe.wr_id);
+    CtsMessage cts;
+    std::uint8_t* cts_buf = cts_buffers_.data() + buf * sizeof(CtsMessage);
+    std::memcpy(&cts, cts_buf, sizeof(cts));
+    // Recycle the CTS buffer.
+    verbs::RecvWr rwr;
+    rwr.wr_id = buf;
+    rwr.addr = cts_buf;
+    rwr.length = sizeof(CtsMessage);
+    control_qp_->post_recv(rwr);
+    ++stats_.cts_received;
+    if (telemetry::observing()) {
+      telemetry::emit({.t = sim_now(), .kind = telemetry::EventKind::kCts,
+                       .msg = cts.msg_number});
     }
+
+    // Order-based matching: the in-flight send for this msg_number, if
+    // started, lives at its slot.
+    const std::size_t slot = slot_of(cts.msg_number);
+    SendHandle* h = &send_handles_[slot];
+    if (h->in_use_ && h->msg_number_ == cts.msg_number) {
+      // Receiver-side CTS retry can deliver duplicates; the first one
+      // already flushed the queue and armed the protocol timers.
+      if (h->cts_ready_) continue;
+      h->cts_ready_ = true;
+      h->remote_msg_bytes_ = cts.msg_bytes;
+      flush_queued(h);
+    } else {
+      cts_pending_[slot] = PendingCts{cts, true};
+    }
+    if (cts_handler_) cts_handler_(cts.msg_number);
   }
 }
 
@@ -604,107 +599,99 @@ void Qp::on_data_cqe(std::size_t qp_index) {
       static_cast<std::uint32_t>(qp_index / attr_.channels);
   const bool ud = attr_.transport == Transport::kUd;
   verbs::CompletionQueue& cq = *data_cqs_[qp_index];
-  verbs::Cqe batch[kCqeBatch];
-  std::size_t n;
-  while ((n = cq.poll(batch, kCqeBatch)) > 0) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const verbs::Cqe& cqe = batch[i];
-      if (!cqe.is_recv || !cqe.imm_valid) continue;
-      ++stats_.completions_processed;
-      const ImmFields fields = codec_.decode(cqe.imm);
+  while (const auto next = cq.poll_one()) {
+    const verbs::Cqe& cqe = *next;
+    if (!cqe.is_recv || !cqe.imm_valid) continue;
+    ++stats_.completions_processed;
+    const ImmFields fields = codec_.decode(cqe.imm);
 
-      ProcessResult result;
-      if (ud) {
-        // Staging path (§2.3): the datagram landed in a runtime buffer. The
-        // software backend runs the generation/slot checks BEFORE copying —
-        // unlike the zero-copy path, where the NIC has already placed the
-        // payload — so stale packets never touch user memory. The staging
-        // buffer is reposted either way.
-        std::uint8_t* staging =
-            ud_staging_[qp_index].data() + cqe.wr_id * attr_.mtu;
-        result = table_.process_completion(fields, qp_generation);
-        if (result.accepted && result.new_packet) {
-          const std::uint64_t offset =
-              static_cast<std::uint64_t>(fields.msg_id) * attr_.max_msg_size +
-              static_cast<std::uint64_t>(fields.packet_index) * attr_.mtu;
-          const verbs::ResolvedAccess access =
-              root_table_->resolve(offset, cqe.byte_len);
-          if (access.valid && !access.discard && access.addr != nullptr) {
-            std::memcpy(access.addr, staging, cqe.byte_len);
-            ++stats_.staged_packets;
-            stats_.staged_bytes += cqe.byte_len;
-          }
-        }
-        verbs::RecvWr rwr;
-        rwr.wr_id = cqe.wr_id;
-        rwr.addr = staging;
-        rwr.length = attr_.mtu;
-        data_qps_[qp_index]->post_recv(rwr);
-      } else {
-        result = table_.process_completion(fields, qp_generation);
-      }
-      if (!result.accepted) {
-        ++stats_.completions_discarded;
-        continue;
-      }
-      RecvHandle* h = &recv_handles_[fields.msg_id];
-      // Three hooks: the CQE itself (a = wire packet index), then what it
-      // completed. A CQE whose slot is no longer posted (late packet) has
-      // no message to name.
-      const std::uint64_t msg = h->in_use_ ? h->msg_number_ : telemetry::kNoMsg;
-      if (telemetry::observing()) {
-        telemetry::emit({.t = sim_now(), .kind = telemetry::EventKind::kCqe,
-                         .msg = msg, .imm = cqe.imm, .bytes = cqe.byte_len,
-                         .a = fields.packet_index});
-      }
-      if (result.chunk_completed && telemetry::observing()) {
-        telemetry::emit({.t = sim_now(),
-                         .kind = telemetry::EventKind::kBitmapUpdate,
-                         .msg = msg, .chunk = result.chunk_index});
-      }
-      if (result.message_completed && telemetry::observing()) {
-        telemetry::emit({.t = sim_now(),
-                         .kind = telemetry::EventKind::kMsgComplete,
-                         .msg = msg});
-      }
-      if (h->in_use_) {
-        if (h->posted_at_s_ >= 0.0 &&
-            (result.chunk_completed && chunk_completion_hist_.live())) {
-          chunk_completion_hist_.record(sim_now().seconds() -
-                                        h->posted_at_s_);
-        }
-        if (h->posted_at_s_ >= 0.0 &&
-            (result.message_completed && msg_completion_hist_.live())) {
-          msg_completion_hist_.record(sim_now().seconds() - h->posted_at_s_);
+    ProcessResult result;
+    if (ud) {
+      // Staging path (§2.3): the datagram landed in a runtime buffer. The
+      // software backend runs the generation/slot checks BEFORE copying —
+      // unlike the zero-copy path, where the NIC has already placed the
+      // payload — so stale packets never touch user memory. The staging
+      // buffer is reposted either way.
+      std::uint8_t* staging =
+          ud_staging_[qp_index].data() + cqe.wr_id * attr_.mtu;
+      result = table_.process_completion(fields, qp_generation);
+      if (result.accepted && result.new_packet) {
+        const std::uint64_t offset =
+            static_cast<std::uint64_t>(fields.msg_id) * attr_.max_msg_size +
+            static_cast<std::uint64_t>(fields.packet_index) * attr_.mtu;
+        const verbs::ResolvedAccess access =
+            root_table_->resolve(offset, cqe.byte_len);
+        if (access.valid && !access.discard && access.addr != nullptr) {
+          std::memcpy(access.addr, staging, cqe.byte_len);
+          ++stats_.staged_packets;
+          stats_.staged_bytes += cqe.byte_len;
         }
       }
-      if (!recv_event_handler_) continue;
-      if (!h->in_use_) continue;
-      if (result.chunk_completed) {
-        recv_event_handler_(RecvEvent{RecvEvent::Type::kChunkCompleted, h,
-                                      result.chunk_index});
+      verbs::RecvWr rwr;
+      rwr.wr_id = cqe.wr_id;
+      rwr.addr = staging;
+      rwr.length = attr_.mtu;
+      data_qps_[qp_index]->post_recv(rwr);
+    } else {
+      result = table_.process_completion(fields, qp_generation);
+    }
+    if (!result.accepted) {
+      ++stats_.completions_discarded;
+      continue;
+    }
+    RecvHandle* h = &recv_handles_[fields.msg_id];
+    // Three hooks: the CQE itself (a = wire packet index), then what it
+    // completed. A CQE whose slot is no longer posted (late packet) has
+    // no message to name.
+    const std::uint64_t msg = h->in_use_ ? h->msg_number_ : telemetry::kNoMsg;
+    if (telemetry::observing()) {
+      telemetry::emit({.t = sim_now(), .kind = telemetry::EventKind::kCqe,
+                       .msg = msg, .imm = cqe.imm, .bytes = cqe.byte_len,
+                       .a = fields.packet_index});
+    }
+    if (result.chunk_completed && telemetry::observing()) {
+      telemetry::emit({.t = sim_now(),
+                       .kind = telemetry::EventKind::kBitmapUpdate,
+                       .msg = msg, .chunk = result.chunk_index});
+    }
+    if (result.message_completed && telemetry::observing()) {
+      telemetry::emit({.t = sim_now(),
+                       .kind = telemetry::EventKind::kMsgComplete,
+                       .msg = msg});
+    }
+    if (h->in_use_) {
+      if (h->posted_at_s_ >= 0.0 &&
+          (result.chunk_completed && chunk_completion_hist_.live())) {
+        chunk_completion_hist_.record(sim_now().seconds() -
+                                      h->posted_at_s_);
       }
-      if (result.message_completed) {
-        recv_event_handler_(
-            RecvEvent{RecvEvent::Type::kMessageCompleted, h, 0});
+      if (h->posted_at_s_ >= 0.0 &&
+          (result.message_completed && msg_completion_hist_.live())) {
+        msg_completion_hist_.record(sim_now().seconds() - h->posted_at_s_);
       }
+    }
+    if (!recv_event_handler_) continue;
+    if (!h->in_use_) continue;
+    if (result.chunk_completed) {
+      recv_event_handler_(RecvEvent{RecvEvent::Type::kChunkCompleted, h,
+                                    result.chunk_index});
+    }
+    if (result.message_completed) {
+      recv_event_handler_(
+          RecvEvent{RecvEvent::Type::kMessageCompleted, h, 0});
     }
   }
 }
 
 void Qp::on_send_cqe() {
   telemetry::ProfScope prof(telemetry::ProfCategory::kSdr);
-  verbs::Cqe batch[kCqeBatch];
-  std::size_t n;
-  while ((n = send_cq_->poll(batch, kCqeBatch)) > 0) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const verbs::Cqe& cqe = batch[i];
-      if (cqe.is_recv) continue;
-      const std::size_t slot = static_cast<std::size_t>(cqe.wr_id);
-      if (slot >= send_handles_.size()) continue;
-      SendHandle* h = &send_handles_[slot];
-      if (h->in_use_ && h->signaled_pending_ > 0) --h->signaled_pending_;
-    }
+  while (const auto next = send_cq_->poll_one()) {
+    const verbs::Cqe& cqe = *next;
+    if (cqe.is_recv) continue;
+    const std::size_t slot = static_cast<std::size_t>(cqe.wr_id);
+    if (slot >= send_handles_.size()) continue;
+    SendHandle* h = &send_handles_[slot];
+    if (h->in_use_ && h->signaled_pending_ > 0) --h->signaled_pending_;
   }
 }
 

@@ -85,6 +85,32 @@ TEST(MrTest, DeregisterInvalidatesKey) {
   EXPECT_EQ(pd.deregister_mr(nullptr).code(), StatusCode::kInvalidArgument);
 }
 
+TEST(MrTest, OverlappingRegistrationsResolveIndependently) {
+  // Many registrations over one buffer in one PD, as when several
+  // connections land their writes in one shared receive buffer.
+  ProtectionDomain pd;
+  std::vector<std::uint8_t> buf(4096);
+  const MemoryRegion* first = pd.register_mr(buf.data(), buf.size());
+  const MemoryRegion* second = pd.register_mr(buf.data(), buf.size());
+  ASSERT_NE(first, nullptr);
+  ASSERT_NE(second, nullptr);
+  EXPECT_NE(first->rkey(), second->rkey());
+
+  const ResolvedAccess a = pd.resolve(first->rkey(), 64, 128);
+  const ResolvedAccess b = pd.resolve(second->rkey(), 64, 128);
+  EXPECT_TRUE(a.valid);
+  EXPECT_TRUE(b.valid);
+  EXPECT_EQ(a.addr, buf.data() + 64);
+  EXPECT_EQ(b.addr, a.addr);
+
+  const MemoryKey first_key = first->rkey();
+  ASSERT_TRUE(pd.deregister_mr(first).is_ok());
+  EXPECT_FALSE(pd.resolve(first_key, 64, 128).valid);
+  const ResolvedAccess after = pd.resolve(second->rkey(), 64, 128);
+  EXPECT_TRUE(after.valid);
+  EXPECT_EQ(after.addr, buf.data() + 64);
+}
+
 TEST(MrTest, NullMrDiscardsButCompletes) {
   ProtectionDomain pd;
   const MemoryRegion* null_mr = pd.alloc_null_mr();
@@ -464,6 +490,43 @@ TEST_F(QpFixture, RcDeliversLosslessly) {
   ASSERT_EQ(tx_cq.size(), 1u);  // completion after the cumulative ACK
   EXPECT_EQ(tx_cq.poll_one()->status, WcStatus::kSuccess);
   EXPECT_EQ(rx_cq.size(), 1u);
+}
+
+TEST_F(QpFixture, RcPairsWriteIntoOneSharedBuffer) {
+  // Two RC connections into one NIC, each with its own MR over the same
+  // destination buffer: both writes land and both receivers complete.
+  connect(0.0);
+  std::vector<std::uint8_t> dst(16 * 1024, 0);
+  const auto src = pattern(10000);
+  CompletionQueue tx_cq[2], rx_cq[2];
+  Qp* rx[2] = {};
+  for (int i = 0; i < 2; ++i) {
+    Qp* tx = make_qp(*pair_.a, QpType::kRC, &tx_cq[i], nullptr);
+    rx[i] = make_qp(*pair_.b, QpType::kRC, nullptr, &rx_cq[i]);
+    tx->connect(pair_.b->id(), rx[i]->num());
+    rx[i]->connect(pair_.a->id(), tx->num());
+    const MemoryRegion* mr =
+        pair_.b->pd().register_mr(dst.data(), dst.size());
+    WriteWr wr;
+    wr.wr_id = static_cast<std::uint64_t>(i);
+    wr.local_addr = src.data();
+    wr.length = src.size();
+    wr.rkey = mr->rkey();
+    wr.with_imm = true;
+    wr.imm = static_cast<std::uint32_t>(i);
+    tx->post_write(wr);
+  }
+  sim_.run();
+
+  EXPECT_EQ(std::memcmp(dst.data(), src.data(), src.size()), 0);
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(rx[i]->stats().remote_access_errors, 0u);
+    ASSERT_EQ(rx_cq[i].size(), 1u);
+    const auto cqe = rx_cq[i].poll_one();
+    EXPECT_EQ(cqe->imm, static_cast<std::uint32_t>(i));
+    ASSERT_EQ(tx_cq[i].size(), 1u);
+    EXPECT_EQ(tx_cq[i].poll_one()->status, WcStatus::kSuccess);
+  }
 }
 
 TEST_F(QpFixture, RcRecoversFromLoss) {
