@@ -44,7 +44,7 @@ Outcome run(double true_rtt_s, double configured_rto_s, bool adaptive,
   core::Qp* qb = ctx_b.create_qp(attr);
   qa->connect(qb->info());
   qb->connect(qa->info());
-  reliability::ControlLink ca(*nics.a), cb(*nics.b);
+  verbs::ControlLink ca(*nics.a), cb(*nics.b);
   ca.connect(nics.b->id(), cb.qp_number());
   cb.connect(nics.a->id(), ca.qp_number());
 

@@ -50,18 +50,8 @@ RunStats run(sweep::Trial& trial, reliability::ReliableChannel::Kind kind,
   } else {
     fwd = std::make_unique<sim::IidDrop>(1e-3);
   }
-  auto bwd = std::make_unique<sim::IidDrop>(0.0);
-
-  auto nic_a = std::make_unique<verbs::Nic>(sim, 1);
-  auto nic_b = std::make_unique<verbs::Nic>(sim, 2);
-  auto link = std::make_unique<sim::DuplexLink>(sim, cfg, std::move(fwd),
-                                                std::move(bwd));
-  link->forward().set_receiver(
-      [nic = nic_b.get()](sim::Packet&& p) { nic->deliver(std::move(p)); });
-  link->backward().set_receiver(
-      [nic = nic_a.get()](sim::Packet&& p) { nic->deliver(std::move(p)); });
-  nic_a->add_route(2, &link->forward());
-  nic_b->add_route(1, &link->backward());
+  verbs::NicPair nics = verbs::make_connected_pair(
+      sim, cfg, std::move(fwd), std::make_unique<sim::IidDrop>(0.0));
 
   reliability::ReliableChannel::Options options;
   options.kind = kind;
@@ -78,7 +68,7 @@ RunStats run(sweep::Trial& trial, reliability::ReliableChannel::Kind kind,
   options.ec.k = 32;
   options.ec.m = 8;
   options.derive_timeouts();
-  reliability::ReliableChannel channel(sim, *nic_a, *nic_b, options);
+  reliability::ReliableChannel channel(sim, *nics.a, *nics.b, options);
 
   const std::size_t bytes = 8 * MiB;
   std::vector<std::uint8_t> src(bytes), dst(bytes);

@@ -361,6 +361,12 @@ SeedReport check_seed(std::uint64_t seed, const CheckOptions& opts,
   return report;
 }
 
+std::uint64_t BatchResult::digest() const {
+  std::uint64_t h = kFnvOffset;
+  for (const std::uint64_t d : digests) h = fnv1a(h, &d, sizeof(d));
+  return h;
+}
+
 ShrinkOutcome shrink_failure(std::uint64_t seed, const CheckOptions& opts) {
   ShrinkOutcome out;
   out.minimal = check_seed(seed, opts, 0);
@@ -399,21 +405,21 @@ BatchResult check_seeds(std::uint64_t base_seed, std::size_t count,
   // only add noise (and the jsonl must stay identical across jobs counts).
   sopts.capture_telemetry = false;
 
+  // Each trial writes only its own digest slot, so workers never share
+  // an element.
+  batch.digests.assign(count, 0);
   const sweep::SweepResult result = sweep::run_sweep(
-      grid, sopts, [&opts](sweep::Trial& trial) {
+      grid, sopts, [&opts, &batch](sweep::Trial& trial) {
         const SeedReport report = check_seed(trial.seed(), opts, 0);
+        const std::string failures = report.failure_text();
+        const std::uint64_t digest = report.digest();
+        batch.digests[trial.index()] = digest;
         trial.record("seed", static_cast<std::int64_t>(report.seed));
         trial.record_flag("ok", report.ok());
-        trial.record("oracle_failures", static_cast<std::int64_t>(
-                                            report.failure_text().empty()
-                                                ? 0
-                                                : std::count(
-                                                      report.failure_text()
-                                                          .begin(),
-                                                      report.failure_text()
-                                                          .end(),
-                                                      '\n')));
-        trial.record("digest", static_cast<std::int64_t>(report.digest()));
+        trial.record("oracle_failures",
+                     static_cast<std::int64_t>(std::count(
+                         failures.begin(), failures.end(), '\n')));
+        trial.record("digest", static_cast<std::int64_t>(digest));
       });
 
   batch.jsonl = result.to_jsonl();

@@ -94,8 +94,13 @@ struct BatchResult {
   /// Deterministic per-seed records (seed, ok, failure count, digest) —
   /// bit-identical for any jobs count.
   std::string jsonl;
+  /// SeedReport::digest() of every seed, in index order.
+  std::vector<std::uint64_t> digests;
 
   bool ok() const { return failing_seeds.empty(); }
+  /// The per-seed digests folded in index order: equal digests mean the
+  /// same outcome on every seed of the batch.
+  std::uint64_t digest() const;
 };
 
 /// Run `count` seeds (derive_seed(base_seed, i) each) through the sweep

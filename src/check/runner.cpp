@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "check/check.hpp"
@@ -11,10 +10,7 @@
 #include "common/rng.hpp"
 #include "common/time.hpp"
 #include "common/units.hpp"
-#include "ec/reed_solomon.hpp"
-#include "reliability/ec_protocol.hpp"
-#include "reliability/sr_protocol.hpp"
-#include "sdr/sdr.hpp"
+#include "reliability/reliable_channel.hpp"
 #include "sim/channel.hpp"
 #include "sim/drop_model.hpp"
 #include "sim/simulator.hpp"
@@ -107,42 +103,36 @@ std::unique_ptr<sim::DropModel> make_forward_drop(
   return std::make_unique<sim::IidDrop>(0.0);
 }
 
-/// Fresh two-NIC fabric for one arm: the forward channel carries the
-/// scenario's loss. The backward (CTS and control) channel reorders and
-/// duplicates like the forward one, because DuplexLink gives both
-/// directions the same Config; with `drop_first_cts` it also drops its
-/// packet 0, the first posted receive's CTS.
+sim::Channel::Config link_config(const Scenario& s, std::uint64_t arm_salt) {
+  sim::Channel::Config cfg;
+  cfg.bandwidth_bps = s.bandwidth_bps;
+  cfg.distance_km = s.distance_km;
+  cfg.reorder_probability = s.reorder_probability;
+  cfg.reorder_extra_delay_s = s.reorder_extra_delay_s;
+  cfg.duplicate_probability = s.duplicate_probability;
+  cfg.seed = derive_seed(s.seed, arm_salt);
+  return cfg;
+}
+
+/// Fresh simulator and NIC pair for one arm: the forward channel carries
+/// the scenario's loss. The backward (CTS and control) channel reorders and
+/// duplicates like the forward one, because both directions share one
+/// Config; with `drop_first_cts` it also drops its packet 0, the first
+/// posted receive's CTS.
 struct Fabric {
   sim::Simulator sim;
-  std::unique_ptr<verbs::Nic> a;
-  std::unique_ptr<verbs::Nic> b;
   sim::ScriptedDrop* scripted{nullptr};
-  std::unique_ptr<sim::DuplexLink> link;
+  verbs::NicPair nics;
 
-  Fabric(const Scenario& s, std::uint64_t arm_salt, bool drop_first_cts) {
-    sim::Channel::Config cfg;
-    cfg.bandwidth_bps = s.bandwidth_bps;
-    cfg.distance_km = s.distance_km;
-    cfg.reorder_probability = s.reorder_probability;
-    cfg.reorder_extra_delay_s = s.reorder_extra_delay_s;
-    cfg.duplicate_probability = s.duplicate_probability;
-    cfg.seed = derive_seed(s.seed, arm_salt);
-    a = std::make_unique<verbs::Nic>(sim, 1);
-    b = std::make_unique<verbs::Nic>(sim, 2);
-    link = std::make_unique<sim::DuplexLink>(
-        sim, cfg, make_forward_drop(s, &scripted),
-        std::make_unique<sim::ScriptedDrop>(
-            drop_first_cts ? std::vector<std::uint64_t>{0}
-                           : std::vector<std::uint64_t>{}));
-    link->forward().set_receiver(
-        [nic = b.get()](sim::Packet&& p) { nic->deliver(std::move(p)); });
-    link->backward().set_receiver(
-        [nic = a.get()](sim::Packet&& p) { nic->deliver(std::move(p)); });
-    a->add_route(2, &link->forward());
-    b->add_route(1, &link->backward());
+  Fabric(const Scenario& s, std::uint64_t arm_salt, bool drop_first_cts)
+      : nics(verbs::make_connected_pair(
+            sim, link_config(s, arm_salt), make_forward_drop(s, &scripted),
+            std::make_unique<sim::ScriptedDrop>(
+                drop_first_cts ? std::vector<std::uint64_t>{0}
+                               : std::vector<std::uint64_t>{}))) {
     // Draw trial-level drop state (Gilbert-Elliott starts from its
     // stationary distribution, like the benches do).
-    link->forward().new_trial();
+    nics.link->forward().new_trial();
   }
 };
 
@@ -322,13 +312,9 @@ std::size_t first_mismatch(const std::uint8_t* a, const std::uint8_t* b,
 // Heap-free closures: sim events capture only {pointer, index}.
 struct ProtoRun {
   sim::Simulator* sim{nullptr};
-  reliability::SrSender* sr_snd{nullptr};
-  reliability::SrReceiver* sr_rcv{nullptr};
-  reliability::EcSender* ec_snd{nullptr};
-  reliability::EcReceiver* ec_rcv{nullptr};
+  reliability::ReliableChannel* channel{nullptr};
   std::vector<std::vector<std::uint8_t>> src;
   std::vector<std::vector<std::uint8_t>> dst;
-  std::vector<const verbs::MemoryRegion*> mr;
   std::vector<double> recv_done;
   std::vector<double> send_done;
   std::vector<std::string> errors;
@@ -353,21 +339,16 @@ struct ProtoRun {
     };
     // Receiver first: SDR matches the i-th posted receive to the i-th
     // posted send, and both ends post in the same event.
-    Status rs = ec_rcv ? ec_rcv->expect(dst[i].data(), len, mr[i],
-                                        std::move(on_recv))
-                       : sr_rcv->expect(dst[i].data(), len, mr[i],
-                                        std::move(on_recv));
-    if (!rs) {
+    if (Status rs = channel->recv(dst[i].data(), len, std::move(on_recv));
+        !rs) {
       errors.push_back("message " + std::to_string(i) +
-                       " expect() rejected: " + rs.message());
+                       " recv() rejected: " + rs.message());
       return;
     }
-    Status ss = ec_snd
-                    ? ec_snd->write(src[i].data(), len, std::move(on_send))
-                    : sr_snd->write(src[i].data(), len, std::move(on_send));
-    if (!ss) {
+    if (Status ss = channel->send(src[i].data(), len, std::move(on_send));
+        !ss) {
       errors.push_back("message " + std::to_string(i) +
-                       " write() rejected: " + ss.message());
+                       " send() rejected: " + ss.message());
     }
   }
 };
@@ -381,54 +362,30 @@ ArmResult run_protocol_arm(const Scenario& s, const CheckOptions& opts,
   ArmTelemetry instruments(opts, r.name, ec ? kEcPidBase : kSrPidBase);
   {
     Fabric fabric(s, ec ? kEcArmSalt : kSrArmSalt, s.drop_first_cts);
-    core::Context ctx_a(*fabric.a, core::DevAttr{});
-    core::Context ctx_b(*fabric.b, core::DevAttr{});
-    const core::QpAttr attr = qp_attr_for(s, ec);
-    core::Qp* qa = ctx_a.create_qp(attr);
-    core::Qp* qb = ctx_b.create_qp(attr);
-    if (qa == nullptr || qb == nullptr) {
-      r.failures.push_back("QP creation failed (attr invalid?)");
-      return r;
-    }
-    qa->connect(qb->info());
-    qb->connect(qa->info());
-    reliability::ControlLink ca(*fabric.a), cb(*fabric.b);
-    ca.connect(2, cb.qp_number());
-    cb.connect(1, ca.qp_number());
-
-    const reliability::LinkProfile profile = profile_for(s);
+    // The runner's own RTO and ACK cadence, not derive_timeouts().
+    reliability::ReliableChannel::Options options;
+    using Kind = reliability::ReliableChannel::Kind;
+    options.kind = ec ? Kind::kEcMds
+                      : (s.sr_flavor == SrFlavor::kNack ? Kind::kSrNack
+                                                        : Kind::kSrRto);
+    options.profile = profile_for(s);
+    options.attr = qp_attr_for(s, ec);
     const double rto = base_rto(s);
-    const double ack_iv = ack_interval(s);
-    std::optional<ec::ReedSolomon> codec;
-    std::optional<reliability::EcSender> ec_snd;
-    std::optional<reliability::EcReceiver> ec_rcv;
-    std::optional<reliability::SrSender> sr_snd;
-    std::optional<reliability::SrReceiver> sr_rcv;
-    reliability::SrProtoConfig sr_cfg;
-    sr_cfg.rto_s = rto;
-    sr_cfg.ack_interval_s = ack_iv;
-    if (ec) {
-      codec.emplace(s.ec_k, s.ec_m);
-      reliability::EcProtoConfig cfg;
-      cfg.k = s.ec_k;
-      cfg.m = s.ec_m;
-      ec_snd.emplace(fabric.sim, *qa, ca, profile, *codec, cfg, sr_cfg);
-      ec_rcv.emplace(fabric.sim, *qb, cb, profile, *codec, cfg, sr_cfg);
-    } else {
-      sr_cfg.nack_enabled = s.sr_flavor == SrFlavor::kNack;
-      sr_cfg.nack_holdoff_s = s.rtt_s();
-      sr_cfg.adaptive_rto = s.adaptive_rto;
-      sr_snd.emplace(fabric.sim, *qa, ca, profile, sr_cfg);
-      sr_rcv.emplace(fabric.sim, *qb, cb, profile, sr_cfg);
+    options.sr.rto_s = rto;
+    options.sr.ack_interval_s = ack_interval(s);
+    if (!ec) {
+      options.sr.nack_enabled = s.sr_flavor == SrFlavor::kNack;
+      options.sr.adaptive_rto = s.adaptive_rto;
     }
+    options.ec.k = s.ec_k;
+    options.ec.m = s.ec_m;
+    reliability::ReliableChannel channel(fabric.sim, *fabric.nics.a,
+                                         *fabric.nics.b, options);
 
     const std::size_t n = s.messages.size();
     ProtoRun run;
     run.sim = &fabric.sim;
-    run.sr_snd = sr_snd ? &*sr_snd : nullptr;
-    run.sr_rcv = sr_rcv ? &*sr_rcv : nullptr;
-    run.ec_snd = ec_snd ? &*ec_snd : nullptr;
-    run.ec_rcv = ec_rcv ? &*ec_rcv : nullptr;
+    run.channel = &channel;
     run.recv_done.assign(n, -1.0);
     run.send_done.assign(n, -1.0);
     for (std::size_t i = 0; i < n; ++i) {
@@ -436,7 +393,6 @@ ArmResult run_protocol_arm(const Scenario& s, const CheckOptions& opts,
           ec ? s.ec_padded_chunks(i) * s.chunk_bytes() : s.message_bytes(i);
       run.src.push_back(message_pattern(s.seed, i, bytes));
       run.dst.emplace_back(bytes, 0);
-      run.mr.push_back(ctx_b.mr_reg(run.dst[i].data(), bytes));
     }
     for (std::size_t i = 0; i < n; ++i) {
       fabric.sim.schedule(SimTime::from_seconds(s.messages[i].post_delay_s),
@@ -444,11 +400,11 @@ ArmResult run_protocol_arm(const Scenario& s, const CheckOptions& opts,
     }
     FarTimerProbe far_probe;
     far_probe.arm(fabric.sim, s);
-    if (!ec && s.perturb_rto && sr_snd) {
+    if (!ec && s.perturb_rto) {
       fabric.sim.schedule(
           SimTime::from_seconds(s.perturb_at_s),
-          [p = &*sr_snd, nr = rto * s.perturb_rto_multiple] {
-            p->set_static_rto(nr);
+          [c = &channel, nr = rto * s.perturb_rto_multiple] {
+            c->set_static_rto(nr);
           });
     }
 
@@ -488,8 +444,7 @@ ArmResult run_protocol_arm(const Scenario& s, const CheckOptions& opts,
       }
     }
     check_scripted_consumed(fabric, r);
-    r.retransmissions = ec ? ec_snd->stats().fallback_retransmissions
-                           : sr_snd->stats().retransmissions;
+    r.retransmissions = channel.retransmissions();
     for (std::size_t i = 0; i < n; ++i) {
       r.received.insert(r.received.end(), run.dst[i].begin(),
                         run.dst[i].begin() +
@@ -555,8 +510,8 @@ ArmResult run_rc_arm(const Scenario& s, const CheckOptions& opts) {
     tx_cfg.send_cq = &tx_cq;
     verbs::QpConfig rx_cfg = qcfg;
     rx_cfg.recv_cq = &rx_cq;
-    verbs::Qp* tx = fabric.a->create_qp(tx_cfg);
-    verbs::Qp* rx = fabric.b->create_qp(rx_cfg);
+    verbs::Qp* tx = fabric.nics.a->create_qp(tx_cfg);
+    verbs::Qp* rx = fabric.nics.b->create_qp(rx_cfg);
     tx->connect(2, rx->num());
     rx->connect(1, tx->num());
 
@@ -571,7 +526,7 @@ ArmResult run_rc_arm(const Scenario& s, const CheckOptions& opts) {
     }
     std::vector<std::uint8_t> dst(total_bytes, 0);
     const verbs::MemoryRegion* mr =
-        fabric.b->pd().register_mr(dst.data(), dst.size());
+        fabric.nics.b->pd().register_mr(dst.data(), dst.size());
 
     struct RcRun {
       verbs::Qp* tx;

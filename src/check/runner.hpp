@@ -1,13 +1,14 @@
 // Scenario execution arms for the sdrcheck harness.
 //
 // Each arm runs one Scenario end to end through a different reliability
-// stack on a fresh Simulator + NIC pair + DuplexLink:
+// stack on a fresh Simulator and NIC pair (verbs::make_connected_pair with
+// the scenario's forward and backward drop models):
 //
-//   * SR arm — sim -> verbs -> SDR core -> SrSender/SrReceiver (RTO or
-//     NACK flavor per the scenario, adaptive RTO and mid-flight RTO
-//     perturbations included),
-//   * EC arm — same data path under EcSender/EcReceiver (Reed-Solomon with
-//     SR fallback; message lengths padded to whole submessages),
+//   * SR arm — a ReliableChannel: sim -> verbs -> SDR core ->
+//     SrSender/SrReceiver (RTO or NACK flavor per the scenario, adaptive
+//     RTO and mid-flight RTO perturbations included),
+//   * EC arm — a ReliableChannel under EcSender/EcReceiver (Reed-Solomon
+//     with SR fallback; message lengths padded to whole submessages),
 //   * RC arm — the hardware-reliability baseline: raw RC verbs QPs
 //     (go-back-N or selective repeat) carrying the same bytes.
 //

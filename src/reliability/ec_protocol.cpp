@@ -62,7 +62,7 @@ std::uint64_t slot_base(const std::vector<std::uint64_t>& table,
 // ---------------------------------------------------------------------------
 
 EcSender::EcSender(sim::Simulator& simulator, core::Qp& qp,
-                   ControlLink& control, const LinkProfile& profile,
+                   verbs::ControlLink& control, const LinkProfile& profile,
                    const ec::ErasureCodec& codec, EcProtoConfig config,
                    const SrProtoConfig& sr)
     : sim_(simulator),
@@ -342,7 +342,7 @@ void EcSender::release_handles(const MsgState& msg) {
 // ---------------------------------------------------------------------------
 
 EcReceiver::EcReceiver(sim::Simulator& simulator, core::Qp& qp,
-                       ControlLink& control, const LinkProfile& profile,
+                       verbs::ControlLink& control, const LinkProfile& profile,
                        const ec::ErasureCodec& codec, EcProtoConfig config,
                        const SrProtoConfig& sr)
     : sim_(simulator),

@@ -33,12 +33,12 @@
 #include "common/status.hpp"
 #include "ec/codec.hpp"
 #include "reliability/ack_codec.hpp"
-#include "reliability/control_link.hpp"
 #include "reliability/profile.hpp"
 #include "reliability/selective_repeat.hpp"
 #include "sdr/sdr.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/telemetry.hpp"
+#include "verbs/control_link.hpp"
 
 namespace sdr::reliability {
 
@@ -63,9 +63,10 @@ class EcSender {
 
   /// The fallback retransmits under `sr`'s RTO policy; the receiver sends
   /// its fallback ACKs every sr.ack_interval_s.
-  EcSender(sim::Simulator& simulator, core::Qp& qp, ControlLink& control,
-           const LinkProfile& profile, const ec::ErasureCodec& codec,
-           EcProtoConfig config, const SrProtoConfig& sr);
+  EcSender(sim::Simulator& simulator, core::Qp& qp,
+           verbs::ControlLink& control, const LinkProfile& profile,
+           const ec::ErasureCodec& codec, EcProtoConfig config,
+           const SrProtoConfig& sr);
 
   /// Message length must be a whole number of submessages
   /// (k * chunk_size); callers pad to this granularity.
@@ -105,7 +106,7 @@ class EcSender {
 
   sim::Simulator& sim_;
   core::Qp& qp_;
-  ControlLink& control_;
+  verbs::ControlLink& control_;
   LinkProfile profile_;
   const ec::ErasureCodec& codec_;
   EcProtoConfig config_;
@@ -145,9 +146,10 @@ class EcReceiver {
  public:
   using DoneFn = std::function<void(const Status&)>;
 
-  EcReceiver(sim::Simulator& simulator, core::Qp& qp, ControlLink& control,
-             const LinkProfile& profile, const ec::ErasureCodec& codec,
-             EcProtoConfig config, const SrProtoConfig& sr);
+  EcReceiver(sim::Simulator& simulator, core::Qp& qp,
+             verbs::ControlLink& control, const LinkProfile& profile,
+             const ec::ErasureCodec& codec, EcProtoConfig config,
+             const SrProtoConfig& sr);
   /// Completes the receives of messages still in flight, then deregisters
   /// every parity scratch MR. The Qp's context must still be alive.
   ~EcReceiver();
@@ -209,7 +211,7 @@ class EcReceiver {
 
   sim::Simulator& sim_;
   core::Qp& qp_;
-  ControlLink& control_;
+  verbs::ControlLink& control_;
   LinkProfile profile_;
   const ec::ErasureCodec& codec_;
   EcProtoConfig config_;

@@ -13,7 +13,6 @@ void ReliableChannel::Options::derive_timeouts() {
   sr.rto_s = (nack ? 1.5 : 3.0) * rtt;
   sr.nack_enabled = nack;
   sr.ack_interval_s = std::max(rtt / 16.0, profile.chunk_injection_s() * 8.0);
-  sr.nack_holdoff_s = rtt;
 }
 
 ReliableChannel::ReliableChannel(sim::Simulator& simulator, verbs::Nic& src,
@@ -33,8 +32,8 @@ ReliableChannel::ReliableChannel(sim::Simulator& simulator, verbs::Nic& src,
   src_qp_->connect(dst_qp_->info());
   dst_qp_->connect(src_qp_->info());
 
-  src_control_ = std::make_unique<ControlLink>(src);
-  dst_control_ = std::make_unique<ControlLink>(dst);
+  src_control_ = std::make_unique<verbs::ControlLink>(src);
+  dst_control_ = std::make_unique<verbs::ControlLink>(dst);
   src_control_->connect(dst.id(), dst_control_->qp_number());
   dst_control_->connect(src.id(), src_control_->qp_number());
 
@@ -188,6 +187,10 @@ void ReliableChannel::on_src_control(const std::uint8_t* data,
   }
   // Everything else belongs to the SR/EC sender protocol.
   if (protocol_src_handler_) protocol_src_handler_(data, length);
+}
+
+void ReliableChannel::set_static_rto(double rto_s) {
+  if (sr_sender_) sr_sender_->set_static_rto(rto_s);
 }
 
 std::uint64_t ReliableChannel::retransmissions() const {

@@ -11,12 +11,12 @@
 
 #include "common/status.hpp"
 #include "ec/codec.hpp"
-#include "reliability/control_link.hpp"
 #include "reliability/ec_protocol.hpp"
 #include "reliability/profile.hpp"
 #include "reliability/sr_protocol.hpp"
 #include "sdr/sdr.hpp"
 #include "sim/simulator.hpp"
+#include "verbs/control_link.hpp"
 
 namespace sdr::reliability {
 
@@ -60,6 +60,10 @@ class ReliableChannel {
   /// number of submessages.
   Status recv(std::uint8_t* buffer, std::size_t length, DoneFn done);
 
+  /// Mid-flight RTO perturbation: forwards to SrSender::set_static_rto.
+  /// No effect on the EC kinds.
+  void set_static_rto(double rto_s);
+
   const Options& options() const { return options_; }
   std::uint64_t retransmissions() const;
   std::uint64_t eager_messages() const { return eager_completed_; }
@@ -98,7 +102,7 @@ class ReliableChannel {
   ControlMessage ctrl_scratch_;
   std::vector<std::uint8_t> wire_scratch_;
   ControlMessage decode_scratch_;
-  ControlLink::ReceiveFn protocol_src_handler_;
+  verbs::ControlLink::ReceiveFn protocol_src_handler_;
 
   sim::Simulator& sim_;
   Options options_;
@@ -107,8 +111,9 @@ class ReliableChannel {
   std::unique_ptr<core::Context> dst_ctx_;
   core::Qp* src_qp_{nullptr};
   core::Qp* dst_qp_{nullptr};
-  std::unique_ptr<ControlLink> src_control_;  // sender side (receives ACKs)
-  std::unique_ptr<ControlLink> dst_control_;  // receiver side (sends ACKs)
+  // Sender side (receives ACKs) and receiver side (sends ACKs).
+  std::unique_ptr<verbs::ControlLink> src_control_;
+  std::unique_ptr<verbs::ControlLink> dst_control_;
   std::unique_ptr<ec::ErasureCodec> codec_;
   std::unique_ptr<SrSender> sr_sender_;
   std::unique_ptr<SrReceiver> sr_receiver_;

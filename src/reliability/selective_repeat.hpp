@@ -27,10 +27,9 @@ struct SrProtoConfig {
   double rto_s{0.075};
   /// Receiver ACK cadence.
   double ack_interval_s{0.005};
-  /// Enable receiver-side NACKs on bitmap gaps.
+  /// Enable receiver-side NACKs on bitmap gaps. The receiver NACKs a hole
+  /// at most once per LinkProfile::rtt_s.
   bool nack_enabled{false};
-  /// Re-NACK suppression interval (seconds); ~1 RTT is sensible.
-  double nack_holdoff_s{0.025};
   /// Adaptive RTO (paper §4.1.1 "RTO tuning"): estimate the RTO from
   /// per-chunk acknowledgment RTT samples (RFC 6298 / Karn) instead of
   /// using the static rto_s. rto_s still seeds the initial timeout.

@@ -12,7 +12,7 @@ namespace sdr::reliability {
 // ---------------------------------------------------------------------------
 
 SrSender::SrSender(sim::Simulator& simulator, core::Qp& qp,
-                   ControlLink& control, const LinkProfile& profile,
+                   verbs::ControlLink& control, const LinkProfile& profile,
                    SrProtoConfig config)
     : sim_(simulator),
       qp_(qp),
@@ -218,7 +218,7 @@ void SrSender::finish(std::uint64_t msg_number) {
 // ---------------------------------------------------------------------------
 
 SrReceiver::SrReceiver(sim::Simulator& simulator, core::Qp& qp,
-                       ControlLink& control, const LinkProfile& profile,
+                       verbs::ControlLink& control, const LinkProfile& profile,
                        SrProtoConfig config)
     : sim_(simulator),
       qp_(qp),
@@ -341,7 +341,7 @@ void SrReceiver::maybe_nack(MsgState& msg, std::size_t completed_chunk) {
       missing &= missing - 1;
       if (hole >= completed_chunk) break;
       if (msg.last_nack_s[hole] >= 0.0 &&
-          now_s - msg.last_nack_s[hole] < config_.nack_holdoff_s) {
+          now_s - msg.last_nack_s[hole] < profile_.rtt_s) {
         continue;
       }
       msg.last_nack_s[hole] = now_s;

@@ -23,12 +23,12 @@
 
 #include "common/status.hpp"
 #include "reliability/ack_codec.hpp"
-#include "reliability/control_link.hpp"
 #include "reliability/profile.hpp"
 #include "reliability/selective_repeat.hpp"
 #include "sdr/sdr.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/telemetry.hpp"
+#include "verbs/control_link.hpp"
 
 namespace sdr::reliability {
 
@@ -46,8 +46,9 @@ class SrSender {
 
   /// The control link must already be connected to the receiver's link and
   /// is consumed exclusively by this sender (its receive callback is set).
-  SrSender(sim::Simulator& simulator, core::Qp& qp, ControlLink& control,
-           const LinkProfile& profile, SrProtoConfig config);
+  SrSender(sim::Simulator& simulator, core::Qp& qp,
+           verbs::ControlLink& control, const LinkProfile& profile,
+           SrProtoConfig config);
 
   /// Reliably deliver [data, data+length) into the receiver's next posted
   /// buffer. Buffer must stay alive until `done` fires.
@@ -81,7 +82,7 @@ class SrSender {
 
   sim::Simulator& sim_;
   core::Qp& qp_;
-  ControlLink& control_;
+  verbs::ControlLink& control_;
   std::size_t chunk_bytes_;
   std::unordered_map<std::uint64_t, MsgState> messages_;
   /// Finished-message state kept for reuse: the map node and the per-chunk
@@ -110,8 +111,9 @@ class SrReceiver {
  public:
   using DoneFn = std::function<void(const Status&)>;
 
-  SrReceiver(sim::Simulator& simulator, core::Qp& qp, ControlLink& control,
-             const LinkProfile& profile, SrProtoConfig config);
+  SrReceiver(sim::Simulator& simulator, core::Qp& qp,
+             verbs::ControlLink& control, const LinkProfile& profile,
+             SrProtoConfig config);
 
   /// Post a buffer for the next incoming message. Fires `done` after the
   /// message is fully received and recv_complete has been issued.
@@ -140,7 +142,7 @@ class SrReceiver {
 
   sim::Simulator& sim_;
   core::Qp& qp_;
-  ControlLink& control_;
+  verbs::ControlLink& control_;
   LinkProfile profile_;
   SrProtoConfig config_;
   std::unordered_map<std::uint64_t, MsgState> messages_;

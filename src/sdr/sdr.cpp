@@ -8,11 +8,6 @@
 
 namespace sdr::core {
 
-namespace {
-constexpr std::uint64_t kCtsBufferFactor = 2;  // posted CTS recvs per slot
-constexpr std::size_t kUdStagingDepth = 256;  // datagram buffers per UD QP
-}
-
 // ---------------------------------------------------------------------------
 // Context
 // ---------------------------------------------------------------------------
@@ -40,32 +35,18 @@ Status Context::mr_dereg(const verbs::MemoryRegion* mr) {
 // ---------------------------------------------------------------------------
 
 Qp::Qp(Context& ctx, const QpAttr& attr)
-    : ctx_(ctx), attr_(attr), codec_(attr.imm), table_(attr) {
+    : ctx_(ctx),
+      attr_(attr),
+      codec_(attr.imm),
+      table_(attr),
+      control_(ctx.nic()) {
   assert(attr_.valid());
   verbs::Nic& nic = ctx_.nic();
-
-  // Control path: one UD QP for CTS datagrams.
-  control_cq_ = std::make_unique<verbs::CompletionQueue>(
-      attr_.max_inflight * kCtsBufferFactor + 64);
+  control_.set_receiver(
+      [this](const std::uint8_t* data, std::size_t length) {
+        on_cts(data, length);
+      });
   send_cq_ = std::make_unique<verbs::CompletionQueue>(1 << 16);
-  verbs::QpConfig control_cfg;
-  control_cfg.type = verbs::QpType::kUD;
-  control_cfg.mtu = attr_.mtu;
-  control_cfg.send_cq = nullptr;  // CTS sends are unsignaled
-  control_cfg.recv_cq = control_cq_.get();
-  control_qp_ = nic.create_qp(control_cfg);
-  control_cq_->set_notify([this] { on_control_cqe(); });
-
-  // Pre-post CTS receive buffers (one flat allocation for all slots).
-  const std::size_t n_cts = attr_.max_inflight * kCtsBufferFactor;
-  cts_buffers_.resize(n_cts * sizeof(CtsMessage));
-  for (std::size_t i = 0; i < n_cts; ++i) {
-    verbs::RecvWr rwr;
-    rwr.wr_id = i;
-    rwr.addr = cts_buffers_.data() + i * sizeof(CtsMessage);
-    rwr.length = sizeof(CtsMessage);
-    control_qp_->post_recv(rwr);
-  }
 
   // Data path: generations x channels QPs, one recv CQ per QP (the
   // per-channel CQs that DPA workers poll), a shared send CQ. Transport is
@@ -74,7 +55,10 @@ Qp::Qp(Context& ctx, const QpAttr& attr)
   const std::size_t n_qps = attr_.generations * attr_.channels;
   data_qps_.reserve(n_qps);
   data_cqs_.reserve(n_qps);
-  if (ud) ud_staging_.resize(n_qps);
+  if (ud) {
+    ud_staging_ =
+        std::make_unique_for_overwrite<std::uint8_t[]>(n_qps * attr_.mtu);
+  }
   for (std::size_t i = 0; i < n_qps; ++i) {
     auto cq = std::make_unique<verbs::CompletionQueue>(1 << 16);
     // One growth step up front: a channel CQ that sees its first packet
@@ -88,18 +72,13 @@ Qp::Qp(Context& ctx, const QpAttr& attr)
     cfg.recv_cq = cq.get();
     verbs::Qp* qp = nic.create_qp(cfg);
     if (ud) {
-      // Pre-post staging datagram buffers (one flat allocation per QP);
-      // payload is copied out to the user buffer by the receive backend
-      // and the buffer reposted.
-      auto& staging = ud_staging_[i];
-      staging.resize(kUdStagingDepth * attr_.mtu);
-      for (std::size_t b = 0; b < kUdStagingDepth; ++b) {
-        verbs::RecvWr rwr;
-        rwr.wr_id = b;
-        rwr.addr = staging.data() + b * attr_.mtu;
-        rwr.length = attr_.mtu;
-        qp->post_recv(rwr);
-      }
+      // One staging buffer, as in verbs::ControlLink: the CQ notify drains
+      // inline, so the backend copies each datagram out and re-posts the
+      // buffer before the next one can land.
+      verbs::RecvWr rwr;
+      rwr.addr = ud_staging_.get() + i * attr_.mtu;
+      rwr.length = attr_.mtu;
+      qp->post_recv(rwr);
     }
     const std::size_t qp_index = i;
     cq->set_notify([this, qp_index] { on_data_cqe(qp_index); });
@@ -147,9 +126,6 @@ void Qp::register_metrics() {
   tele_.bind_gauge("send_cq_overruns", [this] {
     return static_cast<double>(send_cq_->overruns());
   });
-  tele_.bind_gauge("control_cq_depth", [this] {
-    return static_cast<double>(control_cq_->size());
-  });
   // Completion-latency rollups (recv_post -> chunk bit / full message):
   // flatten() derives .p50/.p99/.p999 columns, so fig10/fig13 sweeps export
   // the tail per trial.
@@ -159,20 +135,15 @@ void Qp::register_metrics() {
 
 SimTime Qp::sim_now() const { return ctx_.nic().simulator().now(); }
 
-verbs::QpNumber Qp::control_qp_num() const {
-  return control_qp_ != nullptr ? control_qp_->num() : 0;
-}
-
 Qp::~Qp() {
   verbs::Nic& nic = ctx_.nic();
-  if (control_qp_ != nullptr) nic.destroy_qp(control_qp_->num());
   for (verbs::Qp* qp : data_qps_) nic.destroy_qp(qp->num());
 }
 
 QpInfo Qp::info() const {
   QpInfo info;
   info.nic = ctx_.nic().id();
-  info.control_qp = control_qp_->num();
+  info.control_qp = control_.qp_number();
   info.data_qps.reserve(data_qps_.size());
   for (const verbs::Qp* qp : data_qps_) info.data_qps.push_back(qp->num());
   info.root_key = root_table_->key();
@@ -198,7 +169,7 @@ Status Qp::connect(const QpInfo& remote) {
     return Status(StatusCode::kInvalidArgument, "transport mismatch");
   }
   remote_nic_ = remote.nic;
-  remote_control_qp_ = remote.control_qp;
+  control_.connect(remote.nic, remote.control_qp);
   remote_root_key_ = remote.root_key;
   remote_data_qps_ = remote.data_qps;
   for (std::size_t i = 0; i < data_qps_.size(); ++i) {
@@ -544,53 +515,36 @@ std::uint64_t Qp::recv_packets(const RecvHandle* handle) const {
 // ---------------------------------------------------------------------------
 
 void Qp::send_cts(const CtsMessage& cts) {
-  verbs::SendWr wr;
-  wr.local_addr = reinterpret_cast<const std::uint8_t*>(&cts);
-  wr.length = sizeof(cts);
-  wr.signaled = false;
-  wr.dst_nic = remote_nic_;
-  wr.dst_qp = remote_control_qp_;
-  control_qp_->post_send(wr);
+  control_.send(reinterpret_cast<const std::uint8_t*>(&cts), sizeof(cts));
   ++stats_.cts_sent;
 }
 
-void Qp::on_control_cqe() {
+void Qp::on_cts(const std::uint8_t* data, std::size_t length) {
   telemetry::ProfScope prof(telemetry::ProfCategory::kSdr);
-  while (const auto next = control_cq_->poll_one()) {
-    const verbs::Cqe& cqe = *next;
-    if (!cqe.is_recv || cqe.byte_len < sizeof(CtsMessage)) continue;
-    const std::size_t buf = static_cast<std::size_t>(cqe.wr_id);
-    CtsMessage cts;
-    std::uint8_t* cts_buf = cts_buffers_.data() + buf * sizeof(CtsMessage);
-    std::memcpy(&cts, cts_buf, sizeof(cts));
-    // Recycle the CTS buffer.
-    verbs::RecvWr rwr;
-    rwr.wr_id = buf;
-    rwr.addr = cts_buf;
-    rwr.length = sizeof(CtsMessage);
-    control_qp_->post_recv(rwr);
-    ++stats_.cts_received;
-    if (telemetry::observing()) {
-      telemetry::emit({.t = sim_now(), .kind = telemetry::EventKind::kCts,
-                       .msg = cts.msg_number});
-    }
-
-    // Order-based matching: the in-flight send for this msg_number, if
-    // started, lives at its slot.
-    const std::size_t slot = slot_of(cts.msg_number);
-    SendHandle* h = &send_handles_[slot];
-    if (h->in_use_ && h->msg_number_ == cts.msg_number) {
-      // Receiver-side CTS retry can deliver duplicates; the first one
-      // already flushed the queue and armed the protocol timers.
-      if (h->cts_ready_) continue;
-      h->cts_ready_ = true;
-      h->remote_msg_bytes_ = cts.msg_bytes;
-      flush_queued(h);
-    } else {
-      cts_pending_[slot] = PendingCts{cts, true};
-    }
-    if (cts_handler_) cts_handler_(cts.msg_number);
+  if (length < sizeof(CtsMessage)) return;
+  CtsMessage cts;
+  std::memcpy(&cts, data, sizeof(cts));
+  ++stats_.cts_received;
+  if (telemetry::observing()) {
+    telemetry::emit({.t = sim_now(), .kind = telemetry::EventKind::kCts,
+                     .msg = cts.msg_number});
   }
+
+  // Order-based matching: the in-flight send for this msg_number, if
+  // started, lives at its slot.
+  const std::size_t slot = slot_of(cts.msg_number);
+  SendHandle* h = &send_handles_[slot];
+  if (h->in_use_ && h->msg_number_ == cts.msg_number) {
+    // Receiver-side CTS retry can deliver duplicates; the first one
+    // already flushed the queue and armed the protocol timers.
+    if (h->cts_ready_) return;
+    h->cts_ready_ = true;
+    h->remote_msg_bytes_ = cts.msg_bytes;
+    flush_queued(h);
+  } else {
+    cts_pending_[slot] = PendingCts{cts, true};
+  }
+  if (cts_handler_) cts_handler_(cts.msg_number);
 }
 
 void Qp::on_data_cqe(std::size_t qp_index) {
@@ -612,8 +566,7 @@ void Qp::on_data_cqe(std::size_t qp_index) {
       // unlike the zero-copy path, where the NIC has already placed the
       // payload — so stale packets never touch user memory. The staging
       // buffer is reposted either way.
-      std::uint8_t* staging =
-          ud_staging_[qp_index].data() + cqe.wr_id * attr_.mtu;
+      std::uint8_t* staging = ud_staging_.get() + qp_index * attr_.mtu;
       result = table_.process_completion(fields, qp_generation);
       if (result.accepted && result.new_packet) {
         const std::uint64_t offset =
@@ -628,7 +581,6 @@ void Qp::on_data_cqe(std::size_t qp_index) {
         }
       }
       verbs::RecvWr rwr;
-      rwr.wr_id = cqe.wr_id;
       rwr.addr = staging;
       rwr.length = attr_.mtu;
       data_qps_[qp_index]->post_recv(rwr);

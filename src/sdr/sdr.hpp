@@ -27,6 +27,7 @@
 #include "sdr/imm_codec.hpp"
 #include "sdr/message_table.hpp"
 #include "telemetry/telemetry.hpp"
+#include "verbs/control_link.hpp"
 #include "verbs/cq.hpp"
 #include "verbs/nic.hpp"
 
@@ -215,9 +216,9 @@ class Qp {
   MessageTable& message_table() { return table_; }
   Context& context() { return ctx_; }
 
-  /// Stable connection id for flight-recorder records (the control QP
-  /// number; 0 before connect).
-  verbs::QpNumber control_qp_num() const;
+  /// Stable connection id for flight-recorder records: the QP number of
+  /// the CTS link.
+  verbs::QpNumber control_qp_num() const { return control_.qp_number(); }
 
  private:
   struct CtsMessage {
@@ -239,7 +240,7 @@ class Qp {
   }
 
   void send_cts(const CtsMessage& cts);
-  void on_control_cqe();
+  void on_cts(const std::uint8_t* data, std::size_t length);
   void on_data_cqe(std::size_t qp_index);
   void on_send_cqe();
   void inject(SendHandle* handle, const std::uint8_t* data,
@@ -255,13 +256,12 @@ class Qp {
 
   bool connected_{false};
   verbs::NicId remote_nic_{0};
-  verbs::QpNumber remote_control_qp_{0};
   verbs::MemoryKey remote_root_key_{0};
   std::vector<verbs::QpNumber> remote_data_qps_;  // UD datagram targets
 
-  // Internal verbs resources.
-  verbs::Qp* control_qp_{nullptr};
-  std::unique_ptr<verbs::CompletionQueue> control_cq_;
+  // Internal verbs resources. The CTS link comes first: its QP is created
+  // before the data QPs, and ECMP path selection hashes QP numbers.
+  verbs::ControlLink control_;
   std::unique_ptr<verbs::CompletionQueue> send_cq_;
   std::vector<verbs::Qp*> data_qps_;  // [gen * channels + chan]
   std::vector<std::unique_ptr<verbs::CompletionQueue>> data_cqs_;
@@ -290,14 +290,10 @@ class Qp {
   std::vector<RecvHandle> recv_handles_;
   std::size_t active_send_count_{0};
 
-  // Control-plane receive buffers for CTS datagrams: one flat allocation,
-  // slot i at [i * sizeof(CtsMessage)].
-  std::vector<std::uint8_t> cts_buffers_;
-
-  // UD transport: per-data-QP staging datagram buffers, one flat
-  // allocation per QP; wr_id of a staging recv is its buffer index,
-  // buffer b at [b * mtu].
-  std::vector<std::vector<std::uint8_t>> ud_staging_;
+  // UD transport: one staging buffer per data QP, the buffer of QP i at
+  // [i * mtu] of one allocation. Never zero-filled: the backend copies out
+  // only the bytes a datagram wrote.
+  std::unique_ptr<std::uint8_t[]> ud_staging_;
 
   std::function<void(const RecvEvent&)> recv_event_handler_;
   std::function<void(std::uint64_t)> cts_handler_;

@@ -1,6 +1,6 @@
-// Control-path connection for reliability protocols (paper §4.1): a UD
-// queue pair dedicated to ACK/NACK datagrams, kept separate from the SDR
-// data path.
+// Control-path endpoint: a UD queue pair for small datagrams, kept apart
+// from the SDR data path. The SDR core's clear-to-send (paper §3.2.3) and
+// the reliability protocols' ACK/NACK messages (§4.1) each ride one.
 #pragma once
 
 #include <cstdint>
@@ -10,32 +10,33 @@
 #include "verbs/cq.hpp"
 #include "verbs/nic.hpp"
 
-namespace sdr::reliability {
+namespace sdr::verbs {
 
 class ControlLink {
  public:
-  /// Creates a UD QP on `nic` with a few pre-posted 4 KiB datagram
-  /// buffers. A few suffice at any load: the CQ notify drains inline, so
-  /// each datagram is consumed and its buffer re-posted before the next
-  /// delivery can reach the QP, and at most one buffer is ever in use.
+  /// Creates a UD QP on `nic` with one pre-posted 4 KiB datagram buffer.
+  /// One suffices at any load: the CQ notify drains inline, so each
+  /// datagram is handed over and the buffer re-posted before the next
+  /// delivery can reach the QP.
   /// Lifetime: the link owns a QP inside `nic` and unregisters it on
   /// destruction — the NIC must outlive the ControlLink.
-  explicit ControlLink(verbs::Nic& nic);
+  explicit ControlLink(Nic& nic);
   ~ControlLink();
   ControlLink(const ControlLink&) = delete;
   ControlLink& operator=(const ControlLink&) = delete;
 
-  verbs::QpNumber qp_number() const;
+  QpNumber qp_number() const;
 
   /// Address the peer (its nic id + control QP number).
-  void connect(verbs::NicId peer_nic, verbs::QpNumber peer_qp);
+  void connect(NicId peer_nic, QpNumber peer_qp);
 
   /// Send one datagram (<= MTU) to the connected peer.
   void send(const std::uint8_t* data, std::size_t length);
 
   using ReceiveFn = std::function<void(const std::uint8_t*, std::size_t)>;
 
-  /// Incoming datagrams are delivered here (payload copied out).
+  /// Incoming datagrams are delivered here. The bytes are valid only for
+  /// the duration of the call.
   void set_receiver(ReceiveFn fn) { on_receive_ = std::move(fn); }
 
   /// The currently installed receiver — lets a composition layer wrap an
@@ -48,17 +49,17 @@ class ControlLink {
  private:
   void drain();
 
-  verbs::Nic& nic_;
-  std::unique_ptr<verbs::CompletionQueue> cq_;
-  verbs::Qp* qp_{nullptr};
-  verbs::NicId peer_nic_{0};
-  verbs::QpNumber peer_qp_{0};
-  // Receive buffers: one flat allocation, buffer i at [i * kBufferBytes].
-  // Never zero-filled: a handler reads only the bytes a datagram wrote.
-  std::unique_ptr<std::uint8_t[]> buffers_;
+  Nic& nic_;
+  CompletionQueue cq_;
+  Qp* qp_{nullptr};
+  NicId peer_nic_{0};
+  QpNumber peer_qp_{0};
+  // The receive buffer. Never zero-filled: a handler reads only the bytes
+  // a datagram wrote.
+  std::unique_ptr<std::uint8_t[]> buffer_;
   ReceiveFn on_receive_;
   std::uint64_t sent_{0};
   std::uint64_t received_{0};
 };
 
-}  // namespace sdr::reliability
+}  // namespace sdr::verbs

@@ -95,14 +95,14 @@ void Nic::deliver(sim::Packet&& packet) {
 }
 
 NicPair make_connected_pair(sim::Simulator& simulator,
-                            sim::Channel::Config config, double p_drop_fwd,
-                            double p_drop_bwd) {
+                            sim::Channel::Config config,
+                            std::unique_ptr<sim::DropModel> forward,
+                            std::unique_ptr<sim::DropModel> backward) {
   NicPair pair;
   pair.a = std::make_unique<Nic>(simulator, 1);
   pair.b = std::make_unique<Nic>(simulator, 2);
   pair.link = std::make_unique<sim::DuplexLink>(
-      simulator, config, std::make_unique<sim::IidDrop>(p_drop_fwd),
-      std::make_unique<sim::IidDrop>(p_drop_bwd));
+      simulator, config, std::move(forward), std::move(backward));
   Nic* a = pair.a.get();
   Nic* b = pair.b.get();
   pair.link->forward().set_receiver(
@@ -112,6 +112,14 @@ NicPair make_connected_pair(sim::Simulator& simulator,
   a->add_route(b->id(), &pair.link->forward());
   b->add_route(a->id(), &pair.link->backward());
   return pair;
+}
+
+NicPair make_connected_pair(sim::Simulator& simulator,
+                            sim::Channel::Config config, double p_drop_fwd,
+                            double p_drop_bwd) {
+  return make_connected_pair(simulator, config,
+                             std::make_unique<sim::IidDrop>(p_drop_fwd),
+                             std::make_unique<sim::IidDrop>(p_drop_bwd));
 }
 
 }  // namespace sdr::verbs

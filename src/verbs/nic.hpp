@@ -88,13 +88,21 @@ class Nic {
   telemetry::Scope tele_;  // last member: unbinds before counters die
 };
 
-/// Convenience: build two NICs connected by a duplex link with i.i.d. loss.
+/// Two NICs, ids 1 and 2, routed to each other over one duplex link: a -> b
+/// on the link's forward channel, b -> a on its backward channel.
 struct NicPair {
   std::unique_ptr<Nic> a;
   std::unique_ptr<Nic> b;
   std::unique_ptr<sim::DuplexLink> link;
 };
 
+/// Both directions share `config`; each drops by its own model.
+NicPair make_connected_pair(sim::Simulator& simulator,
+                            sim::Channel::Config config,
+                            std::unique_ptr<sim::DropModel> forward,
+                            std::unique_ptr<sim::DropModel> backward);
+
+/// i.i.d. loss in each direction.
 NicPair make_connected_pair(sim::Simulator& simulator,
                             sim::Channel::Config config, double p_drop_fwd,
                             double p_drop_bwd = 0.0);

@@ -24,10 +24,10 @@
 #include "common/payload_pool.hpp"
 #include "common/units.hpp"
 #include "ec/reed_solomon.hpp"
-#include "reliability/control_link.hpp"
 #include "reliability/ec_protocol.hpp"
 #include "sdr/sdr.hpp"
 #include "sim/simulator.hpp"
+#include "verbs/control_link.hpp"
 #include "verbs/nic.hpp"
 
 namespace sdr {
@@ -342,7 +342,7 @@ struct EcAllocRun {
   sim::Simulator sim;
   verbs::NicPair nics;
   std::unique_ptr<core::Context> client, server;
-  std::unique_ptr<reliability::ControlLink> ctrl_a, ctrl_b;
+  std::unique_ptr<verbs::ControlLink> ctrl_a, ctrl_b;
   std::unique_ptr<ec::ReedSolomon> codec;
   std::unique_ptr<reliability::EcSender> sender;
   std::unique_ptr<reliability::EcReceiver> receiver;
@@ -371,8 +371,8 @@ struct EcAllocRun {
     core::Qp* qb = server->create_qp(attr);
     qa->connect(qb->info());
     qb->connect(qa->info());
-    ctrl_a = std::make_unique<reliability::ControlLink>(*nics.a);
-    ctrl_b = std::make_unique<reliability::ControlLink>(*nics.b);
+    ctrl_a = std::make_unique<verbs::ControlLink>(*nics.a);
+    ctrl_b = std::make_unique<verbs::ControlLink>(*nics.b);
     ctrl_a->connect(nics.b->id(), ctrl_b->qp_number());
     ctrl_b->connect(nics.a->id(), ctrl_a->qp_number());
 

@@ -36,37 +36,32 @@ std::vector<std::uint8_t> pattern(std::size_t n, std::uint8_t seed) {
 /// backward channel would reorder and duplicate too if it asked for that.
 struct ScriptedPair {
   sim::Simulator sim;
-  std::unique_ptr<verbs::Nic> a;
-  std::unique_ptr<verbs::Nic> b;
-  std::unique_ptr<sim::DuplexLink> link;
+  verbs::NicPair nics;
+  verbs::Nic* a;
+  verbs::Nic* b;
 
   explicit ScriptedPair(std::vector<std::uint64_t> drops,
-                        std::vector<std::uint64_t> backward_drops = {}) {
-    wire(std::make_unique<sim::ScriptedDrop>(std::move(drops)),
-         std::move(backward_drops));
-  }
-  explicit ScriptedPair(std::unique_ptr<sim::DropModel> forward) {
-    wire(std::move(forward), {});
-  }
+                        std::vector<std::uint64_t> backward_drops = {})
+      : nics(wire(sim, std::make_unique<sim::ScriptedDrop>(std::move(drops)),
+                  std::move(backward_drops))),
+        a(nics.a.get()),
+        b(nics.b.get()) {}
+  explicit ScriptedPair(std::unique_ptr<sim::DropModel> forward)
+      : nics(wire(sim, std::move(forward), {})),
+        a(nics.a.get()),
+        b(nics.b.get()) {}
 
  private:
-  void wire(std::unique_ptr<sim::DropModel> forward,
-            std::vector<std::uint64_t> backward_drops) {
+  static verbs::NicPair wire(sim::Simulator& simulator,
+                             std::unique_ptr<sim::DropModel> forward,
+                             std::vector<std::uint64_t> backward_drops) {
     sim::Channel::Config cfg;
     cfg.bandwidth_bps = 100e9;
     cfg.distance_km = 100.0;
     cfg.seed = 1;
-    a = std::make_unique<verbs::Nic>(sim, 1);
-    b = std::make_unique<verbs::Nic>(sim, 2);
-    link = std::make_unique<sim::DuplexLink>(
-        sim, cfg, std::move(forward),
+    return verbs::make_connected_pair(
+        simulator, cfg, std::move(forward),
         std::make_unique<sim::ScriptedDrop>(std::move(backward_drops)));
-    link->forward().set_receiver(
-        [nic = b.get()](sim::Packet&& p) { nic->deliver(std::move(p)); });
-    link->backward().set_receiver(
-        [nic = a.get()](sim::Packet&& p) { nic->deliver(std::move(p)); });
-    a->add_route(2, &link->forward());
-    b->add_route(1, &link->backward());
   }
 };
 
@@ -108,7 +103,7 @@ TEST(FaultInjectionTest, SrRetransmitsExactlyTheDroppedChunks) {
   core::Qp* qb = ctx_b.create_qp(one_packet_chunks());
   qa->connect(qb->info());
   qb->connect(qa->info());
-  ControlLink ca(*pair.a), cb(*pair.b);
+  verbs::ControlLink ca(*pair.a), cb(*pair.b);
   ca.connect(2, cb.qp_number());
   cb.connect(1, ca.qp_number());
 
@@ -150,7 +145,7 @@ TEST(FaultInjectionTest, EcRecoversExactlyMDropsInPlace) {
   core::Qp* qb = ctx_b.create_qp(one_packet_chunks());
   qa->connect(qb->info());
   qb->connect(qa->info());
-  ControlLink ca(*pair.a), cb(*pair.b);
+  verbs::ControlLink ca(*pair.a), cb(*pair.b);
   ca.connect(2, cb.qp_number());
   cb.connect(1, ca.qp_number());
 
@@ -197,7 +192,7 @@ TEST(FaultInjectionTest, EcFallsBackExactlyBeyondTolerance) {
   core::Qp* qb = ctx_b.create_qp(one_packet_chunks());
   qa->connect(qb->info());
   qb->connect(qa->info());
-  ControlLink ca(*pair.a), cb(*pair.b);
+  verbs::ControlLink ca(*pair.a), cb(*pair.b);
   ca.connect(2, cb.qp_number());
   cb.connect(1, ca.qp_number());
 
@@ -264,7 +259,7 @@ TEST(FaultInjectionTest, EcFallbackBacksOffIntoABlackHole) {
   core::Qp* qb = ctx_b.create_qp(one_packet_chunks());
   qa->connect(qb->info());
   qb->connect(qa->info());
-  ControlLink ca(*pair.a), cb(*pair.b);
+  verbs::ControlLink ca(*pair.a), cb(*pair.b);
   ca.connect(2, cb.qp_number());
   cb.connect(1, ca.qp_number());
 
@@ -312,7 +307,7 @@ TEST(FaultInjectionTest, SrRecoversALostCts) {
   core::Qp* qb = ctx_b.create_qp(one_packet_chunks());
   qa->connect(qb->info());
   qb->connect(qa->info());
-  ControlLink ca(*pair.a), cb(*pair.b);
+  verbs::ControlLink ca(*pair.a), cb(*pair.b);
   ca.connect(2, cb.qp_number());
   cb.connect(1, ca.qp_number());
 
@@ -358,7 +353,7 @@ TEST(FaultInjectionTest, EcRecoversALostCts) {
   core::Qp* qb = ctx_b.create_qp(one_packet_chunks());
   qa->connect(qb->info());
   qb->connect(qa->info());
-  ControlLink ca(*pair.a), cb(*pair.b);
+  verbs::ControlLink ca(*pair.a), cb(*pair.b);
   ca.connect(2, cb.qp_number());
   cb.connect(1, ca.qp_number());
 

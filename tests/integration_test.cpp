@@ -10,11 +10,11 @@
 #include "common/logging.hpp"
 #include "common/status.hpp"
 #include "ec/reed_solomon.hpp"
-#include "reliability/control_link.hpp"
 #include "reliability/ec_protocol.hpp"
 #include "reliability/sr_protocol.hpp"
 #include "sdr/sdr.hpp"
 #include "sim/simulator.hpp"
+#include "verbs/control_link.hpp"
 #include "verbs/fabric.hpp"
 #include "verbs/nic.hpp"
 
@@ -151,7 +151,7 @@ TEST(ReliabilityIntegrationTest, EcGlobalTimeoutAbortsOnBlackHole) {
   core::Qp* qb = ctx_b.create_qp(attr);
   qa->connect(qb->info());
   qb->connect(qa->info());
-  reliability::ControlLink ca(*pair.a), cb(*pair.b);
+  verbs::ControlLink ca(*pair.a), cb(*pair.b);
   ca.connect(pair.b->id(), cb.qp_number());
   cb.connect(pair.a->id(), ca.qp_number());
 
@@ -203,7 +203,7 @@ TEST(ReliabilityIntegrationTest, InterleavedSrMessagesComplete) {
   core::Qp* qb = ctx_b.create_qp(attr);
   qa->connect(qb->info());
   qb->connect(qa->info());
-  reliability::ControlLink ca(*pair.a), cb(*pair.b);
+  verbs::ControlLink ca(*pair.a), cb(*pair.b);
   ca.connect(pair.b->id(), cb.qp_number());
   cb.connect(pair.a->id(), ca.qp_number());
   reliability::LinkProfile profile;
@@ -256,9 +256,9 @@ TEST(ReliabilityIntegrationTest, InterleavedSrMessagesComplete) {
 // Control link
 // ---------------------------------------------------------------------------
 
-// A control link posts a few receive buffers, not one per datagram in
-// flight: each arrival is drained and its buffer re-posted inside the
-// delivery. A back-to-back burst far deeper than that must arrive whole.
+// A control link posts one receive buffer, not one per datagram in
+// flight: each arrival is drained and the buffer re-posted inside the
+// delivery. A back-to-back burst of many datagrams must arrive whole.
 TEST(ControlLinkTest, BurstDeeperThanThePostedBuffersArrivesIntact) {
   sim::Simulator sim;
   sim::Channel::Config cfg;
@@ -266,7 +266,7 @@ TEST(ControlLinkTest, BurstDeeperThanThePostedBuffersArrivesIntact) {
   cfg.distance_km = 10.0;
   cfg.seed = 7;
   verbs::NicPair pair = verbs::make_connected_pair(sim, cfg, 0.0, 0.0);
-  reliability::ControlLink ca(*pair.a), cb(*pair.b);
+  verbs::ControlLink ca(*pair.a), cb(*pair.b);
   ca.connect(pair.b->id(), cb.qp_number());
   cb.connect(pair.a->id(), ca.qp_number());
   std::vector<std::vector<std::uint8_t>> received;

@@ -61,8 +61,8 @@ class EcProtoFixture : public ::testing::Test {
     qp_a_->connect(qp_b_->info());
     qp_b_->connect(qp_a_->info());
 
-    ctrl_a_ = std::make_unique<ControlLink>(*pair_.a);
-    ctrl_b_ = std::make_unique<ControlLink>(*pair_.b);
+    ctrl_a_ = std::make_unique<verbs::ControlLink>(*pair_.a);
+    ctrl_b_ = std::make_unique<verbs::ControlLink>(*pair_.b);
     ctrl_a_->connect(pair_.b->id(), ctrl_b_->qp_number());
     ctrl_b_->connect(pair_.a->id(), ctrl_a_->qp_number());
 
@@ -127,7 +127,7 @@ class EcProtoFixture : public ::testing::Test {
   std::unique_ptr<core::Context> ctx_a_, ctx_b_;
   core::Qp* qp_a_{nullptr};
   core::Qp* qp_b_{nullptr};
-  std::unique_ptr<ControlLink> ctrl_a_, ctrl_b_;
+  std::unique_ptr<verbs::ControlLink> ctrl_a_, ctrl_b_;
   LinkProfile profile_;
   std::unique_ptr<ec::ErasureCodec> codec_;
   std::unique_ptr<EcSender> sender_;

@@ -99,8 +99,8 @@ class AdaptiveSrFixture : public ::testing::Test {
     qp_b_ = ctx_b_->create_qp(attr);
     qp_a_->connect(qp_b_->info());
     qp_b_->connect(qp_a_->info());
-    ctrl_a_ = std::make_unique<ControlLink>(*pair_.a);
-    ctrl_b_ = std::make_unique<ControlLink>(*pair_.b);
+    ctrl_a_ = std::make_unique<verbs::ControlLink>(*pair_.a);
+    ctrl_b_ = std::make_unique<verbs::ControlLink>(*pair_.b);
     ctrl_a_->connect(pair_.b->id(), ctrl_b_->qp_number());
     ctrl_b_->connect(pair_.a->id(), ctrl_a_->qp_number());
 
@@ -142,7 +142,7 @@ class AdaptiveSrFixture : public ::testing::Test {
   std::unique_ptr<core::Context> ctx_a_, ctx_b_;
   core::Qp* qp_a_{nullptr};
   core::Qp* qp_b_{nullptr};
-  std::unique_ptr<ControlLink> ctrl_a_, ctrl_b_;
+  std::unique_ptr<verbs::ControlLink> ctrl_a_, ctrl_b_;
   std::unique_ptr<SrSender> sender_;
   std::unique_ptr<SrReceiver> receiver_;
 };

@@ -58,8 +58,8 @@ class SrProtoFixture : public ::testing::Test {
     qp_a_->connect(qp_b_->info());
     qp_b_->connect(qp_a_->info());
 
-    ctrl_a_ = std::make_unique<ControlLink>(*pair_.a);
-    ctrl_b_ = std::make_unique<ControlLink>(*pair_.b);
+    ctrl_a_ = std::make_unique<verbs::ControlLink>(*pair_.a);
+    ctrl_b_ = std::make_unique<verbs::ControlLink>(*pair_.b);
     ctrl_a_->connect(pair_.b->id(), ctrl_b_->qp_number());
     ctrl_b_->connect(pair_.a->id(), ctrl_a_->qp_number());
 
@@ -73,7 +73,6 @@ class SrProtoFixture : public ::testing::Test {
     config.rto_s = 3.0 * profile_.rtt_s;
     config.ack_interval_s = profile_.rtt_s / 4.0;
     config.nack_enabled = nack;
-    config.nack_holdoff_s = profile_.rtt_s;
     sender_ = std::make_unique<SrSender>(sim_, *qp_a_, *ctrl_a_, profile_,
                                          config);
     receiver_ = std::make_unique<SrReceiver>(sim_, *qp_b_, *ctrl_b_, profile_,
@@ -110,7 +109,7 @@ class SrProtoFixture : public ::testing::Test {
   std::unique_ptr<core::Context> ctx_a_, ctx_b_;
   core::Qp* qp_a_{nullptr};
   core::Qp* qp_b_{nullptr};
-  std::unique_ptr<ControlLink> ctrl_a_, ctrl_b_;
+  std::unique_ptr<verbs::ControlLink> ctrl_a_, ctrl_b_;
   LinkProfile profile_;
   std::unique_ptr<SrSender> sender_;
   std::unique_ptr<SrReceiver> receiver_;

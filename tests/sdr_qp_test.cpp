@@ -296,6 +296,29 @@ TEST_F(SdrFixture, RefusedSendPostKeepsTheArrivedCts) {
   EXPECT_TRUE(qp_a_->send_poll(sh).is_ok());
 }
 
+TEST_F(SdrFixture, BackToBackCtsesNeedOnePostedBuffer) {
+  // The CTS link posts one receive buffer: each CTS is handed over and the
+  // buffer re-posted inside its delivery. A full table of receives posted
+  // in one burst must reach the sender whole, with nothing discarded.
+  QpAttr attr = test_attr();
+  attr.max_inflight = 256;
+  wire(0.0, 0.0, attr);
+  std::vector<std::uint8_t> dst(attr.max_inflight * 1024, 0);
+  const auto* mr = ctx_b_->mr_reg(dst.data(), dst.size());
+  for (std::size_t i = 0; i < attr.max_inflight; ++i) {
+    RecvHandle* rh = nullptr;
+    ASSERT_TRUE(
+        qp_b_->recv_post(dst.data() + i * 1024, 1024, mr, &rh).is_ok());
+  }
+  sim_.run();
+
+  EXPECT_EQ(qp_a_->stats().cts_received, attr.max_inflight);
+  const verbs::Qp* cts_qp = pair_.a->find_qp(qp_a_->info().control_qp);
+  ASSERT_NE(cts_qp, nullptr);
+  EXPECT_EQ(cts_qp->stats().packets_received, attr.max_inflight);
+  EXPECT_EQ(cts_qp->stats().packets_discarded, 0u);
+}
+
 TEST_F(SdrFixture, UserImmediateReconstruction) {
   wire(0.0);
   const std::size_t len = 16 * 1024;  // 16 packets >= 8 fragments
@@ -663,6 +686,42 @@ TEST_F(SdrFixture, UdTransportDeliversWithStagingCopies) {
   // Every packet was staged and copied (the §2.3 cost UC avoids).
   EXPECT_EQ(qp_b_->stats().staged_packets, len / attr.mtu);
   EXPECT_EQ(qp_b_->stats().staged_bytes, len);
+}
+
+TEST_F(SdrFixture, UdTransportNeedsOneStagingBufferPerQp) {
+  // Each UD data QP posts one staging buffer, re-posted inside every
+  // delivery. Two whole-slot messages sent back to back, 128 packets over
+  // two channel QPs, land without a single receiver-not-ready drop.
+  QpAttr attr = test_attr();
+  attr.transport = Transport::kUd;
+  attr.channels = 2;
+  wire(0.0, 0.0, attr);
+  const std::size_t len = attr.max_msg_size;
+  const auto src = pattern(2 * len, 24);
+  std::vector<std::uint8_t> dst(2 * len, 0);
+  const auto* mr = ctx_b_->mr_reg(dst.data(), dst.size());
+  RecvHandle* rh[2] = {nullptr, nullptr};
+  SendHandle* sh[2] = {nullptr, nullptr};
+  for (int m = 0; m < 2; ++m) {
+    ASSERT_TRUE(qp_b_->recv_post(dst.data() + m * len, len, mr, &rh[m])
+                    .is_ok());
+  }
+  sim_.run();  // both CTSes arrive, so the sends inject back to back
+  for (int m = 0; m < 2; ++m) {
+    ASSERT_TRUE(qp_a_->send_post(src.data() + m * len, len, 0, false, &sh[m])
+                    .is_ok());
+  }
+  sim_.run();
+
+  EXPECT_TRUE(qp_b_->recv_done(rh[0]));
+  EXPECT_TRUE(qp_b_->recv_done(rh[1]));
+  EXPECT_EQ(dst, src);
+  EXPECT_EQ(qp_b_->stats().staged_packets, 2 * len / attr.mtu);
+  for (const verbs::QpNumber num : qp_b_->info().data_qps) {
+    const verbs::Qp* qp = pair_.b->find_qp(num);
+    ASSERT_NE(qp, nullptr);
+    EXPECT_EQ(qp->stats().packets_discarded, 0u) << "QP " << num;
+  }
 }
 
 TEST_F(SdrFixture, UdTransportPartialBitmapUnderLoss) {

@@ -7,15 +7,18 @@
 //  * the shrink ladder is deterministic and monotone,
 //  * the CI smoke batch keeps covering a lost CTS,
 //  * a 200-seed smoke batch passes every oracle (the tier-1 gate),
-//  * serial and parallel sweeps produce byte-identical records,
+//  * serial and parallel sweeps produce byte-identical records and the
+//    same batch digest,
 //  * an intentionally injected protocol bug (off-by-one in the SR bitmap
 //    ACK's cumulative field, armed via a failpoint) is caught by the
-//    oracles and shrunk to a small repro,
+//    oracles and shrunk to a small repro, one seed at a time and through
+//    the batch path,
 //  * an instrumentation hook stamping a stale sim time (failpoint in
 //    telemetry::emit) fails the event-order oracle of every arm,
 //  * repeated runs do not grow live heap allocations (leak oracle on the
 //    harness itself, same global operator-new hook as datapath_alloc_test
 //    but tracking live count rather than allocation count).
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -215,6 +218,9 @@ TEST(Sdrcheck, SerialAndParallelSweepsAreIdentical) {
   const BatchResult parallel = check_seeds(kSmokeBaseSeed, 40, opts, 4);
   EXPECT_TRUE(serial.ok());
   EXPECT_EQ(serial.jsonl, parallel.jsonl);
+  ASSERT_EQ(serial.digests.size(), 40u);
+  EXPECT_EQ(serial.digests, parallel.digests);
+  EXPECT_EQ(serial.digest(), parallel.digest());
 }
 
 TEST(Sdrcheck, ReproCommandFormat) {
@@ -257,17 +263,19 @@ TEST(Sdrcheck, FlightAndSpanCapturesMergePerArm) {
   EXPECT_TRUE(plain.chrome_json().empty());
 }
 
-/// First seed >= `from` whose scenario exposes the SR cumulative-ACK bug:
-/// plain RTO flavor (NACK recovery would re-request the skipped chunk and
-/// mask it) with a deterministic scripted drop (so the ACK path observes a
-/// hole in the bitmap).
+/// Whether a scenario exposes the SR cumulative-ACK bug: plain RTO flavor
+/// (NACK recovery would re-request the skipped chunk and mask it) with a
+/// deterministic scripted drop (so the ACK path observes a hole in the
+/// bitmap).
+bool exposes_ack_off_by_one(const Scenario& s) {
+  return s.sr_flavor == SrFlavor::kRto && !s.adaptive_rto &&
+         s.drop == DropKind::kScripted;
+}
+
+/// First seed >= `from` whose scenario exposes the SR cumulative-ACK bug.
 std::uint64_t find_sr_rto_scripted_seed(std::uint64_t from) {
   for (std::uint64_t seed = from; seed < from + 4096; ++seed) {
-    const Scenario s = generate_scenario(seed);
-    if (s.sr_flavor == SrFlavor::kRto && !s.adaptive_rto &&
-        s.drop == DropKind::kScripted) {
-      return seed;
-    }
+    if (exposes_ack_off_by_one(generate_scenario(seed))) return seed;
   }
   ADD_FAILURE() << "no SR-RTO + scripted-drop seed in range";
   return from;
@@ -307,6 +315,34 @@ TEST(Sdrcheck, InjectedAckOffByOneIsCaughtAndShrunk) {
   const SeedReport replay = check_seed(seed, opts, shrunk.level);
   EXPECT_FALSE(replay.ok());
   EXPECT_EQ(replay.scenario.describe(), shrunk.minimal.scenario.describe());
+}
+
+TEST(Sdrcheck, BatchCountsListsAndShrinksAFailingSeed) {
+  // With the off-by-one armed, base 97's first seed fails and its second
+  // passes, so a batch of both crosses the failing-seed path: the seed's
+  // record counts the report's failure lines, the seed is listed and its
+  // shrunk repro is kept. Runs at jobs = 1: failpoints are thread-local.
+  constexpr std::uint64_t kBase = 97;
+  const std::uint64_t seed = derive_seed(kBase, 0);
+  ASSERT_TRUE(exposes_ack_off_by_one(generate_scenario(seed)));
+  const CheckOptions opts;
+  common::ScopedFailpoint fp("sr.ack_cumulative_off_by_one");
+  const BatchResult batch = check_seeds(kBase, 2, opts, 1);
+
+  ASSERT_EQ(batch.failing_seeds, std::vector<std::uint64_t>{seed});
+  const std::string text = check_seed(seed, opts).failure_text();
+  const auto lines = std::count(text.begin(), text.end(), '\n');
+  ASSERT_GT(lines, 0);
+  const std::string record = batch.jsonl.substr(0, batch.jsonl.find('\n'));
+  EXPECT_NE(record.find("\"oracle_failures\":" + std::to_string(lines) + ","),
+            std::string::npos)
+      << record;
+
+  ASSERT_EQ(batch.shrunk.size(), 1u);
+  const ShrinkOutcome& shrunk = batch.shrunk[0];
+  EXPECT_EQ(shrunk.minimal.seed, seed);
+  EXPECT_FALSE(shrunk.minimal.ok());
+  EXPECT_EQ(shrunk.repro, repro_command(seed, shrunk.level));
 }
 
 TEST(Sdrcheck, StaleEventTimeIsAnOracleFailure) {

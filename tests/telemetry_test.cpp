@@ -24,7 +24,7 @@
 namespace sdr::telemetry {
 namespace {
 
-using reliability::ControlLink;
+using verbs::ControlLink;
 using reliability::LinkProfile;
 using reliability::SrProtoConfig;
 using reliability::SrReceiver;
@@ -78,7 +78,6 @@ struct LossyRig {
     config.rto_s = 3.0 * profile.rtt_s;
     config.ack_interval_s = profile.rtt_s / 4.0;
     config.nack_enabled = nack;
-    config.nack_holdoff_s = profile.rtt_s;
     sender = std::make_unique<SrSender>(sim, *qp_a, *ctrl_a, profile, config);
     receiver =
         std::make_unique<SrReceiver>(sim, *qp_b, *ctrl_b, profile, config);

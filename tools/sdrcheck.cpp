@@ -162,9 +162,12 @@ int run_batch(const CliArgs& args) {
   const CheckOptions opts;
   const BatchResult batch =
       sdr::check::check_seeds(args.base_seed, args.seeds, opts, args.jobs);
-  std::printf("checked %zu seeds (base-seed=%llu, jobs=%u): %zu failing\n",
-              batch.total, static_cast<unsigned long long>(batch.base_seed),
-              args.jobs, batch.failing_seeds.size());
+  std::printf(
+      "checked %zu seeds (base-seed=%llu, jobs=%u): %zu failing, "
+      "digest %016llx\n",
+      batch.total, static_cast<unsigned long long>(batch.base_seed),
+      args.jobs, batch.failing_seeds.size(),
+      static_cast<unsigned long long>(batch.digest()));
   for (const auto& shrunk : batch.shrunk) {
     std::printf("FAIL seed=%llu shrunk-to-level=%d: %s\n",
                 static_cast<unsigned long long>(shrunk.minimal.seed),
