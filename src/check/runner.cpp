@@ -32,8 +32,8 @@ constexpr std::uint64_t kRcArmSalt = 0x2C;
 constexpr std::uint64_t kFarTimerStream = 0xFA57;
 
 // Event budget for the post-completion quiescence drain: far above any
-// residual timer count a healthy run leaves behind (final-ACK repeats, EC
-// global timeouts), far below anything that would mask a timer livelock.
+// residual timer count a healthy run leaves behind (final-ACK repeats,
+// reap polls), far below anything that would mask a timer livelock.
 constexpr std::uint64_t kQuiesceBudget = 500000;
 
 // Per-arm recorder sizes: flight-recorder ring per connection, span pool.
@@ -50,9 +50,12 @@ double chunk_injection(const Scenario& s) {
   return injection_time_s(s.chunk_bytes(), s.bandwidth_bps);
 }
 
-/// Static SR/EC-fallback RTO. Floored by chunk injection backlog so a
-/// low-bandwidth scenario doesn't degenerate into a spurious
-/// retransmission storm (mirrors ReliableChannel::derive_timeouts).
+/// Static SR/EC-fallback RTO: the scenario's multiple of the RTT, or of
+/// eight chunk injections when those take longer, so a low-bandwidth
+/// scenario doesn't degenerate into a spurious retransmission storm. The
+/// runner's own formula, like ack_interval() below:
+/// ReliableChannel::derive_timeouts sets a fixed 1.5 or 3 RTT with no
+/// injection floor, and an ACK cadence of max(RTT / 16, 8 injections).
 double base_rto(const Scenario& s) {
   return s.rto_rtt_multiple * std::max(s.rtt_s(), 8.0 * chunk_injection(s));
 }

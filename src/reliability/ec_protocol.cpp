@@ -11,9 +11,12 @@ namespace {
 
 constexpr std::uint64_t kNoMessage = ~std::uint64_t{0};
 
-/// Abort safety net, in multiples of FTO + RTT; paper: "a global timeout
-/// is also set at message posting to prevent deadlock".
-constexpr double kGlobalTimeoutFactor = 50.0;
+/// The deadlock guard (paper: "a global timeout is also set at message
+/// posting to prevent deadlock"): the FTO round that follows this many
+/// rounds without a chunk event aborts the message. With the FTO's doubling
+/// capped at 16x, a message on a dead path gives up about
+/// 223 × (FTO + 2 RTT) after posting.
+constexpr unsigned kSilentFtoLimit = 16;
 
 /// Whether a recycled parity buffer of `capacity` bytes may carry a message
 /// that needs `need`: it must be large enough and at most twice that, so a
@@ -422,11 +425,9 @@ Status EcReceiver::expect(std::uint8_t* buffer, std::size_t length,
   msg.sub_nacked.clear();
   msg.subs_recovered = 0;
   msg.fallback = false;
-  msg.complete = false;
+  msg.silent_rounds = 0;
   msg.fto_timer = {};
-  msg.global_timer = {};
   msg.ack_timer = {};
-  msg.cts_timer = {};
   // The parity scratch keeps its registration while it fits. Every receive
   // bound to it was completed (rebound to the NULL key) before the node was
   // recycled, so replacing it is safe too.
@@ -470,32 +471,10 @@ Status EcReceiver::expect(std::uint8_t* buffer, std::size_t length,
     set_slot_base(handle_base_, handle->slot(), base);
   }
 
-  msg.cts_timer =
-      sim_.schedule(SimTime::from_seconds(profile_.cts_retry_interval_s()),
-                    [this, base] { cts_tick(base); });
-
-  // Global deadlock-prevention timeout (armed at posting).
-  msg.global_timer = sim_.schedule(
-      SimTime::from_seconds(kGlobalTimeoutFactor *
-                            (fto_s(length) + profile_.rtt_s)),
-      [this, base] {
-        const auto it = messages_.find(base);
-        if (it == messages_.end() || it->second.complete) return;
-        MsgState& m = it->second;
-        m.complete = true;
-        if (m.fto_timer.valid()) sim_.cancel(m.fto_timer);
-        if (m.ack_timer.valid()) sim_.cancel(m.ack_timer);
-        if (m.cts_timer.valid()) sim_.cancel(m.cts_timer);
-        complete_receives(m);
-        DoneFn cb = std::move(m.done);
-        free_.push_back(messages_.extract(it));
-        if (cb) cb(Status(StatusCode::kAborted, "EC global timeout"));
-      });
-
   // FTO armed at posting, not on first chunk arrival: a loss burst that
-  // eats every packet of the message (data and parity) would otherwise
-  // leave the receiver silent and the sender waiting forever — the global
-  // timeout would be the only way out.
+  // eats every packet of the message (data and parity), or a lost CTS,
+  // would otherwise leave the receiver silent and the sender waiting
+  // forever.
   arm_fto(msg, base);
 
   ++stats_.messages;
@@ -511,9 +490,8 @@ void EcReceiver::on_chunk_event(const core::RecvEvent& event) {
   const auto it = messages_.find(base);
   if (it == messages_.end()) return;
   MsgState& msg = it->second;
-  if (msg.complete || number < base || number - base >= 2 * msg.submessages) {
-    return;
-  }
+  if (number < base || number - base >= 2 * msg.submessages) return;
+  msg.silent_rounds = 0;
 
   // Which submessage does this event concern?
   const std::uint64_t idx = number - base;
@@ -545,7 +523,7 @@ void EcReceiver::on_chunk_event(const core::RecvEvent& event) {
       encode_control(ack, wire_scratch_);
       control_.send(wire_scratch_.data(), wire_scratch_.size());
     }
-    if (msg.subs_recovered == msg.submessages) complete(msg, base);
+    if (msg.subs_recovered == msg.submessages) complete(it);
   }
 }
 
@@ -604,7 +582,8 @@ void EcReceiver::arm_fto(MsgState& msg, std::uint64_t base) {
   // + 2 RTT of slack: the timer starts at posting, before the RTS/CTS
   // handshake and the first injected byte.
   msg.fto_timer = sim_.schedule(
-      SimTime::from_seconds(fto_s(msg.length) + 2.0 * profile_.rtt_s),
+      SimTime::from_seconds(backed_off_s(
+          fto_s(msg.length) + 2.0 * profile_.rtt_s, msg.silent_rounds)),
       [this, base] { on_fto(base); });
 }
 
@@ -613,7 +592,10 @@ void EcReceiver::on_fto(std::uint64_t base) {
   const auto it = messages_.find(base);
   if (it == messages_.end()) return;
   MsgState& msg = it->second;
-  if (msg.complete) return;
+  if (msg.silent_rounds == kSilentFtoLimit) {
+    release(it, Status(StatusCode::kAborted, "EC fallback timeout"));
+    return;
+  }
   ++stats_.ftos_fired;
   if (telemetry::observing()) {
     // The receiver's fallback timeout. a = submessages still unrecovered,
@@ -628,6 +610,15 @@ void EcReceiver::on_fto(std::uint64_t base) {
   msg.fallback = true;
   if (msg.sub_nacked.empty()) msg.sub_nacked.assign(msg.submessages, false);
 
+  // Re-CTS every stream that has produced nothing: its CTS was lost (the
+  // sender's chunks sit queued until one lands), the sender has not posted
+  // yet, or every packet of the stream was dropped.
+  for (const auto* handles : {&msg.data_handles, &msg.parity_handles}) {
+    for (core::RecvHandle* h : *handles) {
+      if (qp_.recv_packets(h) == 0) qp_.resend_cts(h);
+    }
+  }
+
   ControlMessage& nack = ctrl_scratch_;
   reset_control(nack, ControlType::kEcNack, base);
   for (std::size_t s = 0; s < msg.submessages && nack.indices.size() < 512;
@@ -640,38 +631,17 @@ void EcReceiver::on_fto(std::uint64_t base) {
       }
     }
   }
-  if (nack.indices.empty()) return;
+  // A live message has an unrecovered submessage, so the NACK is never
+  // empty.
   encode_control(nack, wire_scratch_);
   control_.send(wire_scratch_.data(), wire_scratch_.size());
   ++stats_.ec_nacks_sent;
   // Keep refiring while submessages are outstanding: the NACK itself (or
   // the sender's entire first transmission) can be lost, and the sender
   // may not even have posted the message yet.
+  ++msg.silent_rounds;
   arm_fto(msg, base);
   if (first_fire) fallback_ack_tick(base);
-}
-
-void EcReceiver::cts_tick(std::uint64_t base) {
-  telemetry::ProfScope prof(telemetry::ProfCategory::kEc);
-  const auto it = messages_.find(base);
-  if (it == messages_.end()) return;
-  MsgState& msg = it->second;
-  // Re-CTS every stream that has produced nothing: either its CTS was
-  // lost (the sender's chunks sit queued until one lands) or the stream
-  // itself is still in flight — the retry pace is several RTTs, so an
-  // in-flight first chunk wins the race and the duplicate never sends.
-  bool silent = false;
-  for (const auto* handles : {&msg.data_handles, &msg.parity_handles}) {
-    for (core::RecvHandle* h : *handles) {
-      if (qp_.recv_packets(h) != 0) continue;
-      qp_.resend_cts(h);
-      silent = true;
-    }
-  }
-  if (!silent) return;  // every stream has started; nothing left to nudge
-  msg.cts_timer =
-      sim_.schedule(SimTime::from_seconds(profile_.cts_retry_interval_s()),
-                    [this, base] { cts_tick(base); });
 }
 
 void EcReceiver::fallback_ack_tick(std::uint64_t base) {
@@ -679,7 +649,6 @@ void EcReceiver::fallback_ack_tick(std::uint64_t base) {
   const auto it = messages_.find(base);
   if (it == messages_.end()) return;
   MsgState& msg = it->second;
-  if (msg.complete) return;
   send_fallback_acks(msg);
   msg.ack_timer = sim_.schedule(SimTime::from_seconds(ack_interval_s_),
                                 [this, base] { fallback_ack_tick(base); });
@@ -698,8 +667,9 @@ void EcReceiver::send_fallback_acks(MsgState& msg) {
   }
 }
 
-void EcReceiver::complete(MsgState& msg, std::uint64_t base) {
-  msg.complete = true;
+void EcReceiver::complete(MsgMap::iterator it) {
+  const std::uint64_t base = it->first;
+  const MsgState& msg = it->second;
   if (msg_completion_hist_.live() && msg.posted_at_s >= 0.0) {
     msg_completion_hist_.record(sim_.now().seconds() - msg.posted_at_s);
   }
@@ -711,11 +681,6 @@ void EcReceiver::complete(MsgState& msg, std::uint64_t base) {
                      .conn = qp_.control_qp_num(), .msg = base,
                      .a = msg.submessages, .b = stats_.decoded_submessages});
   }
-  if (msg.fto_timer.valid()) sim_.cancel(msg.fto_timer);
-  if (msg.global_timer.valid()) sim_.cancel(msg.global_timer);
-  if (msg.ack_timer.valid()) sim_.cancel(msg.ack_timer);
-  if (msg.cts_timer.valid()) sim_.cancel(msg.cts_timer);
-
   send_ec_ack(base);
   for (std::size_t r = 1; r < kFinalAckRepeats; ++r) {
     // The repeat re-encodes the same ACK: the scratch is reused meanwhile.
@@ -723,13 +688,19 @@ void EcReceiver::complete(MsgState& msg, std::uint64_t base) {
                                         static_cast<double>(r)),
                   [this, base] { send_ec_ack(base); });
   }
+  release(it, Status::ok());
+}
 
+void EcReceiver::release(MsgMap::iterator it, const Status& status) {
+  MsgState& msg = it->second;
+  if (msg.fto_timer.valid()) sim_.cancel(msg.fto_timer);
+  if (msg.ack_timer.valid()) sim_.cancel(msg.ack_timer);
   complete_receives(msg);
   DoneFn done = std::move(msg.done);
   msg.buffer = nullptr;
   // Recycle the node before the callback so a re-entrant expect() finds it.
-  free_.push_back(messages_.extract(base));
-  if (done) done(Status::ok());
+  free_.push_back(messages_.extract(it));
+  if (done) done(status);
 }
 
 void EcReceiver::complete_receives(const MsgState& msg) {

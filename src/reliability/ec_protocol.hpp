@@ -10,12 +10,15 @@
 // Receiver: posts L data receive buffers (regions of the application buffer
 // — zero copy) and L parity scratch buffers. Chunk-bitmap events drive
 // decodability checks; once every submessage is recoverable the missing
-// data chunks are EC-decoded in place and a positive ACK is sent. A
-// fallback timeout FTO = (M + M/R)*T_INJ + beta*RTT armed at the first
-// received chunk triggers an EC NACK listing the failed submessages. Every
-// submessage stream rides its own CTS datagram: until the message
-// completes, streams that have produced no packets get their CTS re-sent
-// every LinkProfile::cts_retry_interval_s().
+// data chunks are EC-decoded in place and a positive ACK is sent. The
+// fallback timeout FTO = (M + M/R)*T_INJ + beta*RTT, armed at posting with
+// 2 RTT of handshake slack, is the receiver's one clock for re-asking and
+// giving up. Each round re-sends the CTS of every stream that has produced
+// no packets (each submessage stream rides its own CTS datagram), sends an
+// EC NACK listing the unrecovered submessages, and re-arms, doubling the
+// wait (the shared backed_off_s) for every round since the last chunk
+// event. The round after 16 silent ones aborts the message: the paper's
+// deadlock guard, measured in silence rather than age.
 //
 // Both sides do per-message work only when something happens (a write, a
 // chunk event, a control message, a timer) and allocate nothing per message
@@ -181,11 +184,11 @@ class EcReceiver {
     std::size_t subs_recovered{0};
     double posted_at_s{-1.0};  // expect() sim time (completion latency)
     bool fallback{false};
-    bool complete{false};
+    /// FTO rounds since the last chunk event: the FTO's backoff, and the
+    /// deadlock guard's count.
+    unsigned silent_rounds{0};
     sim::EventId fto_timer{};
-    sim::EventId global_timer{};
     sim::EventId ack_timer{};
-    sim::EventId cts_timer{};
     DoneFn done;
   };
 
@@ -193,7 +196,6 @@ class EcReceiver {
 
   void register_metrics();
   void on_chunk_event(const core::RecvEvent& event);
-  void cts_tick(std::uint64_t base);
   /// Whether submessage `sub` is complete, decoding it in place if its
   /// data chunks are not all there.
   bool recover(MsgState& msg, std::size_t sub);
@@ -203,7 +205,10 @@ class EcReceiver {
   void on_fto(std::uint64_t base);
   void fallback_ack_tick(std::uint64_t base);
   void send_fallback_acks(MsgState& msg);
-  void complete(MsgState& msg, std::uint64_t base);
+  void complete(MsgMap::iterator it);
+  /// The teardown completion and abort share: disarm the timers, complete
+  /// the receives, recycle the node and fire its callback with `status`.
+  void release(MsgMap::iterator it, const Status& status);
   /// recv_complete every receive of `msg`: its slots rebind to the NULL
   /// key, so nothing is bound to its parity scratch any more.
   void complete_receives(const MsgState& msg);

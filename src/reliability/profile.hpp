@@ -20,9 +20,10 @@ struct LinkProfile {
     return injection_time_s(chunk_bytes, bandwidth_bps);
   }
 
-  /// Pace at which a receiver re-sends the clear-to-send of a posted buffer
-  /// that has seen no data yet. Several RTTs, so an in-flight first chunk
-  /// almost always lands first and the retry fires for a lost CTS.
+  /// When SrReceiver first re-sends the clear-to-send of a posted buffer
+  /// that has seen no data yet; later re-sends back off (backed_off_s).
+  /// Several RTTs, so an in-flight first chunk almost always lands first
+  /// and the retry fires for a lost CTS.
   double cts_retry_interval_s() const { return 4.0 * rtt_s; }
 
   /// Model-level view (chunk-granularity drop probability).

@@ -61,11 +61,10 @@ void Retransmitter::cancel(Stream& s) {
 }
 
 void Retransmitter::arm(Stream& s, std::uint64_t key, std::size_t chunk) {
-  const double backoff = static_cast<double>(
-      1u << std::min<std::uint8_t>(s.chunks[chunk].retries, 4));
   const double jitter = 1.0 + 0.25 * rng_.next_double();
   s.chunks[chunk].timer = sim_.schedule(
-      SimTime::from_seconds(rto_s() * backoff * jitter),
+      SimTime::from_seconds(backed_off_s(rto_s(), s.chunks[chunk].retries) *
+                            jitter),
       [this, stream = &s, key, chunk] {
         telemetry::ProfScope prof(category_);
         resend(*stream, key, chunk, /*expired=*/true);

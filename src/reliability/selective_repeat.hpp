@@ -36,13 +36,20 @@ struct SrProtoConfig {
   bool adaptive_rto{false};
 };
 
+/// The shared backoff: `base_s` doubled once per round, up to 16x. The
+/// Retransmitter's chunk timers, SrReceiver's CTS retry and EcReceiver's FTO
+/// all wait this long.
+inline double backed_off_s(double base_s, unsigned rounds) {
+  return base_s * static_cast<double>(1u << std::min(rounds, 4u));
+}
+
 /// Per-chunk retransmission for the streams of one sender: SR messages, EC
 /// submessages in fallback or eager datagrams. The owner keeps each stream,
 /// injects its chunks and reports their ACKs; the retransmitter times them.
 /// The RTO is config.rto_s, or with config.adaptive_rto an RttEstimator fed
 /// Karn samples: chunks acked on their first transmission, measured from
 /// the CTS, which every first transmission is queued behind. Each
-/// retransmission doubles a chunk's timeout, up to 16x, and each arming
+/// retransmission doubles a chunk's timeout (backed_off_s), and each arming
 /// adds up to 25 % jitter from the retransmitter's own Rng, so the RTOs of
 /// one burst's losses do not expire together and tail-drop the
 /// retransmission storm. A timer points at its stream: a stream must not

@@ -260,6 +260,7 @@ Status SrReceiver::expect(std::uint8_t* buffer, std::size_t length,
   msg.done = std::move(done);
   msg.last_nack_s.assign(msg.chunks, -1.0);
   msg.complete = false;
+  msg.cts_retries = 0;
   ++stats_.messages;
   ack_tick(msg_number);
   arm_cts_retry(msg, msg_number);
@@ -267,14 +268,16 @@ Status SrReceiver::expect(std::uint8_t* buffer, std::size_t length,
 }
 
 void SrReceiver::arm_cts_retry(MsgState& msg, std::uint64_t msg_number) {
-  msg.cts_timer =
-      sim_.schedule(SimTime::from_seconds(profile_.cts_retry_interval_s()),
-                    [this, msg_number] {
-                      const auto it = messages_.find(msg_number);
-                      if (it == messages_.end()) return;
-                      qp_.resend_cts(it->second.handle);
-                      arm_cts_retry(it->second, msg_number);
-                    });
+  msg.cts_timer = sim_.schedule(
+      SimTime::from_seconds(
+          backed_off_s(profile_.cts_retry_interval_s(), msg.cts_retries)),
+      [this, msg_number] {
+        const auto it = messages_.find(msg_number);
+        if (it == messages_.end()) return;
+        qp_.resend_cts(it->second.handle);
+        ++it->second.cts_retries;
+        arm_cts_retry(it->second, msg_number);
+      });
 }
 
 void SrReceiver::on_chunk_event(const core::RecvEvent& event) {

@@ -11,9 +11,10 @@
 // as a cumulative ACK plus a selective window. With NACK enabled, gaps
 // observed in the bitmap trigger immediate negative acknowledgments, cutting
 // drop recovery to ~1 RTT. Until a message's first chunk lands, the
-// receiver re-sends its clear-to-send every LinkProfile::cts_retry_interval_s():
-// the CTS is one unreliable datagram, and a sender that never gets it never
-// injects.
+// receiver re-sends its clear-to-send, first after
+// LinkProfile::cts_retry_interval_s() and then at doubling intervals (the
+// shared backed_off_s): the CTS is one unreliable datagram, and a sender
+// that never gets it never injects.
 #pragma once
 
 #include <cstdint>
@@ -130,6 +131,7 @@ class SrReceiver {
     std::vector<double> last_nack_s;  // per-chunk NACK suppression
     bool complete{false};
     sim::EventId cts_timer{};  // CTS retry, cancelled by the first chunk
+    unsigned cts_retries{0};   // CTS re-sends so far (the retry's backoff)
   };
 
   void register_metrics();

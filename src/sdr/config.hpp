@@ -56,9 +56,8 @@ struct QpAttr {
   }
 };
 
-struct DevAttr {
-  /// DPA receive worker threads available to this context (paper §3.4).
-  std::size_t dpa_threads{16};
-};
+/// Device attributes of Table 1's context_create. Empty: the software NIC
+/// needs none.
+struct DevAttr {};
 
 }  // namespace sdr::core

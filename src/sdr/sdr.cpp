@@ -12,8 +12,7 @@ namespace sdr::core {
 // Context
 // ---------------------------------------------------------------------------
 
-Context::Context(verbs::Nic& nic, DevAttr dev_attr)
-    : nic_(nic), dev_attr_(dev_attr) {}
+Context::Context(verbs::Nic& nic, DevAttr) : nic_(nic) {}
 
 Qp* Context::create_qp(const QpAttr& attr) {
   if (!attr.valid()) return nullptr;

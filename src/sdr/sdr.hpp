@@ -311,12 +311,11 @@ class Qp {
 /// NIC on destruction — the NIC must outlive every Context created on it.
 class Context {
  public:
-  Context(verbs::Nic& nic, DevAttr dev_attr);
+  Context(verbs::Nic& nic, DevAttr);
   Context(const Context&) = delete;
   Context& operator=(const Context&) = delete;
 
   verbs::Nic& nic() { return nic_; }
-  const DevAttr& dev_attr() const { return dev_attr_; }
 
   Qp* create_qp(const QpAttr& attr);
   const verbs::MemoryRegion* mr_reg(void* addr, std::size_t length);
@@ -326,7 +325,6 @@ class Context {
 
  private:
   verbs::Nic& nic_;
-  DevAttr dev_attr_;
   std::vector<std::unique_ptr<Qp>> qps_;
 };
 

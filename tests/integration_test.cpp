@@ -184,7 +184,7 @@ TEST(ReliabilityIntegrationTest, EcGlobalTimeoutAbortsOnBlackHole) {
   ASSERT_TRUE(sender.write(src.data(), len, [](const Status&) {}).is_ok());
   sim.run_until(SimTime::from_seconds(60.0));
 
-  ASSERT_TRUE(called) << "global timeout must fire on a black-hole link";
+  ASSERT_TRUE(called) << "the silent-FTO abort must fire on a black-hole link";
   EXPECT_EQ(final_status.code(), StatusCode::kAborted);
 }
 

@@ -6,7 +6,8 @@
 //    common_test),
 //  * the shrink ladder is deterministic and monotone,
 //  * the CI smoke batch keeps covering a lost CTS,
-//  * a 200-seed smoke batch passes every oracle (the tier-1 gate),
+//  * a 200-seed smoke batch passes every oracle (the tier-1 gate), and so
+//    do three EC seeds whose fallback outlived a fixed age deadline,
 //  * serial and parallel sweeps produce byte-identical records and the
 //    same batch digest,
 //  * an intentionally injected protocol bug (off-by-one in the SR bitmap
@@ -209,6 +210,27 @@ TEST(Sdrcheck, Smoke200Seeds) {
     ADD_FAILURE() << "seed " << shrunk.minimal.seed << " failed ("
                   << shrunk.repro
                   << "):\n" << shrunk.minimal.failure_text();
+  }
+}
+
+TEST(Sdrcheck, EcFallbackStillDeliveringIsNotAborted) {
+  // EC scenarios whose fallback keeps delivering through long silences: a
+  // fixed age deadline of 50 x (FTO + RTT) from posting aborts each of
+  // them. The receiver may give up only after 16 FTO rounds without a
+  // chunk event, its FTO backing off like the fallback's retransmissions:
+  //  * 991895729363678414 (i.i.d. loss at p = 0.153, a lost first CTS):
+  //    under the age deadline its last chunk event came 206 RTT before the
+  //    abort;
+  //  * 17410433477455799015 (Gilbert-Elliott bursts) still fails when the
+  //    limit is 8 silent rounds;
+  //  * 6057450402646351457 runs i.i.d. loss at p = 0.146.
+  const CheckOptions opts;
+  for (const std::uint64_t seed :
+       {991895729363678414ULL, 17410433477455799015ULL,
+        6057450402646351457ULL}) {
+    const SeedReport report = check_seed(seed, opts);
+    EXPECT_TRUE(report.ok()) << "seed " << seed << ":\n"
+                             << report.failure_text();
   }
 }
 
