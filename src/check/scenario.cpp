@@ -263,21 +263,24 @@ bool shrink_once(Scenario& s) {
     refit_scripted(s);
     return true;
   }
-  // Rule 2: halve every message's chunk count.
-  bool any_big = false;
-  for (const MessageSpec& m : s.messages) any_big |= m.chunks > 1;
-  if (any_big) {
-    for (MessageSpec& m : s.messages) m.chunks = (m.chunks + 1) / 2;
-    refit_scripted(s);
-    return true;
-  }
-  // Rule 3: trim the scripted drop schedule (floor 4, then floor 1).
+  // Rule 2: trim the scripted drop schedule (floor 4, then floor 1). Before
+  // the chunk halving: halving folds the drops onto fewer packets, and a
+  // failure that needs a hole below a chunk that lands can vanish while
+  // many drops are left.
   if (s.drop == DropKind::kScripted && s.scripted_drops.size() > 4) {
     s.scripted_drops.resize(4);
     return true;
   }
   if (s.drop == DropKind::kScripted && s.scripted_drops.size() > 1) {
     s.scripted_drops.resize(1);
+    return true;
+  }
+  // Rule 3: halve every message's chunk count.
+  bool any_big = false;
+  for (const MessageSpec& m : s.messages) any_big |= m.chunks > 1;
+  if (any_big) {
+    for (MessageSpec& m : s.messages) m.chunks = (m.chunks + 1) / 2;
+    refit_scripted(s);
     return true;
   }
   // Rule 4: strip the channel/timer mutations.

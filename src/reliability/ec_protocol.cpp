@@ -427,7 +427,6 @@ Status EcReceiver::expect(std::uint8_t* buffer, std::size_t length,
   msg.fallback = false;
   msg.silent_rounds = 0;
   msg.fto_timer = {};
-  msg.ack_timer = {};
   // The parity scratch keeps its registration while it fits. Every receive
   // bound to it was completed (rebound to the NULL key) before the node was
   // recycled, so replacing it is safe too.
@@ -524,6 +523,10 @@ void EcReceiver::on_chunk_event(const core::RecvEvent& event) {
       control_.send(wire_scratch_.data(), wire_scratch_.size());
     }
     if (msg.subs_recovered == msg.submessages) complete(it);
+  } else if (msg.fallback && idx < msg.submessages) {
+    // In fallback, data that lands is answered with its submessage's
+    // bitmap, so the sender stops timing the chunks that arrived.
+    send_fallback_ack(msg, sub);
   }
 }
 
@@ -606,7 +609,6 @@ void EcReceiver::on_fto(std::uint64_t base) {
                      .a = msg.submessages - msg.subs_recovered,
                      .b = stats_.ftos_fired});
   }
-  const bool first_fire = !msg.fallback;
   msg.fallback = true;
   if (msg.sub_nacked.empty()) msg.sub_nacked.assign(msg.submessages, false);
 
@@ -641,30 +643,15 @@ void EcReceiver::on_fto(std::uint64_t base) {
   // may not even have posted the message yet.
   ++msg.silent_rounds;
   arm_fto(msg, base);
-  if (first_fire) fallback_ack_tick(base);
 }
 
-void EcReceiver::fallback_ack_tick(std::uint64_t base) {
-  telemetry::ProfScope prof(telemetry::ProfCategory::kEc);
-  const auto it = messages_.find(base);
-  if (it == messages_.end()) return;
-  MsgState& msg = it->second;
-  send_fallback_acks(msg);
-  msg.ack_timer = sim_.schedule(SimTime::from_seconds(ack_interval_s_),
-                                [this, base] { fallback_ack_tick(base); });
-}
-
-void EcReceiver::send_fallback_acks(MsgState& msg) {
-  for (std::size_t s = 0; s < msg.submessages; ++s) {
-    if (msg.sub_recovered[s]) continue;
-    const AtomicBitmap* bits = nullptr;
-    qp_.recv_bitmap_get(msg.data_handles[s], &bits);
-    if (bits == nullptr) continue;
-    build_ack(ctrl_scratch_, msg.data_handles[s]->msg_number(), *bits,
-              config_.k);
-    encode_control(ctrl_scratch_, wire_scratch_);
-    control_.send(wire_scratch_.data(), wire_scratch_.size());
-  }
+void EcReceiver::send_fallback_ack(const MsgState& msg, std::size_t sub) {
+  const AtomicBitmap* bits = nullptr;
+  if (!qp_.recv_bitmap_get(msg.data_handles[sub], &bits)) return;
+  build_ack(ctrl_scratch_, msg.data_handles[sub]->msg_number(), *bits,
+            config_.k);
+  encode_control(ctrl_scratch_, wire_scratch_);
+  control_.send(wire_scratch_.data(), wire_scratch_.size());
 }
 
 void EcReceiver::complete(MsgMap::iterator it) {
@@ -693,8 +680,7 @@ void EcReceiver::complete(MsgMap::iterator it) {
 
 void EcReceiver::release(MsgMap::iterator it, const Status& status) {
   MsgState& msg = it->second;
-  if (msg.fto_timer.valid()) sim_.cancel(msg.fto_timer);
-  if (msg.ack_timer.valid()) sim_.cancel(msg.ack_timer);
+  sim_.cancel(msg.fto_timer);
   complete_receives(msg);
   DoneFn done = std::move(msg.done);
   msg.buffer = nullptr;

@@ -12,13 +12,16 @@
 // decodability checks; once every submessage is recoverable the missing
 // data chunks are EC-decoded in place and a positive ACK is sent. The
 // fallback timeout FTO = (M + M/R)*T_INJ + beta*RTT, armed at posting with
-// 2 RTT of handshake slack, is the receiver's one clock for re-asking and
-// giving up. Each round re-sends the CTS of every stream that has produced
-// no packets (each submessage stream rides its own CTS datagram), sends an
-// EC NACK listing the unrecovered submessages, and re-arms, doubling the
-// wait (the shared backed_off_s) for every round since the last chunk
-// event. The round after 16 silent ones aborts the message: the paper's
-// deadlock guard, measured in silence rather than age.
+// 2 RTT of handshake slack, is the receiver's one per-message timer, for
+// re-asking and giving up. Each round re-sends the CTS of every stream that
+// has produced no packets (each submessage stream rides its own CTS
+// datagram), sends an EC NACK listing the unrecovered submessages, and
+// re-arms, doubling the wait (the shared backed_off_s) for every round
+// since the last chunk event. The round after 16 silent ones aborts the
+// message: the paper's deadlock guard, measured in silence rather than age.
+// Fallback ACKs answer data: once a message is in fallback, each chunk
+// event of an unrecovered data submessage sends that submessage's bitmap
+// ACK, and its recovery sends the ACK that stops its retransmission.
 //
 // Both sides do per-message work only when something happens (a write, a
 // chunk event, a control message, a timer) and allocate nothing per message
@@ -64,8 +67,8 @@ class EcSender {
  public:
   using DoneFn = std::function<void(const Status&)>;
 
-  /// The fallback retransmits under `sr`'s RTO policy; the receiver sends
-  /// its fallback ACKs every sr.ack_interval_s.
+  /// The fallback retransmits under `sr`'s RTO policy; the receiver
+  /// answers each fallback chunk that lands with an ACK.
   EcSender(sim::Simulator& simulator, core::Qp& qp,
            verbs::ControlLink& control, const LinkProfile& profile,
            const ec::ErasureCodec& codec, EcProtoConfig config,
@@ -188,7 +191,6 @@ class EcReceiver {
     /// deadlock guard's count.
     unsigned silent_rounds{0};
     sim::EventId fto_timer{};
-    sim::EventId ack_timer{};
     DoneFn done;
   };
 
@@ -203,10 +205,10 @@ class EcReceiver {
   double fto_s(std::size_t length) const;
   void arm_fto(MsgState& msg, std::uint64_t base);
   void on_fto(std::uint64_t base);
-  void fallback_ack_tick(std::uint64_t base);
-  void send_fallback_acks(MsgState& msg);
+  /// Answer a data chunk of unrecovered submessage `sub` with its bitmap.
+  void send_fallback_ack(const MsgState& msg, std::size_t sub);
   void complete(MsgMap::iterator it);
-  /// The teardown completion and abort share: disarm the timers, complete
+  /// The teardown completion and abort share: disarm the FTO, complete
   /// the receives, recycle the node and fire its callback with `status`.
   void release(MsgMap::iterator it, const Status& status);
   /// recv_complete every receive of `msg`: its slots rebind to the NULL
@@ -220,7 +222,7 @@ class EcReceiver {
   LinkProfile profile_;
   const ec::ErasureCodec& codec_;
   EcProtoConfig config_;
-  double ack_interval_s_;  // fallback ACK cadence
+  double ack_interval_s_;  // spacing of the final-ACK repeats
   std::size_t chunk_bytes_;
   MsgMap messages_;
   /// Completed-message nodes kept for reuse (see EcSender::free_).

@@ -25,7 +25,8 @@ struct SrProtoConfig {
   /// Chunk retransmission timeout. The paper sets RTO = RTT + alpha*RTT;
   /// the "SR RTO" evaluation scenario corresponds to 3 RTT.
   double rto_s{0.075};
-  /// Receiver ACK cadence.
+  /// Receiver ACK cadence while data flows: from a message's first chunk
+  /// event to its completion. EcReceiver spaces its final-ACK repeats by it.
   double ack_interval_s{0.005};
   /// Enable receiver-side NACKs on bitmap gaps. The receiver NACKs a hole
   /// at most once per LinkProfile::rtt_s.

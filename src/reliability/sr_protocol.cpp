@@ -259,42 +259,53 @@ Status SrReceiver::expect(std::uint8_t* buffer, std::size_t length,
   msg.chunks = handle->chunk_count();
   msg.done = std::move(done);
   msg.last_nack_s.assign(msg.chunks, -1.0);
-  msg.complete = false;
   msg.cts_retries = 0;
+  msg.data_seen = false;
   ++stats_.messages;
-  ack_tick(msg_number);
-  arm_cts_retry(msg, msg_number);
+  arm_timer(msg, msg_number);
   return Status::ok();
 }
 
-void SrReceiver::arm_cts_retry(MsgState& msg, std::uint64_t msg_number) {
-  msg.cts_timer = sim_.schedule(
-      SimTime::from_seconds(
-          backed_off_s(profile_.cts_retry_interval_s(), msg.cts_retries)),
-      [this, msg_number] {
-        const auto it = messages_.find(msg_number);
-        if (it == messages_.end()) return;
-        qp_.resend_cts(it->second.handle);
-        ++it->second.cts_retries;
-        arm_cts_retry(it->second, msg_number);
-      });
+void SrReceiver::arm_timer(MsgState& msg, std::uint64_t msg_number) {
+  const double delay_s =
+      msg.data_seen
+          ? config_.ack_interval_s
+          : backed_off_s(profile_.cts_retry_interval_s(), msg.cts_retries);
+  msg.timer = sim_.schedule(SimTime::from_seconds(delay_s),
+                            [this, msg_number] { on_timer(msg_number); });
+}
+
+void SrReceiver::on_timer(std::uint64_t msg_number) {
+  telemetry::ProfScope prof(telemetry::ProfCategory::kSr);
+  const auto it = messages_.find(msg_number);
+  if (it == messages_.end()) return;
+  MsgState& msg = it->second;
+  if (msg.data_seen) {
+    send_ack(msg);
+  } else {
+    qp_.resend_cts(msg.handle);
+    ++msg.cts_retries;
+  }
+  arm_timer(msg, msg_number);
 }
 
 void SrReceiver::on_chunk_event(const core::RecvEvent& event) {
   telemetry::ProfScope prof(telemetry::ProfCategory::kSr);
-  const auto it = messages_.find(event.handle->msg_number());
+  const std::uint64_t msg_number = event.handle->msg_number();
+  const auto it = messages_.find(msg_number);
   if (it == messages_.end()) return;
   MsgState& msg = it->second;
-  // Any data means the sender got a CTS; the retry has done its job.
-  if (msg.cts_timer.valid()) {
-    sim_.cancel(msg.cts_timer);
-    msg.cts_timer = {};
-  }
-  if (msg.complete) return;
-
   if (event.type == core::RecvEvent::Type::kMessageCompleted) {
-    complete(msg, event.handle->msg_number());
+    complete(msg, msg_number);
     return;
+  }
+  if (!msg.data_seen) {
+    // Data means the sender got a CTS: the retry has done its job, and the
+    // timer becomes the ACK tick. A one-chunk message's only chunk event
+    // is followed by its completion, which needs no tick.
+    sim_.cancel(msg.timer);
+    msg.data_seen = true;
+    if (msg.chunks > 1) arm_timer(msg, msg_number);
   }
   if (config_.nack_enabled) maybe_nack(msg, event.chunk_index);
 }
@@ -366,19 +377,8 @@ void SrReceiver::maybe_nack(MsgState& msg, std::size_t completed_chunk) {
   }
 }
 
-void SrReceiver::ack_tick(std::uint64_t msg_number) {
-  telemetry::ProfScope prof(telemetry::ProfCategory::kSr);
-  const auto it = messages_.find(msg_number);
-  if (it == messages_.end()) return;
-  MsgState& msg = it->second;
-  if (msg.complete) return;
-  send_ack(msg);
-  sim_.schedule(SimTime::from_seconds(config_.ack_interval_s),
-                [this, msg_number] { ack_tick(msg_number); });
-}
-
 void SrReceiver::complete(MsgState& msg, std::uint64_t msg_number) {
-  msg.complete = true;
+  sim_.cancel(msg.timer);
   // Final ACK (repeated to survive control-path drops).
   const std::uint32_t cumulative = static_cast<std::uint32_t>(msg.chunks);
   ControlMessage& ack = ctrl_scratch_;

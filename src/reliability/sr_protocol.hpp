@@ -7,14 +7,15 @@
 // retransmission queue.
 //
 // Receiver: reacts to chunk-bitmap completions (the event-driven analog of
-// polling the SDR bitmap), periodically sending ACKs that encode the bitmap
-// as a cumulative ACK plus a selective window. With NACK enabled, gaps
-// observed in the bitmap trigger immediate negative acknowledgments, cutting
-// drop recovery to ~1 RTT. Until a message's first chunk lands, the
-// receiver re-sends its clear-to-send, first after
-// LinkProfile::cts_retry_interval_s() and then at doubling intervals (the
-// shared backed_off_s): the CTS is one unreliable datagram, and a sender
-// that never gets it never injects.
+// polling the SDR bitmap). Each receive holds one timer. Until the first
+// chunk lands it is the CTS retry: the CTS is one unreliable datagram, and
+// a sender that never gets it never injects, so the receiver re-sends it
+// after LinkProfile::cts_retry_interval_s() and then at doubling intervals
+// (the shared backed_off_s). From the first chunk to completion it is the
+// ACK tick: every ack_interval_s an ACK encodes the bitmap as a cumulative
+// ACK plus a selective window, so no ACK goes out before data does. With
+// NACK enabled, gaps observed in the bitmap trigger immediate negative
+// acknowledgments, cutting drop recovery to ~1 RTT.
 #pragma once
 
 #include <cstdint>
@@ -129,17 +130,19 @@ class SrReceiver {
     std::size_t chunks{0};
     DoneFn done;
     std::vector<double> last_nack_s;  // per-chunk NACK suppression
-    bool complete{false};
-    sim::EventId cts_timer{};  // CTS retry, cancelled by the first chunk
-    unsigned cts_retries{0};   // CTS re-sends so far (the retry's backoff)
+    /// The CTS retry until the first chunk event, then the ACK tick;
+    /// completion cancels it.
+    sim::EventId timer{};
+    unsigned cts_retries{0};  // CTS re-sends so far (the retry's backoff)
+    bool data_seen{false};    // a chunk event fired: the timer ACKs
   };
 
   void register_metrics();
   void on_chunk_event(const core::RecvEvent& event);
   void send_ack(MsgState& msg);
   void maybe_nack(MsgState& msg, std::size_t completed_chunk);
-  void ack_tick(std::uint64_t msg_number);
-  void arm_cts_retry(MsgState& msg, std::uint64_t msg_number);
+  void arm_timer(MsgState& msg, std::uint64_t msg_number);
+  void on_timer(std::uint64_t msg_number);
   void complete(MsgState& msg, std::uint64_t msg_number);
 
   sim::Simulator& sim_;

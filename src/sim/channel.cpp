@@ -179,8 +179,12 @@ void Channel::drain_fifo() {
     // may arm new ones) must interleave in its own firing, so hand back to
     // the event core and resume afterwards; rescheduling gets a fresh
     // sequence number, which keeps same-timestamp FIFO order with events
-    // scheduled up to this point.
-    if (sim_.next_deadline(next_arrival) <= next_arrival) break;
+    // scheduled up to this point. An arrival past the run_until deadline
+    // waits for the next run like any other event.
+    if (next_arrival > sim_.run_deadline() ||
+        sim_.next_deadline(next_arrival) <= next_arrival) {
+      break;
+    }
     sim_.advance_now(next_arrival);
   }
   in_drain_ = false;

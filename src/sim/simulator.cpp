@@ -207,6 +207,7 @@ SimTime Simulator::next_deadline_slow(SimTime cap) {
 
 void Simulator::assert_no_deadline_at_or_before([[maybe_unused]] SimTime t) {
   assert(t >= now_ && "cannot advance the clock backwards");
+  assert(t <= run_deadline_ && "advance_now would pass run_until's deadline");
   // Side effect of the check (wheel cascading) is semantics-neutral.
   assert(next_deadline(t) == SimTime::max() &&
          "advance_now would skip a pending event");
@@ -249,6 +250,7 @@ std::uint64_t Simulator::run() {
 std::uint64_t Simulator::run_until(SimTime deadline) {
   std::uint64_t executed = 0;
   const std::uint64_t cap = static_cast<std::uint64_t>(deadline.ns);
+  run_deadline_ = deadline;
   for (;;) {
     const std::uint32_t slot = pop_next(cap);
     if (slot == kNoSlot) break;
@@ -256,6 +258,7 @@ std::uint64_t Simulator::run_until(SimTime deadline) {
     fire(slot);
     ++executed;
   }
+  run_deadline_ = SimTime::max();
   if (now_ < deadline) now_ = deadline;
   return executed;
 }

@@ -138,12 +138,16 @@ class Simulator {
     return next_deadline_slow(cap);
   }
 
+  /// The deadline of the run_until in progress; SimTime::max() otherwise.
+  SimTime run_deadline() const { return run_deadline_; }
+
   /// Move the clock forward to `t` without firing anything. The caller must
   /// have established via next_deadline(t) that no pending event fires at
-  /// or before `t`. This is the batched-delivery hook: an event handler can
-  /// consume externally queued work (e.g. a channel's in-order packet FIFO)
-  /// up to the next pending deadline, keeping now() correct for each item
-  /// without paying one schedule/fire round trip per item.
+  /// or before `t`, and `t` must not pass run_deadline(). This is the
+  /// batched-delivery hook: an event handler can consume externally queued
+  /// work (e.g. a channel's in-order packet FIFO) up to the next pending
+  /// deadline, keeping now() correct for each item without paying one
+  /// schedule/fire round trip per item.
   void advance_now(SimTime t) {
 #ifndef NDEBUG
     assert_no_deadline_at_or_before(t);
@@ -231,6 +235,7 @@ class Simulator {
   void fire(std::uint32_t slot);
 
   SimTime now_{SimTime::zero()};
+  SimTime run_deadline_{SimTime::max()};
   /// Wheel position in ns. Invariants: cursor_ <= now_ whenever user code
   /// runs, and cursor_ never passes the earliest pending timestamp; every
   /// wheel event's timestamp agrees with cursor_ in all 6-bit groups above

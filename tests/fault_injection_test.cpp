@@ -293,12 +293,15 @@ TEST(FaultInjectionTest, EcFallbackBacksOffIntoABlackHole) {
   EXPECT_GT(sender.stats().fallback_retransmissions, 4 * config.k)
       << "the timers must keep firing into the black hole";
   EXPECT_LE(sender.stats().fallback_retransmissions, bound);
+  // Fallback ACKs answer data, and none lands: the receiver's only
+  // datagrams are its FTO rounds' NACKs.
+  EXPECT_EQ(cb.sent(), receiver.stats().ec_nacks_sent);
 }
 
 TEST(FaultInjectionTest, SrRecoversALostCts) {
   // Drop the receive's CTS. The sender queues every chunk and arms no
   // timer until a CTS arrives, so only the receiver's CTS retry can save
-  // the message. run_until, not run: a wedged receiver's ACK tick never
+  // the message. run_until, not run: a wedged receiver's CTS retry never
   // lets the event queue drain.
   ScriptedPair pair({}, {0});
   core::Context ctx_a(*pair.a, core::DevAttr{});

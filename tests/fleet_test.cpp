@@ -135,7 +135,7 @@ struct PinnedFleet {
 TEST(FleetTest, SmallConfigDigestsArePinned) {
   // At 1e-2 EC enters fallback: its NACKs resend 4 submessages (k = 4).
   const PinnedFleet pins[] = {
-      {Scheme::kSr, 1e-3, 1177716874911283273ULL, 88, 4276224, 68, 1, 3},
+      {Scheme::kSr, 1e-3, 13651470051444662428ULL, 88, 4276224, 68, 1, 2},
       {Scheme::kEc, 1e-3, 11343702935381600925ULL, 88, 4276224, 68, 0, 3},
       {Scheme::kEc, 1e-2, 7307477888088044821ULL, 88, 4276224, 68, 16, 30},
       {Scheme::kRc, 1e-3, 10631157728260879080ULL, 88, 4276224, 61, 0, 0},
@@ -181,25 +181,28 @@ TEST(FleetTest, TotalLossAccountsEveryMessageAsFailed) {
   EXPECT_EQ(failed, r.messages_failed);
 }
 
-TEST(FleetTest, EcCompletesEveryMessageUnderHeavyLoss) {
-  // A fleet loss gate: trunk loss up to 0.4 drops data, parity,
-  // CTSes and NACKs alike, and EC's fallback must still deliver every
-  // planned message. A receiver that gives up while the fallback is moving
-  // shows as a failed message and, behind it, collective steps that never
-  // post. Quiescence is not asserted: a receiver that has completed a
-  // message does not answer for it again, so a sender whose final ACKs
-  // were all lost keeps retransmitting.
-  for (const double p_drop : {0.1, 0.2, 0.3, 0.4}) {
-    for (const std::uint64_t offset : {1, 4, 7}) {
-      FleetConfig cfg = small_config(Scheme::kEc);
-      cfg.p_drop = p_drop;
-      cfg.seed += offset;
-      const FleetResult r = run_fleet(cfg);
-      SCOPED_TRACE("p_drop " + std::to_string(p_drop) + " seed +" +
-                   std::to_string(offset));
-      EXPECT_EQ(r.messages_posted, 88u);
-      EXPECT_EQ(r.messages_completed, r.messages_posted);
-      EXPECT_EQ(r.messages_failed, 0u);
+TEST(FleetTest, SrAndEcCompleteEveryMessageUnderHeavyLoss) {
+  // A fleet loss gate: trunk loss up to 0.4 drops data, parity, CTSes,
+  // ACKs and NACKs alike, and SR's retransmissions and EC's fallback must
+  // still deliver every planned message. A receiver that gives up while
+  // the fallback is moving shows as a failed message and, behind it,
+  // collective steps that never post. Quiescence is not asserted: a
+  // receiver that has completed a message does not answer for it again,
+  // so a sender whose final ACKs were all lost keeps retransmitting.
+  for (const Scheme scheme : {Scheme::kSr, Scheme::kEc}) {
+    for (const double p_drop : {0.1, 0.2, 0.3, 0.4}) {
+      for (const std::uint64_t offset : {1, 4, 7}) {
+        FleetConfig cfg = small_config(scheme);
+        cfg.p_drop = p_drop;
+        cfg.seed += offset;
+        const FleetResult r = run_fleet(cfg);
+        SCOPED_TRACE(std::string(scheme_name(scheme)) + " p_drop " +
+                     std::to_string(p_drop) + " seed +" +
+                     std::to_string(offset));
+        EXPECT_EQ(r.messages_posted, 88u);
+        EXPECT_EQ(r.messages_completed, r.messages_posted);
+        EXPECT_EQ(r.messages_failed, 0u);
+      }
     }
   }
 }

@@ -140,6 +140,34 @@ TEST_F(SrProtoFixture, SurvivesControlPathLoss) {
   transfer(64 * 1024, 4);
 }
 
+TEST_F(SrProtoFixture, NoAckBeforeTheFirstChunk) {
+  // A receive posted 3 RTT before its write has nothing to acknowledge:
+  // until data lands the receiver's one timer is the CTS retry (due at
+  // 4 RTT), so its control link stays silent.
+  wire(0.0, 0.0);
+  const std::size_t bytes = 64 * 1024;
+  const auto src = pattern(bytes, 9);
+  std::vector<std::uint8_t> dst(bytes, 0);
+  const auto* mr = ctx_b_->mr_reg(dst.data(), dst.size());
+  bool send_done = false, recv_done = false;
+  ASSERT_TRUE(receiver_
+                  ->expect(dst.data(), bytes, mr,
+                           [&](const Status& s) { recv_done = s.is_ok(); })
+                  .is_ok());
+  sim_.run_until(sim_.now() + SimTime::from_seconds(3.0 * profile_.rtt_s));
+  EXPECT_EQ(receiver_->stats().acks_sent, 0u);
+  EXPECT_EQ(ctrl_b_->sent(), 0u);
+
+  ASSERT_TRUE(sender_
+                  ->write(src.data(), bytes,
+                          [&](const Status& s) { send_done = s.is_ok(); })
+                  .is_ok());
+  sim_.run();
+  EXPECT_TRUE(send_done);
+  EXPECT_TRUE(recv_done);
+  EXPECT_EQ(std::memcmp(dst.data(), src.data(), bytes), 0);
+}
+
 TEST_F(SrProtoFixture, NackModeRecovers) {
   wire(0.05, 0.0, /*nack=*/true);
   transfer(128 * 1024, 5);

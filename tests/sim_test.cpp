@@ -437,6 +437,30 @@ TEST(ChannelTest, BackToBackPacketsQueueOnTheWire) {
   EXPECT_NEAR(arrivals[2] - arrivals[1], ser, 1e-12);
 }
 
+TEST(ChannelTest, RunUntilStopsTheBatchedDrainAtItsDeadline) {
+  // The arrivals are 10 us apart and nothing else is pending, so one drain
+  // firing could deliver all three; run_until must still stop at its
+  // deadline and leave the rest to the next run.
+  Simulator sim;
+  Channel ch(sim, test_channel_config(), std::make_unique<IidDrop>(0.0));
+  std::size_t delivered = 0;
+  ch.set_receiver([&](Packet&&) { ++delivered; });
+  for (int i = 0; i < 3; ++i) {
+    Packet p;
+    p.bytes = 125000;
+    ch.send(std::move(p));
+  }
+  const SimTime deadline =
+      SimTime::from_seconds(injection_time_s(125000, 100 * Gbps) +
+                            propagation_delay_s(350.0)) +
+      SimTime::from_micros(5);
+  sim.run_until(deadline);
+  EXPECT_EQ(delivered, 1u);
+  EXPECT_EQ(sim.now().ns, deadline.ns);
+  sim.run();
+  EXPECT_EQ(delivered, 3u);
+}
+
 TEST(ChannelTest, DropsMatchConfiguredRate) {
   Simulator sim;
   Channel::Config cfg = test_channel_config();
