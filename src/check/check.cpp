@@ -211,9 +211,10 @@ double fleet_drop_rate(const Scenario& s) {
 
 /// Fleet-mode oracles: run a small two-DC fleet at the scenario's geometry
 /// and loss point and check the invariants no scheme may break — every
-/// posted message completes or is accounted as failed, the event queue and
-/// payload pool quiesce at the horizon, and the per-tenant rollups conserve
-/// the fleet totals.
+/// posted message completes or is accounted as failed, a quiesced fleet
+/// posted every planned tenant message, the event queue and payload pool
+/// quiesce at the horizon, and the per-tenant rollups conserve the fleet
+/// totals.
 void run_fleet_oracle(const Scenario& s,
                       std::vector<std::string>* failures) {
   fleet::FleetConfig cfg = fleet::FleetConfig::defaults();
@@ -256,6 +257,12 @@ void run_fleet_oracle(const Scenario& s,
   }
   std::uint64_t posted = 0, completed = 0, failed = 0, bytes = 0;
   for (const fleet::TenantResult& t : r.tenants) {
+    // Collective steps behind a failed step are never posted.
+    if (r.quiesced && t.posted != t.planned &&
+        !(t.name == "collective" && t.failed > 0)) {
+      fail("quiesced with " + t.name + " at " + std::to_string(t.posted) +
+           " of " + std::to_string(t.planned) + " planned messages posted");
+    }
     posted += t.posted;
     completed += t.completed;
     failed += t.failed;

@@ -32,8 +32,9 @@ constexpr std::uint64_t kRcArmSalt = 0x2C;
 constexpr std::uint64_t kFarTimerStream = 0xFA57;
 
 // Event budget for the post-completion quiescence drain: far above any
-// residual timer count a healthy run leaves behind (final-ACK repeats,
-// reap polls), far below anything that would mask a timer livelock.
+// residual event count a healthy run leaves behind (reap polls, late
+// copies and their answers), far below anything that would mask a timer
+// livelock.
 constexpr std::uint64_t kQuiesceBudget = 500000;
 
 // Per-arm recorder sizes: flight-recorder ring per connection, span pool.
@@ -564,14 +565,17 @@ ArmResult run_rc_arm(const Scenario& s, const CheckOptions& opts) {
     // CQE ordering oracle: RC completes strictly in post (== PSN) order on
     // both sides; the receive side additionally proves ePSN monotonicity
     // (a reordered or replayed message would surface out of order here).
-    // Posting order is by post_delay (index breaks ties — the simulator's
-    // event queue is FIFO at equal times), not by message index.
+    // Posting order is by the nanosecond the simulator posts at (index
+    // breaks ties — its event queue is FIFO at equal times), not by message
+    // index or the unrounded post_delay.
     std::vector<std::size_t> post_order(n);
     for (std::size_t i = 0; i < n; ++i) post_order[i] = i;
+    const auto posted_at = [&s](std::size_t i) {
+      return SimTime::from_seconds(s.messages[i].post_delay_s);
+    };
     std::stable_sort(post_order.begin(), post_order.end(),
-                     [&s](std::size_t a, std::size_t b) {
-                       return s.messages[a].post_delay_s <
-                              s.messages[b].post_delay_s;
+                     [&](std::size_t a, std::size_t b) {
+                       return posted_at(a) < posted_at(b);
                      });
     std::size_t tx_seen = 0;
     while (std::optional<verbs::Cqe> cqe = tx_cq.poll_one()) {

@@ -148,6 +148,7 @@ struct Conn {
 /// Per-tenant telemetry rollup: counters + completion-latency histogram
 /// exported through the registry ("fleet.<tenant>.*").
 struct TenantRollup {
+  std::uint64_t planned{0};
   std::uint64_t posted{0};
   std::uint64_t completed{0};
   std::uint64_t failed{0};
@@ -286,7 +287,7 @@ void Conn::on_recv_done(std::size_t seq, bool ok) {
   const std::int64_t now_ns = eng->sim_.now().ns;
   eng->concurrent_delta(-1);
   if (!ok) {
-    // Receiver gave up (EC global-timeout abort). Free the window slot but
+    // Receiver gave up (EC, 16 silent FTO rounds). Free the window slot but
     // never count the message as delivered — and never release the ring
     // dependency on data that did not arrive.
     ++failed;
@@ -618,6 +619,7 @@ void FleetEngine::collect(FleetResult& out) {
     TenantResult& res = out.tenants[t];
     res.name = t < cfg_.tenants.size() ? cfg_.tenants[t].name : "collective";
     res.connections = roll.connections;
+    res.planned = roll.planned;
     res.posted = roll.posted;
     res.completed = roll.completed;
     res.failed = roll.failed;
@@ -718,6 +720,7 @@ FleetResult FleetEngine::run() {
   for (const auto& conn : conns_) {
     TenantRollup& roll = conn->is_collective ? rollups_.back()
                                              : rollups_[conn->tenant];
+    roll.planned += conn->plan.size();
     roll.posted += conn->next_post;
   }
 

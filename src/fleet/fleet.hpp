@@ -71,10 +71,13 @@ struct FleetConfig {
 struct TenantResult {
   std::string name;
   std::uint64_t connections{0};
+  /// Messages in the tenant's plans. A fleet that quiesced posted them all,
+  /// except collective steps behind a failed step.
+  std::uint64_t planned{0};
   std::uint64_t posted{0};
   std::uint64_t completed{0};
-  /// Receiver gave up with an error (EC global-timeout abort): the message
-  /// is accounted but never counted as delivered.
+  /// Receiver gave up with an error (an EC receive after 16 silent FTO
+  /// rounds): the message is accounted but never counted as delivered.
   std::uint64_t failed{0};
   std::uint64_t useful_bytes{0};
   double goodput_gbps{0.0};

@@ -55,10 +55,6 @@ inline void reset_control(ControlMessage& msg, ControlType type,
   msg.payload.clear();
 }
 
-/// How many times a receiver sends the final ACK of a message: the control
-/// path is unreliable, and no later ACK follows once the receive completed.
-inline constexpr std::size_t kFinalAckRepeats = 3;
-
 /// Serialize into a datagram payload (must fit the control MTU; the window
 /// and index list are truncated by the callers to guarantee this). `out` is
 /// cleared first and keeps its capacity, so the per-ACK hot path allocates

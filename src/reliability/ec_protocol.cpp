@@ -12,11 +12,22 @@ namespace {
 constexpr std::uint64_t kNoMessage = ~std::uint64_t{0};
 
 /// The deadlock guard (paper: "a global timeout is also set at message
-/// posting to prevent deadlock"): the FTO round that follows this many
-/// rounds without a chunk event aborts the message. With the FTO's doubling
-/// capped at 16x, a message on a dead path gives up about
-/// 223 × (FTO + 2 RTT) after posting.
+/// posting to prevent deadlock"): at either end, the round that follows
+/// this many silent rounds aborts the message. With the doubling capped at
+/// 16x, a receive on a dead path gives up about 223 × (FTO + 2 RTT) after
+/// posting.
 constexpr unsigned kSilentFtoLimit = 16;
+
+/// FTO = (M + M/R) * T_INJ + beta * RTT for `chunks` data chunks, which
+/// both ends' silence clocks wait on.
+double fto_s(std::size_t chunks, const EcProtoConfig& config,
+             const LinkProfile& profile) {
+  const double wire_chunks =
+      static_cast<double>(chunks) *
+      (1.0 + static_cast<double>(config.m) / static_cast<double>(config.k));
+  return wire_chunks * profile.chunk_injection_s() +
+         config.beta * profile.rtt_s;
+}
 
 /// Whether a recycled parity buffer of `capacity` bytes may carry a message
 /// that needs `need`: it must be large enough and at most twice that, so a
@@ -184,6 +195,9 @@ Status EcSender::write(const std::uint8_t* data, std::size_t length,
     msg.parity_handles.push_back(handle);
     stats_.parity_chunks_sent += config_.m;
   }
+  msg.silent_rounds = 0;
+  msg.heard = false;
+  arm_timer(msg, base);
 
   ++stats_.messages;
   if (telemetry::observing()) {
@@ -203,13 +217,14 @@ void EcSender::on_control(const std::uint8_t* data, std::size_t length) {
 
   switch (ctl.type) {
     case ControlType::kEcAck: {
-      finish(ctl.msg_number);
+      finish(ctl.msg_number, Status::ok());
       break;
     }
     case ControlType::kEcNack: {
       const auto it = messages_.find(ctl.msg_number);
       if (it == messages_.end()) return;
       ++stats_.ec_nacks;
+      it->second.heard = true;
       enter_fallback(it->second, ctl.msg_number, ctl.indices);
       break;
     }
@@ -218,6 +233,7 @@ void EcSender::on_control(const std::uint8_t* data, std::size_t length) {
       // submessage that never entered fallback has no chunks to acknowledge.
       std::size_t sub = 0;
       if (MsgState* msg = message_of(ctl.msg_number, sub)) {
+        msg->heard = true;
         retx_.apply_ack(msg->fallback[sub], ctl, [](std::size_t, double) {});
       }
       break;
@@ -287,11 +303,43 @@ bool EcSender::resend(std::uint64_t number, std::size_t chunk) {
   return st.is_ok();
 }
 
-void EcSender::finish(std::uint64_t base) {
+void EcSender::arm_timer(MsgState& msg, std::uint64_t base) {
+  msg.timer = sim_.schedule(
+      SimTime::from_seconds(backed_off_s(
+          fto_s(msg.length / chunk_bytes_, config_, profile_) +
+              3.0 * profile_.rtt_s,
+          msg.silent_rounds)),
+      [this, base] { on_timer(base); });
+}
+
+void EcSender::on_timer(std::uint64_t base) {
+  telemetry::ProfScope prof(telemetry::ProfCategory::kEc);
+  MsgState& msg = messages_.find(base)->second;  // finish() disarms it
+  if (msg.heard) {
+    msg.heard = false;
+    msg.silent_rounds = 0;
+  } else if (msg.silent_rounds == kSilentFtoLimit) {
+    finish(base, Status(StatusCode::kAborted, "EC sender timeout"));
+    return;
+  } else {
+    // Probe: a receiver that finished the message answers a copy of it.
+    for (std::size_t s = 0; s < msg.submessages; ++s) {
+      if (msg.data_handles[s]->cts_ready()) {
+        resend(base + s, 0);
+        break;
+      }
+    }
+    ++msg.silent_rounds;
+  }
+  arm_timer(msg, base);
+}
+
+void EcSender::finish(std::uint64_t base, const Status& status) {
   const auto it = messages_.find(base);
   if (it == messages_.end()) return;
   MsgState& msg = it->second;
-  if (msg_completion_hist_.live() && msg.write_at_s >= 0.0) {
+  sim_.cancel(msg.timer);
+  if (status && msg_completion_hist_.live() && msg.write_at_s >= 0.0) {
     msg_completion_hist_.record(sim_.now().seconds() - msg.write_at_s);
   }
   if (telemetry::observing()) {
@@ -310,7 +358,7 @@ void EcSender::finish(std::uint64_t base) {
   msg.data = nullptr;
   // Recycle the node before the callback so a re-entrant write() finds it.
   free_.push_back(messages_.extract(it));
-  if (done) done(Status::ok());
+  if (done) done(status);
 }
 
 void EcSender::release_handles(const MsgState& msg) {
@@ -346,15 +394,13 @@ void EcSender::release_handles(const MsgState& msg) {
 
 EcReceiver::EcReceiver(sim::Simulator& simulator, core::Qp& qp,
                        verbs::ControlLink& control, const LinkProfile& profile,
-                       const ec::ErasureCodec& codec, EcProtoConfig config,
-                       const SrProtoConfig& sr)
+                       const ec::ErasureCodec& codec, EcProtoConfig config)
     : sim_(simulator),
       qp_(qp),
       control_(control),
       profile_(profile),
       codec_(codec),
       config_(config),
-      ack_interval_s_(sr.ack_interval_s),
       chunk_bytes_(qp.attr().chunk_size),
       present_(config.k + config.m, false),
       decode_blocks_(config.k + config.m) {
@@ -482,10 +528,17 @@ Status EcReceiver::expect(std::uint8_t* buffer, std::size_t length,
 
 void EcReceiver::on_chunk_event(const core::RecvEvent& event) {
   telemetry::ProfScope prof(telemetry::ProfCategory::kEc);
-  // Events fire only for posted receives, and the message that posted one
-  // is the last to have written its slot's entry.
+  // The message that posted a receive is the last to have written its
+  // slot's entry; release() unmaps the slots whose late copies it ignores.
   const std::uint64_t number = event.handle->msg_number();
   const std::uint64_t base = slot_base(handle_base_, event.handle->slot());
+  if (event.type == core::RecvEvent::Type::kLate) {
+    // As in SrReceiver: a copy an RTT or more after the ACK means it was lost.
+    const double after_s =
+        sim_.now().seconds() - event.handle->completed_at_s();
+    if (base != kNoMessage && after_s >= profile_.rtt_s) send_ec_ack(base);
+    return;
+  }
   const auto it = messages_.find(base);
   if (it == messages_.end()) return;
   MsgState& msg = it->second;
@@ -573,20 +626,14 @@ bool EcReceiver::recover(MsgState& msg, std::size_t sub) {
   return true;
 }
 
-double EcReceiver::fto_s(std::size_t length) const {
-  const double wire_chunks =
-      static_cast<double>(length / chunk_bytes_) *
-      (1.0 + static_cast<double>(config_.m) / static_cast<double>(config_.k));
-  return wire_chunks * profile_.chunk_injection_s() +
-         config_.beta * profile_.rtt_s;
-}
-
 void EcReceiver::arm_fto(MsgState& msg, std::uint64_t base) {
   // + 2 RTT of slack: the timer starts at posting, before the RTS/CTS
   // handshake and the first injected byte.
   msg.fto_timer = sim_.schedule(
       SimTime::from_seconds(backed_off_s(
-          fto_s(msg.length) + 2.0 * profile_.rtt_s, msg.silent_rounds)),
+          fto_s(msg.length / chunk_bytes_, config_, profile_) +
+              2.0 * profile_.rtt_s,
+          msg.silent_rounds)),
       [this, base] { on_fto(base); });
 }
 
@@ -669,12 +716,6 @@ void EcReceiver::complete(MsgMap::iterator it) {
                      .a = msg.submessages, .b = stats_.decoded_submessages});
   }
   send_ec_ack(base);
-  for (std::size_t r = 1; r < kFinalAckRepeats; ++r) {
-    // The repeat re-encodes the same ACK: the scratch is reused meanwhile.
-    sim_.schedule(SimTime::from_seconds(ack_interval_s_ *
-                                        static_cast<double>(r)),
-                  [this, base] { send_ec_ack(base); });
-  }
   release(it, Status::ok());
 }
 
@@ -682,6 +723,14 @@ void EcReceiver::release(MsgMap::iterator it, const Status& status) {
   MsgState& msg = it->second;
   sim_.cancel(msg.fto_timer);
   complete_receives(msg);
+  // Late copies of parity are the tail of the first transmission (parity
+  // is never resent), and an aborted message must not be acknowledged.
+  for (const core::RecvHandle* h : msg.parity_handles) {
+    handle_base_[h->slot()] = kNoMessage;
+  }
+  for (const core::RecvHandle* h : msg.data_handles) {
+    if (!status) handle_base_[h->slot()] = kNoMessage;
+  }
   DoneFn done = std::move(msg.done);
   msg.buffer = nullptr;
   // Recycle the node before the callback so a re-entrant expect() finds it.

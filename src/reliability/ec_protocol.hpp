@@ -5,12 +5,16 @@
 // so the fallback path can retransmit into the same buffers) followed by
 // parity (one-shot sends — parity is never retransmitted). On a positive
 // ACK the buffers are released; on an EC NACK the listed submessages switch
-// to Selective Repeat: each becomes a stream of the SR Retransmitter.
+// to Selective Repeat: each becomes a stream of the SR Retransmitter. Each
+// message holds the receiver's silence clock plus the NACK's trip back: a
+// silent round re-sends one data chunk (a finished receiver answers it with
+// its ACK), and the round after 16 silent ones aborts the message.
 //
 // Receiver: posts L data receive buffers (regions of the application buffer
 // — zero copy) and L parity scratch buffers. Chunk-bitmap events drive
 // decodability checks; once every submessage is recoverable the missing
-// data chunks are EC-decoded in place and a positive ACK is sent. The
+// data chunks are EC-decoded in place and one positive ACK is sent; a late
+// copy of its data (an RTT or more after) is answered with it again. The
 // fallback timeout FTO = (M + M/R)*T_INJ + beta*RTT, armed at posting with
 // 2 RTT of handshake slack, is the receiver's one per-message timer, for
 // re-asking and giving up. Each round re-sends the CTS of every stream that
@@ -93,6 +97,9 @@ class EcSender {
     /// `submessages` entries; only that prefix is live.
     std::vector<Retransmitter::Stream> fallback;
     double write_at_s{-1.0};  // write() sim time (completion latency)
+    sim::EventId timer{};       // the silence clock
+    unsigned silent_rounds{0};  // its rounds since one heard the receiver
+    bool heard{false};  // an EC NACK or fallback ACK came this round
     DoneFn done;
   };
 
@@ -103,7 +110,10 @@ class EcSender {
   /// The live message whose data submessage is `number`, and its index.
   MsgState* message_of(std::uint64_t number, std::size_t& sub);
   bool resend(std::uint64_t number, std::size_t chunk);
-  void finish(std::uint64_t base);
+  void arm_timer(MsgState& msg, std::uint64_t base);
+  void on_timer(std::uint64_t base);
+  /// Disarm every timer of the message, release its sends, fire `done`.
+  void finish(std::uint64_t base, const Status& status);
   /// Hand every send of `msg` back to the core: abort the CTS-less ones,
   /// end and reap the rest.
   void release_handles(const MsgState& msg);
@@ -154,8 +164,7 @@ class EcReceiver {
 
   EcReceiver(sim::Simulator& simulator, core::Qp& qp,
              verbs::ControlLink& control, const LinkProfile& profile,
-             const ec::ErasureCodec& codec, EcProtoConfig config,
-             const SrProtoConfig& sr);
+             const ec::ErasureCodec& codec, EcProtoConfig config);
   /// Completes the receives of messages still in flight, then deregisters
   /// every parity scratch MR. The Qp's context must still be alive.
   ~EcReceiver();
@@ -201,15 +210,13 @@ class EcReceiver {
   /// Whether submessage `sub` is complete, decoding it in place if its
   /// data chunks are not all there.
   bool recover(MsgState& msg, std::size_t sub);
-  /// FTO = (M + M/R) * T_INJ + beta * RTT for a message of `length` bytes.
-  double fto_s(std::size_t length) const;
   void arm_fto(MsgState& msg, std::uint64_t base);
   void on_fto(std::uint64_t base);
   /// Answer a data chunk of unrecovered submessage `sub` with its bitmap.
   void send_fallback_ack(const MsgState& msg, std::size_t sub);
   void complete(MsgMap::iterator it);
-  /// The teardown completion and abort share: disarm the FTO, complete
-  /// the receives, recycle the node and fire its callback with `status`.
+  /// Completion's and abort's teardown: disarm the FTO, complete the
+  /// receives and unmap those never to be answered, recycle, fire `done`.
   void release(MsgMap::iterator it, const Status& status);
   /// recv_complete every receive of `msg`: its slots rebind to the NULL
   /// key, so nothing is bound to its parity scratch any more.
@@ -222,7 +229,6 @@ class EcReceiver {
   LinkProfile profile_;
   const ec::ErasureCodec& codec_;
   EcProtoConfig config_;
-  double ack_interval_s_;  // spacing of the final-ACK repeats
   std::size_t chunk_bytes_;
   MsgMap messages_;
   /// Completed-message nodes kept for reuse (see EcSender::free_).

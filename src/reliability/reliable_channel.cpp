@@ -58,7 +58,7 @@ ReliableChannel::ReliableChannel(sim::Simulator& simulator, verbs::Nic& src,
                                             options_.ec, options_.sr);
     ec_receiver_ = std::make_unique<EcReceiver>(sim_, *dst_qp_, *dst_control_,
                                                 options_.profile, *codec_,
-                                                options_.ec, options_.sr);
+                                                options_.ec);
   }
 
   if (options_.eager_threshold_bytes > 0) {

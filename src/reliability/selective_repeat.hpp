@@ -26,7 +26,7 @@ struct SrProtoConfig {
   /// the "SR RTO" evaluation scenario corresponds to 3 RTT.
   double rto_s{0.075};
   /// Receiver ACK cadence while data flows: from a message's first chunk
-  /// event to its completion. EcReceiver spaces its final-ACK repeats by it.
+  /// event to its completion.
   double ack_interval_s{0.005};
   /// Enable receiver-side NACKs on bitmap gaps. The receiver NACKs a hole
   /// at most once per LinkProfile::rtt_s.
@@ -38,8 +38,8 @@ struct SrProtoConfig {
 };
 
 /// The shared backoff: `base_s` doubled once per round, up to 16x. The
-/// Retransmitter's chunk timers, SrReceiver's CTS retry and EcReceiver's FTO
-/// all wait this long.
+/// Retransmitter's chunk timers, SrReceiver's CTS retry and both EC ends'
+/// silence clocks all wait this long.
 inline double backed_off_s(double base_s, unsigned rounds) {
   return base_s * static_cast<double>(1u << std::min(rounds, 4u));
 }

@@ -292,6 +292,15 @@ void SrReceiver::on_timer(std::uint64_t msg_number) {
 void SrReceiver::on_chunk_event(const core::RecvEvent& event) {
   telemetry::ProfScope prof(telemetry::ProfCategory::kSr);
   const std::uint64_t msg_number = event.handle->msg_number();
+  if (event.type == core::RecvEvent::Type::kLate) {
+    // A copy sent before the final ACK could arrive is the race; a later
+    // one means the ACK was lost.
+    if (sim_.now().seconds() - event.handle->completed_at_s() >=
+        profile_.rtt_s) {
+      send_final_ack(msg_number, event.handle->chunk_count());
+    }
+    return;
+  }
   const auto it = messages_.find(msg_number);
   if (it == messages_.end()) return;
   MsgState& msg = it->second;
@@ -379,14 +388,7 @@ void SrReceiver::maybe_nack(MsgState& msg, std::size_t completed_chunk) {
 
 void SrReceiver::complete(MsgState& msg, std::uint64_t msg_number) {
   sim_.cancel(msg.timer);
-  // Final ACK (repeated to survive control-path drops).
-  const std::uint32_t cumulative = static_cast<std::uint32_t>(msg.chunks);
-  ControlMessage& ack = ctrl_scratch_;
-  reset_control(ack, ControlType::kSrAck, msg_number);
-  ack.cumulative = cumulative;
-  encode_control(ack, wire_scratch_);
-  control_.send(wire_scratch_.data(), wire_scratch_.size());
-  ++stats_.acks_sent;
+  send_final_ack(msg_number, msg.chunks);
   if (telemetry::observing()) {
     // Sent with the final ACK. a = chunks.
     telemetry::emit({.t = sim_.now(),
@@ -394,22 +396,6 @@ void SrReceiver::complete(MsgState& msg, std::uint64_t msg_number) {
                      .layer = telemetry::Layer::kSr,
                      .conn = qp_.control_qp_num(), .msg = msg_number,
                      .a = msg.chunks});
-  }
-  for (std::size_t r = 1; r < kFinalAckRepeats; ++r) {
-    // The repeat rebuilds the (tiny, constant) final ACK into the scratch
-    // buffers at fire time instead of capturing a copy of the wire bytes —
-    // the capture stays within the inline event budget and the repeat path
-    // allocates nothing.
-    sim_.schedule(SimTime::from_seconds(config_.ack_interval_s *
-                                        static_cast<double>(r)),
-                  [this, msg_number, cumulative] {
-                    ControlMessage& repeat = ctrl_scratch_;
-                    reset_control(repeat, ControlType::kSrAck, msg_number);
-                    repeat.cumulative = cumulative;
-                    encode_control(repeat, wire_scratch_);
-                    control_.send(wire_scratch_.data(), wire_scratch_.size());
-                    ++stats_.acks_sent;
-                  });
   }
   qp_.recv_complete(msg.handle);
   DoneFn done = std::move(msg.done);
@@ -419,6 +405,16 @@ void SrReceiver::complete(MsgState& msg, std::uint64_t msg_number) {
     spare_ = std::move(node);
   }
   if (done) done(Status::ok());
+}
+
+void SrReceiver::send_final_ack(std::uint64_t msg_number,
+                                std::size_t chunks) {
+  ControlMessage& ack = ctrl_scratch_;
+  reset_control(ack, ControlType::kSrAck, msg_number);
+  ack.cumulative = static_cast<std::uint32_t>(chunks);
+  encode_control(ack, wire_scratch_);
+  control_.send(wire_scratch_.data(), wire_scratch_.size());
+  ++stats_.acks_sent;
 }
 
 }  // namespace sdr::reliability

@@ -13,9 +13,11 @@
 // after LinkProfile::cts_retry_interval_s() and then at doubling intervals
 // (the shared backed_off_s). From the first chunk to completion it is the
 // ACK tick: every ack_interval_s an ACK encodes the bitmap as a cumulative
-// ACK plus a selective window, so no ACK goes out before data does. With
-// NACK enabled, gaps observed in the bitmap trigger immediate negative
-// acknowledgments, cutting drop recovery to ~1 RTT.
+// ACK plus a selective window, so no ACK goes out before data does. The
+// final ACK goes once; a copy of the message landing an RTT or more later
+// means it was lost, and is answered with it again. With NACK enabled, gaps
+// observed in the bitmap trigger immediate negative acknowledgments,
+// cutting drop recovery to ~1 RTT.
 #pragma once
 
 #include <cstdint>
@@ -144,6 +146,7 @@ class SrReceiver {
   void arm_timer(MsgState& msg, std::uint64_t msg_number);
   void on_timer(std::uint64_t msg_number);
   void complete(MsgState& msg, std::uint64_t msg_number);
+  void send_final_ack(std::uint64_t msg_number, std::size_t chunks);
 
   sim::Simulator& sim_;
   core::Qp& qp_;

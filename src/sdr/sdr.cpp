@@ -495,6 +495,7 @@ Status Qp::recv_complete(RecvHandle* handle) {
   root_table_->bind_null(handle->slot_, null_mr_);
   table_.release(handle->slot_);
   handle->in_use_ = false;
+  handle->completed_at_s_ = sim_now().seconds();
   return Status::ok();
 }
 
@@ -588,6 +589,19 @@ void Qp::on_data_cqe(std::size_t qp_index) {
     }
     if (!result.accepted) {
       ++stats_.completions_discarded;
+      // A copy of a released receive's chunk under its generation: one
+      // event per chunk, at its last packet (a never-posted slot has none).
+      const std::size_t ppc = attr_.packets_per_chunk();
+      const std::size_t p = fields.packet_index;
+      if (recv_event_handler_ && fields.msg_id < recv_handles_.size()) {
+        RecvHandle& late = recv_handles_[fields.msg_id];
+        const std::size_t packets = table_.packets(fields.msg_id);
+        if (!late.in_use_ && late.generation_ == qp_generation &&
+            p + 1 == std::min((p / ppc + 1) * ppc, packets)) {
+          recv_event_handler_(RecvEvent{RecvEvent::Type::kLate, &late,
+                                        static_cast<std::uint32_t>(p / ppc)});
+        }
+      }
       continue;
     }
     RecvHandle* h = &recv_handles_[fields.msg_id];

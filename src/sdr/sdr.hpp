@@ -108,25 +108,30 @@ class RecvHandle {
   std::size_t slot() const { return slot_; }
   std::size_t msg_bytes() const { return msg_bytes_; }
   std::size_t chunk_count() const { return chunk_count_; }
+  /// recv_complete sim time; negative while the receive is posted.
+  double completed_at_s() const { return completed_at_s_; }
 
  private:
   friend class Qp;
   std::uint64_t msg_number_{0};
   std::size_t slot_{0};
   std::uint32_t generation_{0};
+  bool in_use_{false};  // in generation_'s padding: a handle is 64 bytes
   std::size_t msg_bytes_{0};
   std::size_t chunk_count_{0};
   const verbs::MemoryRegion* mr_{nullptr};
   double posted_at_s_{-1.0};  // recv_post sim time (completion latency)
-  bool in_use_{false};
+  double completed_at_s_{-1.0};
 };
 
 /// Receive-side events fired from inside the backend (the event-driven
-/// equivalent of busy-polling the bitmap; see cq.hpp::set_notify).
+/// equivalent of busy-polling the bitmap; see cq.hpp::set_notify). kLate:
+/// a copy of a chunk's last packet reached the slot after recv_complete
+/// released `handle`, which still names the finished message.
 struct RecvEvent {
-  enum class Type { kChunkCompleted, kMessageCompleted } type;
+  enum class Type { kChunkCompleted, kMessageCompleted, kLate } type;
   RecvHandle* handle;
-  std::uint32_t chunk_index;  // valid for kChunkCompleted
+  std::uint32_t chunk_index;  // valid for kChunkCompleted and kLate
 };
 
 struct SdrQpStats {

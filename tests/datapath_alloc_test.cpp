@@ -391,7 +391,7 @@ struct EcAllocRun {
     sender = std::make_unique<reliability::EcSender>(
         sim, *qa, *ctrl_a, profile, *codec, config, sr);
     receiver = std::make_unique<reliability::EcReceiver>(
-        sim, *qb, *ctrl_b, profile, *codec, config, sr);
+        sim, *qb, *ctrl_b, profile, *codec, config);
 
     src.assign(kMsgBytes, 0x5A);
     dst.assign(kInflight * kMsgBytes, 0);

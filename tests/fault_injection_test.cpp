@@ -2,7 +2,8 @@
 // pattern is chosen, so the protocols' responses can be asserted precisely —
 // SR retransmits exactly the dropped chunks; EC recovers exactly up to its
 // code tolerance and falls back one drop beyond it, and its fallback backs
-// off into a black hole; both deliver a message whose CTS was lost.
+// off into a black hole until the sender gives up; both deliver a message
+// whose CTS was lost, and both finish a message whose final ACK was lost.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -162,7 +163,7 @@ TEST(FaultInjectionTest, EcRecoversExactlyMDropsInPlace) {
   sr.rto_s = 3.0 * profile.rtt_s;
   sr.ack_interval_s = profile.rtt_s / 4.0;
   EcSender sender(pair.sim, *qa, ca, profile, codec, config, sr);
-  EcReceiver receiver(pair.sim, *qb, cb, profile, codec, config, sr);
+  EcReceiver receiver(pair.sim, *qb, cb, profile, codec, config);
 
   const std::size_t len = 8 * 1024;  // exactly one submessage
   const auto src = pattern(len, 2);
@@ -209,7 +210,7 @@ TEST(FaultInjectionTest, EcFallsBackExactlyBeyondTolerance) {
   sr.rto_s = 3.0 * profile.rtt_s;
   sr.ack_interval_s = profile.rtt_s / 4.0;
   EcSender sender(pair.sim, *qa, ca, profile, codec, config, sr);
-  EcReceiver receiver(pair.sim, *qb, cb, profile, codec, config, sr);
+  EcReceiver receiver(pair.sim, *qb, cb, profile, codec, config);
 
   const std::size_t len = 8 * 1024;
   const auto src = pattern(len, 3);
@@ -276,14 +277,15 @@ TEST(FaultInjectionTest, EcFallbackBacksOffIntoABlackHole) {
   sr.rto_s = 3.0 * profile.rtt_s;
   sr.ack_interval_s = profile.rtt_s / 4.0;
   EcSender sender(pair.sim, *qa, ca, profile, codec, config, sr);
-  EcReceiver receiver(pair.sim, *qb, cb, profile, codec, config, sr);
+  EcReceiver receiver(pair.sim, *qb, cb, profile, codec, config);
 
   const std::size_t len = 8 * 1024;  // exactly one submessage
   const auto src = pattern(len, 7);
   std::vector<std::uint8_t> dst(len, 0);
   const auto* mr = ctx_b.mr_reg(dst.data(), dst.size());
   receiver.expect(dst.data(), len, mr, [](const Status&) {});
-  sender.write(src.data(), len, [](const Status&) {});
+  Status sent;
+  sender.write(src.data(), len, [&](const Status& s) { sent = s; });
   constexpr double kHorizonS = 2.0;
   pair.sim.run_until(SimTime::from_seconds(kHorizonS));
 
@@ -296,6 +298,10 @@ TEST(FaultInjectionTest, EcFallbackBacksOffIntoABlackHole) {
   // Fallback ACKs answer data, and none lands: the receiver's only
   // datagrams are its FTO rounds' NACKs.
   EXPECT_EQ(cb.sent(), receiver.stats().ec_nacks_sent);
+  // Once the receiver gave up, the sender hears nothing for 16 rounds and
+  // gives up too, leaving no timer behind.
+  EXPECT_EQ(sent.code(), StatusCode::kAborted);
+  EXPECT_EQ(pair.sim.pending(), 0u);
 }
 
 TEST(FaultInjectionTest, SrRecoversALostCts) {
@@ -373,7 +379,7 @@ TEST(FaultInjectionTest, EcRecoversALostCts) {
   sr.rto_s = 3.0 * profile.rtt_s;
   sr.ack_interval_s = profile.rtt_s / 4.0;
   EcSender sender(pair.sim, *qa, ca, profile, codec, config, sr);
-  EcReceiver receiver(pair.sim, *qb, cb, profile, codec, config, sr);
+  EcReceiver receiver(pair.sim, *qb, cb, profile, codec, config);
 
   const std::size_t len = 8 * 1024;  // exactly one submessage
   const auto src = pattern(len, 6);
@@ -389,6 +395,98 @@ TEST(FaultInjectionTest, EcRecoversALostCts) {
 
   EXPECT_TRUE(received);
   EXPECT_TRUE(sent);
+  EXPECT_EQ(std::memcmp(dst.data(), src.data(), len), 0);
+}
+
+TEST(FaultInjectionTest, SrFinishesAfterItsFinalAckIsLost) {
+  // Backward packet 1 is the final ACK (the one chunk burst lands before
+  // the first ACK tick); drop it and the next two backward datagrams. The
+  // sender's RTOs re-send the chunks, and the receiver answers those late
+  // copies with the final ACK until one gets through.
+  ScriptedPair pair({}, {1, 2, 3});
+  core::Context ctx_a(*pair.a, core::DevAttr{});
+  core::Context ctx_b(*pair.b, core::DevAttr{});
+  core::Qp* qa = ctx_a.create_qp(one_packet_chunks());
+  core::Qp* qb = ctx_b.create_qp(one_packet_chunks());
+  qa->connect(qb->info());
+  qb->connect(qa->info());
+  verbs::ControlLink ca(*pair.a), cb(*pair.b);
+  ca.connect(2, cb.qp_number());
+  cb.connect(1, ca.qp_number());
+
+  LinkProfile profile;
+  profile.bandwidth_bps = 100e9;
+  profile.rtt_s = rtt_s(100.0);
+  profile.mtu = 1024;
+  profile.chunk_bytes = 1024;
+  SrProtoConfig config;
+  config.rto_s = 3.0 * profile.rtt_s;
+  config.ack_interval_s = profile.rtt_s / 4.0;
+  SrSender sender(pair.sim, *qa, ca, profile, config);
+  SrReceiver receiver(pair.sim, *qb, cb, profile, config);
+
+  const std::size_t len = 16 * 1024;
+  const auto src = pattern(len, 8);
+  std::vector<std::uint8_t> dst(len, 0);
+  const auto* mr = ctx_b.mr_reg(dst.data(), dst.size());
+  Status received(StatusCode::kNotReady, "");
+  Status sent(StatusCode::kNotReady, "");
+  receiver.expect(dst.data(), len, mr, [&](const Status& s) { received = s; });
+  sender.write(src.data(), len, [&](const Status& s) { sent = s; });
+  pair.sim.run_until(SimTime::from_seconds(1.0));
+
+  EXPECT_TRUE(received.is_ok());
+  EXPECT_TRUE(sent.is_ok()) << "the sender must hear a final ACK";
+  EXPECT_EQ(pair.sim.pending(), 0u);
+  EXPECT_EQ(std::memcmp(dst.data(), src.data(), len), 0);
+}
+
+TEST(FaultInjectionTest, EcFinishesAfterItsAckIsLost) {
+  // Backward packets 0 and 1 are the CTSes of the data and parity streams,
+  // 2 the EC ACK; drop it and the next two. The message never enters
+  // fallback, so only the sender's silence clock can probe: each silent
+  // round re-sends one data chunk, which the finished receiver answers.
+  ScriptedPair pair({}, {2, 3, 4});
+  core::Context ctx_a(*pair.a, core::DevAttr{});
+  core::Context ctx_b(*pair.b, core::DevAttr{});
+  core::Qp* qa = ctx_a.create_qp(one_packet_chunks());
+  core::Qp* qb = ctx_b.create_qp(one_packet_chunks());
+  qa->connect(qb->info());
+  qb->connect(qa->info());
+  verbs::ControlLink ca(*pair.a), cb(*pair.b);
+  ca.connect(2, cb.qp_number());
+  cb.connect(1, ca.qp_number());
+
+  LinkProfile profile;
+  profile.bandwidth_bps = 100e9;
+  profile.rtt_s = rtt_s(100.0);
+  profile.mtu = 1024;
+  profile.chunk_bytes = 1024;
+  ec::ReedSolomon codec(8, 4);
+  EcProtoConfig config;
+  config.k = 8;
+  config.m = 4;
+  SrProtoConfig sr;
+  sr.rto_s = 3.0 * profile.rtt_s;
+  EcSender sender(pair.sim, *qa, ca, profile, codec, config, sr);
+  EcReceiver receiver(pair.sim, *qb, cb, profile, codec, config);
+
+  const std::size_t len = 8 * 1024;  // exactly one submessage
+  const auto src = pattern(len, 9);
+  std::vector<std::uint8_t> dst(len, 0);
+  const auto* mr = ctx_b.mr_reg(dst.data(), dst.size());
+  Status received(StatusCode::kNotReady, "");
+  Status sent(StatusCode::kNotReady, "");
+  receiver.expect(dst.data(), len, mr, [&](const Status& s) { received = s; });
+  sender.write(src.data(), len, [&](const Status& s) { sent = s; });
+  pair.sim.run_until(SimTime::from_seconds(1.0));
+
+  EXPECT_TRUE(received.is_ok());
+  EXPECT_TRUE(sent.is_ok()) << "the sender must hear an EC ACK";
+  EXPECT_EQ(pair.sim.pending(), 0u);
+  EXPECT_EQ(receiver.stats().ftos_fired, 0u);
+  EXPECT_EQ(sender.stats().fallback_retransmissions, 3u)
+      << "one probe per silent round: two answers lost, the third heard";
   EXPECT_EQ(std::memcmp(dst.data(), src.data(), len), 0);
 }
 

@@ -30,6 +30,15 @@ FleetConfig small_config(Scheme scheme) {
   return cfg;
 }
 
+// Every tenant posted its whole plan, apart from collective steps behind a
+// failed step.
+void expect_plans_posted(const FleetResult& r) {
+  for (const TenantResult& t : r.tenants) {
+    if (t.name == "collective" && t.failed > 0) continue;
+    EXPECT_EQ(t.posted, t.planned) << t.name;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Traffic plans
 // ---------------------------------------------------------------------------
@@ -73,6 +82,7 @@ TEST_P(FleetSchemeTest, CompletesAccountsAndQuiesces) {
   EXPECT_EQ(r.messages_completed, r.messages_posted);
   EXPECT_EQ(r.messages_failed, 0u);
   EXPECT_TRUE(r.quiesced);
+  expect_plans_posted(r);
   EXPECT_EQ(r.payload_live_slots, 0u);
   EXPECT_GT(r.peak_concurrent, 0u);
   EXPECT_GT(r.fleet_goodput_gbps, 0.0);
@@ -135,9 +145,9 @@ struct PinnedFleet {
 TEST(FleetTest, SmallConfigDigestsArePinned) {
   // At 1e-2 EC enters fallback: its NACKs resend 4 submessages (k = 4).
   const PinnedFleet pins[] = {
-      {Scheme::kSr, 1e-3, 13651470051444662428ULL, 88, 4276224, 68, 1, 2},
-      {Scheme::kEc, 1e-3, 11343702935381600925ULL, 88, 4276224, 68, 0, 3},
-      {Scheme::kEc, 1e-2, 7307477888088044821ULL, 88, 4276224, 68, 16, 30},
+      {Scheme::kSr, 1e-3, 8574275227379836412ULL, 88, 4276224, 68, 0, 0},
+      {Scheme::kEc, 1e-3, 872193408448404647ULL, 88, 4276224, 68, 0, 3},
+      {Scheme::kEc, 1e-2, 3961119905505182158ULL, 88, 4276224, 68, 16, 28},
       {Scheme::kRc, 1e-3, 10631157728260879080ULL, 88, 4276224, 61, 0, 0},
   };
   for (const PinnedFleet& pin : pins) {
@@ -167,15 +177,17 @@ TEST(FleetTest, DifferentSeedsDifferentDigests) {
 TEST(FleetTest, TotalLossAccountsEveryMessageAsFailed) {
   // Nothing crosses a trunk: every EC receiver gives up after 16 silent
   // fallback-timeout rounds, and each message must end visibly failed
-  // (never stuck) while the fleet still drains. Collective steps behind a
-  // failed step never post.
+  // (never stuck) while the fleet still drains. Every sender gives up on
+  // its silent receiver too, so its window slot frees and every tenant
+  // message posts; only collective steps behind a failed step never post.
   FleetConfig cfg = small_config(Scheme::kEc);
   cfg.p_drop = 1.0;
   const FleetResult r = run_fleet(cfg);
-  EXPECT_EQ(r.messages_posted, 78u);
+  EXPECT_EQ(r.messages_posted, 86u);
   EXPECT_EQ(r.messages_completed, 0u);
-  EXPECT_EQ(r.messages_failed, 78u);
+  EXPECT_EQ(r.messages_failed, 86u);
   EXPECT_TRUE(r.quiesced);
+  expect_plans_posted(r);
   std::uint64_t failed = 0;
   for (const auto& t : r.tenants) failed += t.failed;
   EXPECT_EQ(failed, r.messages_failed);
@@ -186,9 +198,9 @@ TEST(FleetTest, SrAndEcCompleteEveryMessageUnderHeavyLoss) {
   // ACKs and NACKs alike, and SR's retransmissions and EC's fallback must
   // still deliver every planned message. A receiver that gives up while
   // the fallback is moving shows as a failed message and, behind it,
-  // collective steps that never post. Quiescence is not asserted: a
-  // receiver that has completed a message does not answer for it again,
-  // so a sender whose final ACKs were all lost keeps retransmitting.
+  // collective steps that never post. A sender whose final ACK was lost
+  // hears it again from the receiver's answer to a late copy, so the
+  // fleet drains.
   for (const Scheme scheme : {Scheme::kSr, Scheme::kEc}) {
     for (const double p_drop : {0.1, 0.2, 0.3, 0.4}) {
       for (const std::uint64_t offset : {1, 4, 7}) {
@@ -202,6 +214,8 @@ TEST(FleetTest, SrAndEcCompleteEveryMessageUnderHeavyLoss) {
         EXPECT_EQ(r.messages_posted, 88u);
         EXPECT_EQ(r.messages_completed, r.messages_posted);
         EXPECT_EQ(r.messages_failed, 0u);
+        EXPECT_TRUE(r.quiesced);
+        expect_plans_posted(r);
       }
     }
   }

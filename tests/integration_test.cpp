@@ -166,7 +166,7 @@ TEST(ReliabilityIntegrationTest, EcGlobalTimeoutAbortsOnBlackHole) {
   config.m = 4;
   const reliability::SrProtoConfig sr;
   reliability::EcSender sender(sim, *qa, ca, profile, codec, config, sr);
-  reliability::EcReceiver receiver(sim, *qb, cb, profile, codec, config, sr);
+  reliability::EcReceiver receiver(sim, *qb, cb, profile, codec, config);
 
   const std::size_t len = 16 * 1024;  // 2 submessages
   const auto src = pattern(len, 4);

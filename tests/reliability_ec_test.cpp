@@ -86,7 +86,7 @@ class EcProtoFixture : public ::testing::Test {
     sender_ = std::make_unique<EcSender>(sim_, *qp_a_, *ctrl_a_, profile_,
                                          *codec_, config, sr);
     receiver_ = std::make_unique<EcReceiver>(sim_, *qp_b_, *ctrl_b_,
-                                             profile_, *codec_, config, sr);
+                                             profile_, *codec_, config);
   }
 
   void transfer(std::size_t bytes, std::uint8_t seed,

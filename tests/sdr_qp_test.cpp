@@ -1,8 +1,8 @@
 // End-to-end tests of the SDR middleware over the software NIC + simulated
 // long-haul link: order-based matching, CTS flow, partial-completion
 // bitmaps under loss, streaming retransmission, one-shot sends, user
-// immediates, late-packet protection (NULL key + generations), message-ID
-// wraparound.
+// immediates, late-packet protection (NULL key + generations), late-copy
+// events for released receives, message-ID wraparound.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -384,6 +384,60 @@ TEST_F(SdrFixture, EarlyCompletionDiscardsLatePackets) {
   // Buffer unchanged after completion; all late completions discarded.
   EXPECT_EQ(dst, snapshot);
   EXPECT_GT(qp_b_->stats().completions_discarded, discarded_before);
+}
+
+TEST_F(SdrFixture, LateCopyOfACompletedReceiveRaisesOneEventPerChunk) {
+  // A sender that never heard of the completion re-sends the message after
+  // recv_complete: the backend discards every packet, and reports each
+  // chunk once, naming the finished receive.
+  wire(0.0);
+  const std::size_t len = 16 * 1024;  // 4 chunks of 4 packets
+  const auto src = pattern(len, 9);
+  std::vector<std::uint8_t> dst(len, 0);
+  const auto* mr = ctx_b_->mr_reg(dst.data(), dst.size());
+  std::vector<RecvEvent> late;
+  qp_b_->set_recv_event_handler([&](const RecvEvent& ev) {
+    if (ev.type == RecvEvent::Type::kLate) late.push_back(ev);
+  });
+  RecvHandle* rh = nullptr;
+  ASSERT_TRUE(qp_b_->recv_post(dst.data(), len, mr, &rh).is_ok());
+  SendHandle* sh = nullptr;
+  ASSERT_TRUE(qp_a_->send_stream_start(0, false, &sh).is_ok());
+  ASSERT_TRUE(qp_a_->send_stream_continue(sh, src.data(), 0, len).is_ok());
+  sim_.run();
+  ASSERT_TRUE(qp_b_->recv_done(rh));
+  EXPECT_LT(rh->completed_at_s(), 0.0) << "still posted";
+  ASSERT_TRUE(qp_b_->recv_complete(rh).is_ok());
+  const double completed_at_s = sim_.now().seconds();
+  EXPECT_EQ(rh->completed_at_s(), completed_at_s);
+  EXPECT_TRUE(late.empty());
+
+  ASSERT_TRUE(qp_a_->send_stream_continue(sh, src.data(), 0, len).is_ok());
+  sim_.run();
+  ASSERT_EQ(late.size(), 4u);
+  for (std::uint32_t c = 0; c < 4; ++c) {
+    EXPECT_EQ(late[c].handle, rh);
+    EXPECT_EQ(late[c].chunk_index, c);
+    EXPECT_EQ(late[c].handle->msg_number(), 0u);
+    EXPECT_EQ(late[c].handle->completed_at_s(), completed_at_s);
+  }
+
+  // The last packet of chunk 0 of slot 3, which was never posted, forged
+  // on a raw QP: discarded, and no event.
+  verbs::Qp* raw = pair_.a->create_qp(verbs::QpConfig{});
+  ASSERT_TRUE(raw->connect(pair_.b->id(), qp_b_->info().data_qps[0]).is_ok());
+  verbs::WriteWr wr;
+  wr.local_addr = src.data();
+  wr.length = 1024;
+  wr.rkey = qp_b_->info().root_key;
+  wr.remote_offset = 3 * test_attr().max_msg_size + 3 * 1024;
+  wr.with_imm = true;
+  wr.imm = ImmCodec(test_attr().imm).encode(3, 3, 0);
+  const std::uint64_t discarded = qp_b_->stats().completions_discarded;
+  ASSERT_TRUE(raw->post_write(wr).is_ok());
+  sim_.run();
+  EXPECT_EQ(qp_b_->stats().completions_discarded, discarded + 1);
+  EXPECT_EQ(late.size(), 4u);
 }
 
 TEST_F(SdrFixture, SlotReuseWithGenerationsIsClean) {

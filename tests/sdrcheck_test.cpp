@@ -7,7 +7,8 @@
 //  * the shrink ladder is deterministic and monotone,
 //  * the CI smoke batch keeps covering a lost CTS,
 //  * a 200-seed smoke batch passes every oracle (the tier-1 gate), and so
-//    do three EC seeds whose fallback outlived a fixed age deadline,
+//    do three EC seeds whose fallback outlived a fixed age deadline and an
+//    RC seed that posts two messages in the same nanosecond,
 //  * serial and parallel sweeps produce byte-identical records and the
 //    same batch digest,
 //  * an intentionally injected protocol bug (off-by-one in the SR bitmap
@@ -232,6 +233,15 @@ TEST(Sdrcheck, EcFallbackStillDeliveringIsNotAborted) {
     EXPECT_TRUE(report.ok()) << "seed " << seed << ":\n"
                              << report.failure_text();
   }
+}
+
+TEST(Sdrcheck, RcPostOrderIsTheSimulatorsOrder) {
+  // Seed 5378980722004018287 (from base 12345) posts wr 5 and wr 6 at the
+  // same nanosecond; wr 6's post delay is the smaller double. The
+  // simulator posts at the rounded time in schedule order, wr 5 first, and
+  // the RC arm's CQE-order oracle must expect the same.
+  const SeedReport report = check_seed(5378980722004018287ULL, CheckOptions{});
+  EXPECT_TRUE(report.ok()) << report.failure_text();
 }
 
 TEST(Sdrcheck, SerialAndParallelSweepsAreIdentical) {
