@@ -56,19 +56,6 @@ typename Map::mapped_type& acquire_node(
   return map.insert(std::move(node)).position->second;
 }
 
-/// Record that the message-table slot `slot` now carries a submessage of the
-/// message keyed `base`. The table grows to the slots actually used.
-void set_slot_base(std::vector<std::uint64_t>& table, std::size_t slot,
-                   std::uint64_t base) {
-  if (slot >= table.size()) table.resize(slot + 1, kNoMessage);
-  table[slot] = base;
-}
-
-std::uint64_t slot_base(const std::vector<std::uint64_t>& table,
-                        std::size_t slot) {
-  return slot < table.size() ? table[slot] : kNoMessage;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -86,6 +73,7 @@ EcSender::EcSender(sim::Simulator& simulator, core::Qp& qp,
       codec_(codec),
       config_(config),
       chunk_bytes_(qp.attr().chunk_size),
+      sub_base_(qp.attr().max_inflight, kNoMessage),
       data_blocks_(config.k),
       parity_blocks_(config.m),
       retx_(simulator, sr, profile, telemetry::ProfCategory::kEc,
@@ -180,7 +168,7 @@ Status EcSender::write(const std::uint8_t* data, std::size_t length,
     }
     qp_.send_stream_continue(handle, data + s * sub_bytes, 0, sub_bytes);
     msg.data_handles.push_back(handle);
-    set_slot_base(sub_base_, handle->slot(), base);
+    sub_base_[handle->slot()] = base;
     stats_.data_chunks_sent += config_.k;
   }
   // Parity submessages: one-shot sends (never retransmitted). They cannot
@@ -248,8 +236,7 @@ EcSender::MsgState* EcSender::message_of(std::uint64_t number,
   // The submessage's slot names the message that last posted a data stream
   // there; a stale number (that message finished, the slot moved on) falls
   // outside the live message's data submessages.
-  const std::uint64_t base = slot_base(
-      sub_base_, static_cast<std::size_t>(number % qp_.attr().max_inflight));
+  const std::uint64_t base = sub_base_[qp_.slot_of(number)];
   const auto it = messages_.find(base);
   if (it == messages_.end() || number < base ||
       number - base >= it->second.submessages) {
@@ -402,6 +389,7 @@ EcReceiver::EcReceiver(sim::Simulator& simulator, core::Qp& qp,
       codec_(codec),
       config_(config),
       chunk_bytes_(qp.attr().chunk_size),
+      handle_base_(qp.attr().max_inflight, kNoMessage),
       present_(config.k + config.m, false),
       decode_blocks_(config.k + config.m) {
   qp_.set_recv_event_handler(
@@ -503,7 +491,7 @@ Status EcReceiver::expect(std::uint8_t* buffer, std::size_t length,
       }
     }
     msg.data_handles.push_back(handle);
-    set_slot_base(handle_base_, handle->slot(), base);
+    handle_base_[handle->slot()] = base;
   }
   for (std::size_t s = 0; s < L; ++s) {
     if (Status st = qp_.recv_post(
@@ -513,7 +501,7 @@ Status EcReceiver::expect(std::uint8_t* buffer, std::size_t length,
       return abandon(st);
     }
     msg.parity_handles.push_back(handle);
-    set_slot_base(handle_base_, handle->slot(), base);
+    handle_base_[handle->slot()] = base;
   }
 
   // FTO armed at posting, not on first chunk arrival: a loss burst that
@@ -531,7 +519,7 @@ void EcReceiver::on_chunk_event(const core::RecvEvent& event) {
   // The message that posted a receive is the last to have written its
   // slot's entry; release() unmaps the slots whose late copies it ignores.
   const std::uint64_t number = event.handle->msg_number();
-  const std::uint64_t base = slot_base(handle_base_, event.handle->slot());
+  const std::uint64_t base = handle_base_[event.handle->slot()];
   if (event.type == core::RecvEvent::Type::kLate) {
     // As in SrReceiver: a copy an RTT or more after the ACK means it was lost.
     const double after_s =

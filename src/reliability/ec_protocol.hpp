@@ -133,9 +133,9 @@ class EcSender {
   /// buffer inside them. A list, not one spare: up to a window of messages
   /// finish back to back.
   std::vector<MsgMap::node_type> free_;
-  /// Data submessage -> base, indexed by the submessage's message-table
-  /// slot (fallback ACK routing). Entries are never cleared: a lookup
-  /// checks that the message number falls inside the base's live message.
+  /// Data submessage -> base, one entry per message-table slot (fallback
+  /// ACK routing). Entries are never cleared: a lookup checks that the
+  /// message number falls inside the base's live message.
   std::vector<std::uint64_t> sub_base_;
   // Encode block-pointer scratch (k data, m parity).
   std::vector<const std::uint8_t*> data_blocks_;
@@ -233,8 +233,8 @@ class EcReceiver {
   MsgMap messages_;
   /// Completed-message nodes kept for reuse (see EcSender::free_).
   std::vector<MsgMap::node_type> free_;
-  /// Data or parity submessage -> base, indexed by the handle's
-  /// message-table slot and checked against the live message on lookup.
+  /// Data or parity submessage -> base, one entry per message-table slot,
+  /// checked against the live message on lookup.
   std::vector<std::uint64_t> handle_base_;
   // Recoverability/decode scratch: presence of the k + m blocks of the
   // submessage under test, and their addresses.

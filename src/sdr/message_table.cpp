@@ -43,9 +43,6 @@ Status MessageTable::arm(std::size_t slot_idx, std::uint32_t generation,
   s.packets_received.store(0, std::memory_order_relaxed);
   s.imm_frag_mask.store(0, std::memory_order_relaxed);
   s.imm_value.store(0, std::memory_order_relaxed);
-  s.packets_accepted.store(0, std::memory_order_relaxed);
-  s.duplicates.store(0, std::memory_order_relaxed);
-  s.stale_generation.store(0, std::memory_order_relaxed);
   s.generation.store(generation, std::memory_order_release);
   s.active.store(true, std::memory_order_release);
   return Status::ok();
@@ -71,25 +68,19 @@ ProcessResult MessageTable::process_completion(const ImmFields& fields,
 
   // Stage-2 late-packet protection: the completion's generation (identified
   // by the internal QP that delivered it) must match the slot's current
-  // generation, and the slot must be armed.
+  // generation, and the slot must be armed. An offset beyond the posted
+  // message is a stale or corrupt packet.
   if (!s.active.load(std::memory_order_acquire) ||
-      s.generation.load(std::memory_order_acquire) != qp_generation) {
-    s.stale_generation.fetch_add(1, std::memory_order_relaxed);
-    return result;
-  }
-  if (fields.packet_index >= s.packets) {
-    // Offset beyond the posted message: stale or corrupt packet.
-    s.stale_generation.fetch_add(1, std::memory_order_relaxed);
+      s.generation.load(std::memory_order_acquire) != qp_generation ||
+      fields.packet_index >= s.packets) {
     return result;
   }
 
   result.accepted = true;
   if (!s.packet_bits.set_and_check(fields.packet_index)) {
-    s.duplicates.fetch_add(1, std::memory_order_relaxed);
     return result;  // duplicate delivery (e.g. SR retransmission overlap)
   }
   result.new_packet = true;
-  s.packets_accepted.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t received =
       s.packets_received.fetch_add(1, std::memory_order_acq_rel) + 1;
 

@@ -29,14 +29,6 @@ struct ProcessResult {
   std::uint32_t chunk_index{0};
 };
 
-/// Snapshot of a slot's counters (the live counters are relaxed atomics —
-/// DPA workers bump them concurrently).
-struct SlotStats {
-  std::uint64_t packets_accepted{0};
-  std::uint64_t duplicates{0};
-  std::uint64_t stale_generation{0};
-};
-
 class MessageTable {
  public:
   explicit MessageTable(const QpAttr& attr);
@@ -92,14 +84,6 @@ class MessageTable {
   /// 32-bit immediate once every fragment slot has been observed.
   bool user_imm_ready(std::size_t slot, std::uint32_t* imm) const;
 
-  SlotStats stats(std::size_t slot) const {
-    const Slot& s = slots_[slot];
-    return SlotStats{
-        s.packets_accepted.load(std::memory_order_relaxed),
-        s.duplicates.load(std::memory_order_relaxed),
-        s.stale_generation.load(std::memory_order_relaxed)};
-  }
-
  private:
   struct Slot {
     std::atomic<bool> active{false};
@@ -112,9 +96,6 @@ class MessageTable {
     std::atomic<std::uint64_t> packets_received{0};
     std::atomic<std::uint32_t> imm_frag_mask{0};
     std::atomic<std::uint32_t> imm_value{0};
-    std::atomic<std::uint64_t> packets_accepted{0};
-    std::atomic<std::uint64_t> duplicates{0};
-    std::atomic<std::uint64_t> stale_generation{0};
   };
 
   QpAttr attr_;

@@ -38,37 +38,36 @@ Qp::Qp(Context& ctx, const QpAttr& attr)
       attr_(attr),
       codec_(attr.imm),
       table_(attr),
-      control_(ctx.nic()) {
+      control_(ctx.nic()),
+      cq_(1 << 16) {
   assert(attr_.valid());
   verbs::Nic& nic = ctx_.nic();
   control_.set_receiver(
       [this](const std::uint8_t* data, std::size_t length) {
         on_cts(data, length);
       });
-  send_cq_ = std::make_unique<verbs::CompletionQueue>(1 << 16);
 
-  // Data path: generations x channels QPs, one recv CQ per QP (the
-  // per-channel CQs that DPA workers poll), a shared send CQ. Transport is
-  // UC (zero-copy, the default) or UD (two-sided with staging, §2.3).
+  // Data path: generations x channels QPs on one CQ. Its notify drains
+  // every completion inline, so one CQ serves them all; the per-channel
+  // CQs that DPA workers poll in parallel (§3.4.1) are src/dpa's rings.
+  // Transport is UC (zero-copy, the default) or UD (two-sided with
+  // staging, §2.3).
   const bool ud = attr_.transport == Transport::kUd;
   const std::size_t n_qps = attr_.generations * attr_.channels;
   data_qps_.reserve(n_qps);
-  data_cqs_.reserve(n_qps);
   if (ud) {
     ud_staging_ =
         std::make_unique_for_overwrite<std::uint8_t[]>(n_qps * attr_.mtu);
   }
+  // One growth step up front: the first completion must not allocate on
+  // the data path (the zero-alloc steady-state gate).
+  cq_.reserve(64);
+  verbs::QpConfig cfg;
+  cfg.type = ud ? verbs::QpType::kUD : verbs::QpType::kUC;
+  cfg.mtu = attr_.mtu;
+  cfg.send_cq = &cq_;
+  cfg.recv_cq = &cq_;
   for (std::size_t i = 0; i < n_qps; ++i) {
-    auto cq = std::make_unique<verbs::CompletionQueue>(1 << 16);
-    // One growth step up front: a channel CQ that sees its first packet
-    // deep into a run (rare generation/channel combinations) must not
-    // allocate on the data path (the zero-alloc steady-state gate).
-    cq->reserve(64);
-    verbs::QpConfig cfg;
-    cfg.type = ud ? verbs::QpType::kUD : verbs::QpType::kUC;
-    cfg.mtu = attr_.mtu;
-    cfg.send_cq = send_cq_.get();
-    cfg.recv_cq = cq.get();
     verbs::Qp* qp = nic.create_qp(cfg);
     if (ud) {
       // One staging buffer, as in verbs::ControlLink: the CQ notify drains
@@ -79,18 +78,18 @@ Qp::Qp(Context& ctx, const QpAttr& attr)
       rwr.length = attr_.mtu;
       qp->post_recv(rwr);
     }
-    const std::size_t qp_index = i;
-    cq->set_notify([this, qp_index] { on_data_cqe(qp_index); });
     data_qps_.push_back(qp);
-    data_cqs_.push_back(std::move(cq));
   }
-  send_cq_->set_notify([this] { on_send_cqe(); });
+  first_data_qp_ = data_qps_.front()->num();
+  assert(data_qps_.back()->num() == first_data_qp_ + n_qps - 1);
+  cq_.set_notify([this] { on_cqe(); });
 
   // Receive-side root indirect memory key (Figure 5): one slot of
-  // max_msg_size bytes per message-table entry, all initially NULL-bound.
+  // max_msg_size bytes per message-table entry, all initially bound to
+  // the domain's NULL MR.
   root_table_ =
       nic.pd().create_indirect_table(attr_.max_inflight, attr_.max_msg_size);
-  null_mr_ = nic.pd().alloc_null_mr();
+  null_mr_ = nic.pd().null_mr();
   for (std::size_t s = 0; s < attr_.max_inflight; ++s) {
     root_table_->bind_null(s, null_mr_);
   }
@@ -118,12 +117,6 @@ void Qp::register_metrics() {
   tele_.bind_counter("staged_bytes", &stats_.staged_bytes);
   tele_.bind_gauge("active_sends", [this] {
     return static_cast<double>(active_send_count_);
-  });
-  tele_.bind_gauge("send_cq_depth", [this] {
-    return static_cast<double>(send_cq_->size());
-  });
-  tele_.bind_gauge("send_cq_overruns", [this] {
-    return static_cast<double>(send_cq_->overruns());
   });
   // Completion-latency rollups (recv_post -> chunk bit / full message):
   // flatten() derives .p50/.p99/.p999 columns, so fig10/fig13 sweeps export
@@ -374,7 +367,7 @@ void Qp::inject(SendHandle* handle, const std::uint8_t* data,
       data_qp(gen, channel)->post_send(wr);
     } else {
       verbs::WriteWr wr;
-      wr.wr_id = slot;  // identifies the handle in the send CQ
+      wr.wr_id = slot;  // names the handle in its send CQE
       wr.local_addr = data + sent;
       wr.length = chunk;
       wr.rkey = remote_root_key_;
@@ -547,16 +540,26 @@ void Qp::on_cts(const std::uint8_t* data, std::size_t length) {
   if (cts_handler_) cts_handler_(cts.msg_number);
 }
 
-void Qp::on_data_cqe(std::size_t qp_index) {
+void Qp::on_cqe() {
   telemetry::ProfScope prof(telemetry::ProfCategory::kSdr);
-  const auto qp_generation =
-      static_cast<std::uint32_t>(qp_index / attr_.channels);
   const bool ud = attr_.transport == Transport::kUd;
-  verbs::CompletionQueue& cq = *data_cqs_[qp_index];
-  while (const auto next = cq.poll_one()) {
+  while (const auto next = cq_.poll_one()) {
     const verbs::Cqe& cqe = *next;
-    if (!cqe.is_recv || !cqe.imm_valid) continue;
+    if (!cqe.is_recv) {
+      // A signaled WR left the NIC: wr_id names its send handle's slot.
+      const auto slot = static_cast<std::size_t>(cqe.wr_id);
+      if (slot >= send_handles_.size()) continue;
+      SendHandle* h = &send_handles_[slot];
+      if (h->in_use_ && h->signaled_pending_ > 0) --h->signaled_pending_;
+      continue;
+    }
+    if (!cqe.imm_valid) continue;
     ++stats_.completions_processed;
+    // The delivering QP names the generation (stage-2 protection, §3.3.2)
+    // and, under UD, the staging buffer the datagram landed in.
+    const std::size_t qp_index = cqe.qp - first_data_qp_;
+    const auto qp_generation =
+        static_cast<std::uint32_t>(qp_index / attr_.channels);
     const ImmFields fields = codec_.decode(cqe.imm);
 
     ProcessResult result;
@@ -645,18 +648,6 @@ void Qp::on_data_cqe(std::size_t qp_index) {
       recv_event_handler_(
           RecvEvent{RecvEvent::Type::kMessageCompleted, h, 0});
     }
-  }
-}
-
-void Qp::on_send_cqe() {
-  telemetry::ProfScope prof(telemetry::ProfCategory::kSdr);
-  while (const auto next = send_cq_->poll_one()) {
-    const verbs::Cqe& cqe = *next;
-    if (cqe.is_recv) continue;
-    const std::size_t slot = static_cast<std::size_t>(cqe.wr_id);
-    if (slot >= send_handles_.size()) continue;
-    SendHandle* h = &send_handles_[slot];
-    if (h->in_use_ && h->signaled_pending_ > 0) --h->signaled_pending_;
   }
 }
 

@@ -221,6 +221,12 @@ class Qp {
   MessageTable& message_table() { return table_; }
   Context& context() { return ctx_; }
 
+  /// The message-table slot of message `msg_number` (order-based matching:
+  /// numbers map onto the table round-robin).
+  std::size_t slot_of(std::uint64_t msg_number) const {
+    return static_cast<std::size_t>(msg_number % attr_.max_inflight);
+  }
+
   /// Stable connection id for flight-recorder records: the QP number of
   /// the CTS link.
   verbs::QpNumber control_qp_num() const { return control_.qp_number(); }
@@ -240,14 +246,10 @@ class Qp {
     return static_cast<std::uint32_t>((msg_number / attr_.max_inflight) %
                                       attr_.generations);
   }
-  std::size_t slot_of(std::uint64_t msg_number) const {
-    return static_cast<std::size_t>(msg_number % attr_.max_inflight);
-  }
 
   void send_cts(const CtsMessage& cts);
   void on_cts(const std::uint8_t* data, std::size_t length);
-  void on_data_cqe(std::size_t qp_index);
-  void on_send_cqe();
+  void on_cqe();
   void inject(SendHandle* handle, const std::uint8_t* data,
               std::size_t remote_offset, std::size_t length);
   void flush_queued(SendHandle* handle);
@@ -267,9 +269,12 @@ class Qp {
   // Internal verbs resources. The CTS link comes first: its QP is created
   // before the data QPs, and ECMP path selection hashes QP numbers.
   verbs::ControlLink control_;
-  std::unique_ptr<verbs::CompletionQueue> send_cq_;
-  std::vector<verbs::Qp*> data_qps_;  // [gen * channels + chan]
-  std::vector<std::unique_ptr<verbs::CompletionQueue>> data_cqs_;
+  // The send and receive CQ of every data QP. The data QPs are numbered
+  // consecutively from first_data_qp_, so a CQE's QP number gives its
+  // index [gen * channels + chan].
+  verbs::CompletionQueue cq_;
+  std::vector<verbs::Qp*> data_qps_;
+  verbs::QpNumber first_data_qp_{0};
   verbs::IndirectMkeyTable* root_table_{nullptr};
   const verbs::MemoryRegion* null_mr_{nullptr};
 

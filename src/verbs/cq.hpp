@@ -1,8 +1,10 @@
 // Completion queue: a bounded ring of CQEs.
 //
-// SDR's receive backend consumes one CQE per arriving packet (paper §3.2.4);
-// DPA worker threads poll dedicated CQs per channel (§3.4.1). The sim-side
-// CQ here is single-threaded; the threaded data path uses dpa::CompletionRing.
+// SDR's receive backend consumes one CQE per arriving packet (paper §3.2.4).
+// The paper's DPA worker threads poll dedicated CQs per channel (§3.4.1);
+// the threaded data path models those with dpa::CompletionRing. The
+// sim-side CQ here is single-threaded and its notify drains it inline, so
+// one CQ serves every data QP of a core::Qp, send and receive side alike.
 //
 // Storage is a power-of-two ring, not a deque: steady state pushes and
 // batched polls touch no allocator. The ring starts small and doubles

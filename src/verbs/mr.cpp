@@ -39,21 +39,24 @@ ResolvedAccess IndirectMkeyTable::resolve(std::uint64_t offset,
   return ResolvedAccess{s.mr->addr() + s.base + within, true, false};
 }
 
-const MemoryRegion* ProtectionDomain::register_mr(std::uint8_t* addr,
-                                                  std::size_t length) {
+const MemoryRegion* ProtectionDomain::add_mr(std::uint8_t* addr,
+                                             std::size_t length,
+                                             bool is_null) {
   const MemoryKey rkey = next_key_++;
-  auto mr = std::make_unique<MemoryRegion>(rkey, addr, length, false);
+  auto mr = std::make_unique<MemoryRegion>(rkey, addr, length, is_null);
   const MemoryRegion* raw = mr.get();
   mrs_.emplace(rkey, std::move(mr));
   return raw;
 }
 
-const MemoryRegion* ProtectionDomain::alloc_null_mr() {
-  const MemoryKey rkey = next_key_++;
-  auto mr = std::make_unique<MemoryRegion>(rkey, nullptr, 0, true);
-  const MemoryRegion* raw = mr.get();
-  mrs_.emplace(rkey, std::move(mr));
-  return raw;
+const MemoryRegion* ProtectionDomain::register_mr(std::uint8_t* addr,
+                                                  std::size_t length) {
+  return add_mr(addr, length, false);
+}
+
+const MemoryRegion* ProtectionDomain::null_mr() {
+  if (null_mr_ == nullptr) null_mr_ = add_mr(nullptr, 0, true);
+  return null_mr_;
 }
 
 IndirectMkeyTable* ProtectionDomain::create_indirect_table(

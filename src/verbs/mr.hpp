@@ -86,7 +86,10 @@ class ProtectionDomain {
   ProtectionDomain& operator=(const ProtectionDomain&) = delete;
 
   const MemoryRegion* register_mr(std::uint8_t* addr, std::size_t length);
-  const MemoryRegion* alloc_null_mr();
+  /// The domain's one NULL MR, made on first use. Every SDR QP on the
+  /// domain binds its free root-key slots to it, so it is never
+  /// deregistered.
+  const MemoryRegion* null_mr();
   IndirectMkeyTable* create_indirect_table(std::size_t slot_count,
                                            std::size_t slot_size);
 
@@ -98,8 +101,12 @@ class ProtectionDomain {
                          std::size_t len) const;
 
  private:
+  const MemoryRegion* add_mr(std::uint8_t* addr, std::size_t length,
+                             bool is_null);
+
   MemoryKey next_key_{0x1000};
   std::unordered_map<MemoryKey, std::unique_ptr<MemoryRegion>> mrs_;
+  const MemoryRegion* null_mr_{nullptr};
   std::unordered_map<MemoryKey, std::unique_ptr<IndirectMkeyTable>> tables_;
 };
 

@@ -115,7 +115,6 @@ TEST(MessageTableTest, DuplicatesFiltered) {
   const auto dup = table.process_completion(fields(0, 1), 0);
   EXPECT_TRUE(dup.accepted);
   EXPECT_FALSE(dup.new_packet);
-  EXPECT_EQ(table.stats(0).duplicates, 1u);
   EXPECT_EQ(table.packets_received(0), 1u);
 }
 
@@ -126,7 +125,6 @@ TEST(MessageTableTest, StaleGenerationDiscarded) {
   table.arm(3, 2, 8192);
   const auto wrong = table.process_completion(fields(3, 0), 1);
   EXPECT_FALSE(wrong.accepted);
-  EXPECT_EQ(table.stats(3).stale_generation, 1u);
   EXPECT_EQ(table.packets_received(3), 0u);
   const auto right = table.process_completion(fields(3, 0), 2);
   EXPECT_TRUE(right.accepted);

@@ -113,12 +113,14 @@ TEST(MrTest, OverlappingRegistrationsResolveIndependently) {
 
 TEST(MrTest, NullMrDiscardsButCompletes) {
   ProtectionDomain pd;
-  const MemoryRegion* null_mr = pd.alloc_null_mr();
+  const MemoryRegion* null_mr = pd.null_mr();
   EXPECT_TRUE(null_mr->is_null());
   const ResolvedAccess acc = pd.resolve(null_mr->rkey(), 12345, 100000);
   EXPECT_TRUE(acc.valid);
   EXPECT_TRUE(acc.discard);
   EXPECT_EQ(acc.addr, nullptr);
+  // One NULL MR per domain: every SDR QP on it binds to the same one.
+  EXPECT_EQ(pd.null_mr(), null_mr);
 }
 
 TEST(IndirectMkeyTest, ZeroBasedSlotAddressing) {
@@ -161,7 +163,7 @@ TEST(IndirectMkeyTest, NullRebindDiscards) {
   ProtectionDomain pd;
   std::vector<std::uint8_t> buf(1024);
   const MemoryRegion* mr = pd.register_mr(buf.data(), buf.size());
-  const MemoryRegion* null_mr = pd.alloc_null_mr();
+  const MemoryRegion* null_mr = pd.null_mr();
   IndirectMkeyTable* table = pd.create_indirect_table(2, 1024);
   table->bind(0, mr, 0);
   EXPECT_FALSE(pd.resolve(table->key(), 0, 8).discard);
@@ -174,7 +176,7 @@ TEST(IndirectMkeyTest, NullRebindDiscards) {
 TEST(IndirectMkeyTest, BindOutOfRangeSlot) {
   ProtectionDomain pd;
   IndirectMkeyTable* table = pd.create_indirect_table(2, 1024);
-  const MemoryRegion* null_mr = pd.alloc_null_mr();
+  const MemoryRegion* null_mr = pd.null_mr();
   EXPECT_EQ(table->bind_null(5, null_mr).code(), StatusCode::kOutOfRange);
 }
 
