@@ -122,16 +122,14 @@ Status EcSender::write(const std::uint8_t* data, std::size_t length,
   msg.data = data;
   msg.length = length;
   msg.submessages = L;
+  msg.base = base;
+  msg.posts = 0;
   msg.write_at_s = sim_.now().seconds();
   msg.done = std::move(done);
-  msg.data_handles.clear();
-  msg.parity_handles.clear();
   if (!fits(msg.parity.capacity(), parity_bytes)) {
     msg.parity = std::vector<std::uint8_t>(parity_bytes);
   }
   msg.parity.resize(parity_bytes);
-  if (msg.fallback.size() < L) msg.fallback.resize(L);
-  for (std::size_t s = 0; s < L; ++s) msg.fallback[s].reset(0);
   // A failed post releases the sends already started (nothing will finish
   // them) and returns the state node to the pool.
   auto abandon = [this, base](const Status& st) {
@@ -159,15 +157,18 @@ Status EcSender::write(const std::uint8_t* data, std::size_t length,
   }
 
   // Data submessages: streaming sends, kept open for potential fallback
-  // retransmission into the same remote buffers.
+  // retransmission into the same remote buffers. This sender is the only
+  // one posting on its QP, so the message's sends take consecutive
+  // numbers from base on.
   for (std::size_t s = 0; s < L; ++s) {
     if (s > 0) {
       if (Status st = qp_.send_stream_start(0, false, &handle); !st) {
         return abandon(st);
       }
     }
+    assert(handle->msg_number() == base + msg.posts);
+    ++msg.posts;
     qp_.send_stream_continue(handle, data + s * sub_bytes, 0, sub_bytes);
-    msg.data_handles.push_back(handle);
     sub_base_[handle->slot()] = base;
     stats_.data_chunks_sent += config_.k;
   }
@@ -180,7 +181,8 @@ Status EcSender::write(const std::uint8_t* data, std::size_t length,
         !st) {
       return abandon(st);
     }
-    msg.parity_handles.push_back(handle);
+    assert(handle->msg_number() == base + msg.posts);
+    ++msg.posts;
     stats_.parity_chunks_sent += config_.m;
   }
   msg.silent_rounds = 0;
@@ -218,11 +220,14 @@ void EcSender::on_control(const std::uint8_t* data, std::size_t length) {
     }
     case ControlType::kSrAck: {
       // Fallback per-submessage ACK: msg_number is the submessage's own. A
-      // submessage that never entered fallback has no chunks to acknowledge.
+      // submessage that never entered fallback has no chunks to acknowledge,
+      // but the ACK is still word from the receiver.
       std::size_t sub = 0;
       if (MsgState* msg = message_of(ctl.msg_number, sub)) {
         msg->heard = true;
-        retx_.apply_ack(msg->fallback[sub], ctl, [](std::size_t, double) {});
+        if (sub < msg->fallback.size()) {
+          retx_.apply_ack(msg->fallback[sub], ctl, [](std::size_t, double) {});
+        }
       }
       break;
     }
@@ -248,6 +253,11 @@ EcSender::MsgState* EcSender::message_of(std::uint64_t number,
 
 void EcSender::enter_fallback(MsgState& msg, std::uint64_t base,
                               const std::vector<std::uint32_t>& failed) {
+  // Only the message's first NACK can find the vector short, and no stream
+  // of the message is armed before it.
+  if (msg.fallback.size() < msg.submessages) {
+    msg.fallback.resize(msg.submessages);
+  }
   for (std::uint32_t sub : failed) {
     if (sub >= msg.submessages) continue;
     Retransmitter::Stream& stream = msg.fallback[sub];
@@ -276,7 +286,7 @@ bool EcSender::resend(std::uint64_t number, std::size_t chunk) {
   const std::size_t sub_bytes = config_.k * chunk_bytes_;
   const std::uint8_t* src = msg.data + sub * sub_bytes + chunk * chunk_bytes_;
   const Status st = qp_.send_stream_continue(
-      msg.data_handles[sub], src, chunk * chunk_bytes_, chunk_bytes_);
+      qp_.send_handle(number), src, chunk * chunk_bytes_, chunk_bytes_);
   ++stats_.fallback_retransmissions;
   if (telemetry::observing()) {
     // msg = the submessage's own, a = submessage, b = chunk.
@@ -311,7 +321,7 @@ void EcSender::on_timer(std::uint64_t base) {
   } else {
     // Probe: a receiver that finished the message answers a copy of it.
     for (std::size_t s = 0; s < msg.submessages; ++s) {
-      if (msg.data_handles[s]->cts_ready()) {
+      if (qp_.send_handle(base + s)->cts_ready()) {
         resend(base + s, 0);
         break;
       }
@@ -337,8 +347,11 @@ void EcSender::finish(std::uint64_t base, const Status& status) {
                      .a = msg.submessages,
                      .b = stats_.fallback_retransmissions});
   }
-  for (std::size_t s = 0; s < msg.submessages; ++s) {
+  // Close the fallback streams: a recycled node holds none open.
+  for (std::size_t s = 0; s < std::min(msg.submessages, msg.fallback.size());
+       ++s) {
     retx_.cancel(msg.fallback[s]);
+    msg.fallback[s].reset(0);
   }
   release_handles(msg);
   DoneFn done = std::move(msg.done);
@@ -357,20 +370,15 @@ void EcSender::release_handles(const MsgState& msg) {
   // so each still carries its own message. Holding them is safe for slot
   // reuse: a later send that wraps onto a parity slot passes this
   // message's data slots first (their numbers come before the parity
-  // numbers), and those were held too.
-  for (core::SendHandle* handle : msg.data_handles) {
+  // numbers), and those were held too. Each held handle still names its
+  // send, so the core's handle for each number is the message's own.
+  for (std::size_t i = 0; i < msg.posts; ++i) {
+    core::SendHandle* handle = qp_.send_handle(msg.base + i);
     if (!handle->cts_ready()) {
       qp_.send_abort(handle);
       continue;
     }
-    qp_.send_stream_end(handle);
-    reap(sim_, qp_, handle);
-  }
-  for (core::SendHandle* handle : msg.parity_handles) {
-    if (!handle->cts_ready()) {
-      qp_.send_abort(handle);
-      continue;
-    }
+    if (i < msg.submessages) qp_.send_stream_end(handle);
     reap(sim_, qp_, handle);
   }
 }
@@ -390,6 +398,7 @@ EcReceiver::EcReceiver(sim::Simulator& simulator, core::Qp& qp,
       config_(config),
       chunk_bytes_(qp.attr().chunk_size),
       handle_base_(qp.attr().max_inflight, kNoMessage),
+      subs_(qp.attr().max_inflight),
       present_(config.k + config.m, false),
       decode_blocks_(config.k + config.m) {
   qp_.set_recv_event_handler(
@@ -451,12 +460,10 @@ Status EcReceiver::expect(std::uint8_t* buffer, std::size_t length,
   msg.buffer = buffer;
   msg.length = length;
   msg.submessages = L;
+  msg.base = base;
+  msg.posts = 0;
   msg.posted_at_s = sim_.now().seconds();
   msg.done = std::move(done);
-  msg.data_handles.clear();
-  msg.parity_handles.clear();
-  msg.sub_recovered.assign(L, false);
-  msg.sub_nacked.clear();
   msg.subs_recovered = 0;
   msg.fallback = false;
   msg.silent_rounds = 0;
@@ -482,6 +489,7 @@ Status EcReceiver::expect(std::uint8_t* buffer, std::size_t length,
     return st;
   };
 
+  // As at the sender, the message's receives take consecutive numbers.
   for (std::size_t s = 0; s < L; ++s) {
     if (s > 0) {
       if (Status st = qp_.recv_post(buffer + s * sub_bytes, sub_bytes, mr,
@@ -490,8 +498,10 @@ Status EcReceiver::expect(std::uint8_t* buffer, std::size_t length,
         return abandon(st);
       }
     }
-    msg.data_handles.push_back(handle);
+    assert(handle->msg_number() == base + msg.posts);
+    ++msg.posts;
     handle_base_[handle->slot()] = base;
+    subs_[handle->slot()] = SubState{};
   }
   for (std::size_t s = 0; s < L; ++s) {
     if (Status st = qp_.recv_post(
@@ -500,7 +510,8 @@ Status EcReceiver::expect(std::uint8_t* buffer, std::size_t length,
         !st) {
       return abandon(st);
     }
-    msg.parity_handles.push_back(handle);
+    assert(handle->msg_number() == base + msg.posts);
+    ++msg.posts;
     handle_base_[handle->slot()] = base;
   }
 
@@ -538,10 +549,11 @@ void EcReceiver::on_chunk_event(const core::RecvEvent& event) {
   const std::size_t sub = idx < msg.submessages
                               ? static_cast<std::size_t>(idx)
                               : static_cast<std::size_t>(idx - msg.submessages);
-  if (msg.sub_recovered[sub]) return;
+  SubState& state = subs_[qp_.slot_of(base + sub)];
+  if (state.recovered) return;
 
   if (recover(msg, sub)) {
-    msg.sub_recovered[sub] = true;
+    state.recovered = true;
     ++msg.subs_recovered;
     if (chunk_completion_hist_.live() && msg.posted_at_s >= 0.0) {
       chunk_completion_hist_.record(sim_.now().seconds() - msg.posted_at_s);
@@ -557,8 +569,7 @@ void EcReceiver::on_chunk_event(const core::RecvEvent& event) {
     if (msg.fallback) {
       // Tell the sender to stop retransmitting this submessage.
       ControlMessage& ack = ctrl_scratch_;
-      reset_control(ack, ControlType::kSrAck,
-                    msg.data_handles[sub]->msg_number());
+      reset_control(ack, ControlType::kSrAck, base + sub);
       ack.cumulative = static_cast<std::uint32_t>(config_.k);
       encode_control(ack, wire_scratch_);
       control_.send(wire_scratch_.data(), wire_scratch_.size());
@@ -574,8 +585,9 @@ void EcReceiver::on_chunk_event(const core::RecvEvent& event) {
 bool EcReceiver::recover(MsgState& msg, std::size_t sub) {
   const AtomicBitmap* data_bits = nullptr;
   const AtomicBitmap* parity_bits = nullptr;
-  qp_.recv_bitmap_get(msg.data_handles[sub], &data_bits);
-  qp_.recv_bitmap_get(msg.parity_handles[sub], &parity_bits);
+  qp_.recv_bitmap_get(qp_.recv_handle(msg.base + sub), &data_bits);
+  qp_.recv_bitmap_get(qp_.recv_handle(msg.base + msg.submessages + sub),
+                      &parity_bits);
   if (data_bits == nullptr || parity_bits == nullptr) return false;
   bool all_data = true;
   for (std::size_t j = 0; j < config_.k; ++j) {
@@ -607,8 +619,7 @@ bool EcReceiver::recover(MsgState& msg, std::size_t sub) {
     // msg = the submessage's own, a = submessage.
     telemetry::emit({.t = sim_.now(), .kind = telemetry::EventKind::kEcRepair,
                      .layer = telemetry::Layer::kEc,
-                     .conn = qp_.control_qp_num(),
-                     .msg = msg.data_handles[sub]->msg_number(),
+                     .conn = qp_.control_qp_num(), .msg = msg.base + sub,
                      .chunk = static_cast<std::uint32_t>(sub), .a = sub});
   }
   return true;
@@ -645,25 +656,24 @@ void EcReceiver::on_fto(std::uint64_t base) {
                      .b = stats_.ftos_fired});
   }
   msg.fallback = true;
-  if (msg.sub_nacked.empty()) msg.sub_nacked.assign(msg.submessages, false);
 
   // Re-CTS every stream that has produced nothing: its CTS was lost (the
   // sender's chunks sit queued until one lands), the sender has not posted
   // yet, or every packet of the stream was dropped.
-  for (const auto* handles : {&msg.data_handles, &msg.parity_handles}) {
-    for (core::RecvHandle* h : *handles) {
-      if (qp_.recv_packets(h) == 0) qp_.resend_cts(h);
-    }
+  for (std::size_t i = 0; i < msg.posts; ++i) {
+    core::RecvHandle* h = qp_.recv_handle(base + i);
+    if (qp_.recv_packets(h) == 0) qp_.resend_cts(h);
   }
 
   ControlMessage& nack = ctrl_scratch_;
   reset_control(nack, ControlType::kEcNack, base);
   for (std::size_t s = 0; s < msg.submessages && nack.indices.size() < 512;
        ++s) {
-    if (!msg.sub_recovered[s]) {
+    SubState& state = subs_[qp_.slot_of(base + s)];
+    if (!state.recovered) {
       nack.indices.push_back(static_cast<std::uint32_t>(s));
-      if (!msg.sub_nacked[s]) {
-        msg.sub_nacked[s] = true;
+      if (!state.nacked) {
+        state.nacked = true;
         ++stats_.fallback_submessages;
       }
     }
@@ -682,9 +692,8 @@ void EcReceiver::on_fto(std::uint64_t base) {
 
 void EcReceiver::send_fallback_ack(const MsgState& msg, std::size_t sub) {
   const AtomicBitmap* bits = nullptr;
-  if (!qp_.recv_bitmap_get(msg.data_handles[sub], &bits)) return;
-  build_ack(ctrl_scratch_, msg.data_handles[sub]->msg_number(), *bits,
-            config_.k);
+  if (!qp_.recv_bitmap_get(qp_.recv_handle(msg.base + sub), &bits)) return;
+  build_ack(ctrl_scratch_, msg.base + sub, *bits, config_.k);
   encode_control(ctrl_scratch_, wire_scratch_);
   control_.send(wire_scratch_.data(), wire_scratch_.size());
 }
@@ -713,11 +722,10 @@ void EcReceiver::release(MsgMap::iterator it, const Status& status) {
   complete_receives(msg);
   // Late copies of parity are the tail of the first transmission (parity
   // is never resent), and an aborted message must not be acknowledged.
-  for (const core::RecvHandle* h : msg.parity_handles) {
-    handle_base_[h->slot()] = kNoMessage;
-  }
-  for (const core::RecvHandle* h : msg.data_handles) {
-    if (!status) handle_base_[h->slot()] = kNoMessage;
+  for (std::size_t i = 0; i < msg.posts; ++i) {
+    if (i >= msg.submessages || !status) {
+      handle_base_[qp_.slot_of(msg.base + i)] = kNoMessage;
+    }
   }
   DoneFn done = std::move(msg.done);
   msg.buffer = nullptr;
@@ -727,8 +735,9 @@ void EcReceiver::release(MsgMap::iterator it, const Status& status) {
 }
 
 void EcReceiver::complete_receives(const MsgState& msg) {
-  for (auto* h : msg.data_handles) qp_.recv_complete(h);
-  for (auto* h : msg.parity_handles) qp_.recv_complete(h);
+  for (std::size_t i = 0; i < msg.posts; ++i) {
+    qp_.recv_complete(qp_.recv_handle(msg.base + i));
+  }
 }
 
 void EcReceiver::send_ec_ack(std::uint64_t base) {

@@ -30,8 +30,9 @@
 // Both sides do per-message work only when something happens (a write, a
 // chunk event, a control message, a timer) and allocate nothing per message
 // in steady state: finished messages' state nodes are recycled with their
-// buffers, and submessage -> message lookups index a flat array by the core
-// message-table slot.
+// buffers, a message's submessages are consecutive core messages whose
+// handles the core holds, and submessage -> message lookups index a flat
+// array by the core message-table slot.
 #pragma once
 
 #include <cstdint>
@@ -89,12 +90,18 @@ class EcSender {
     const std::uint8_t* data{nullptr};
     std::size_t length{0};
     std::size_t submessages{0};
-    std::vector<core::SendHandle*> data_handles;    // streaming, kept open
-    std::vector<core::SendHandle*> parity_handles;  // one-shot, held to finish
-    std::vector<std::uint8_t> parity;               // encoded parity buffer
+    /// Its sends are core messages base, base + 1, ...: the data streams
+    /// (kept open), then the one-shot parity sends (held to finish). The
+    /// core holds their handles; `posts` counts the sends that started.
+    std::uint64_t base{0};
+    std::size_t posts{0};
+    std::vector<std::uint8_t> parity;  // encoded parity buffer
     /// Fallback Selective Repeat: one stream per data submessage, opened
-    /// by the NACK that first lists it. A recycled node may hold more than
-    /// `submessages` entries; only that prefix is live.
+    /// by the NACK that first lists it and closed by finish(). The
+    /// message's first EC NACK sizes the vector, before any of its streams
+    /// is armed (a timer points at its stream). A recycled node may hold
+    /// more than `submessages` entries, or fewer before that NACK; only
+    /// the first `submessages` are live.
     std::vector<Retransmitter::Stream> fallback;
     double write_at_s{-1.0};  // write() sim time (completion latency)
     sim::EventId timer{};       // the silence clock
@@ -114,8 +121,8 @@ class EcSender {
   void on_timer(std::uint64_t base);
   /// Disarm every timer of the message, release its sends, fire `done`.
   void finish(std::uint64_t base, const Status& status);
-  /// Hand every send of `msg` back to the core: abort the CTS-less ones,
-  /// end and reap the rest.
+  /// Hand every send of `msg` back to the core, in post order: abort the
+  /// CTS-less ones, end the data streams, reap.
   void release_handles(const MsgState& msg);
 
   using MsgMap = std::unordered_map<std::uint64_t, MsgState>;
@@ -184,15 +191,14 @@ class EcReceiver {
     std::uint8_t* buffer{nullptr};
     std::size_t length{0};
     std::size_t submessages{0};
-    std::vector<core::RecvHandle*> data_handles;
-    std::vector<core::RecvHandle*> parity_handles;
+    /// Its receives are core messages base, base + 1, ...: data, then
+    /// parity. The core holds their handles; `posts` counts the receives
+    /// posted.
+    std::uint64_t base{0};
+    std::size_t posts{0};
     /// Registered once per buffer, as parity_mr.
     std::vector<std::uint8_t> parity_scratch;
     const verbs::MemoryRegion* parity_mr{nullptr};
-    std::vector<bool> sub_recovered;
-    /// Submessages already counted in fallback_submessages / NACKed once
-    /// (refires re-list them on the wire but must not re-count).
-    std::vector<bool> sub_nacked;
     std::size_t subs_recovered{0};
     double posted_at_s{-1.0};  // expect() sim time (completion latency)
     bool fallback{false};
@@ -236,6 +242,14 @@ class EcReceiver {
   /// Data or parity submessage -> base, one entry per message-table slot,
   /// checked against the live message on lookup.
   std::vector<std::uint64_t> handle_base_;
+  /// Per data submessage, at its receive's slot; reset when it is posted.
+  struct SubState {
+    bool recovered{false};
+    /// Counted in fallback_submessages: refired NACKs re-list it on the
+    /// wire but must not count it again.
+    bool nacked{false};
+  };
+  std::vector<SubState> subs_;
   // Recoverability/decode scratch: presence of the k + m blocks of the
   // submessage under test, and their addresses.
   ec::PresenceMap present_;

@@ -200,12 +200,13 @@ std::uint64_t ReliableChannel::retransmissions() const {
 
 const verbs::MemoryRegion* ReliableChannel::recv_mr(std::uint8_t* buffer,
                                                     std::size_t length) {
-  const auto key = std::make_pair(buffer, length);
-  if (const auto it = mr_cache_.find(key); it != mr_cache_.end()) {
-    return it->second;
+  for (const verbs::MemoryRegion* mr : recv_mrs_) {
+    if (buffer >= mr->addr() && buffer + length <= mr->addr() + mr->length()) {
+      return mr;
+    }
   }
   const verbs::MemoryRegion* mr = dst_ctx_->mr_reg(buffer, length);
-  mr_cache_.emplace(key, mr);
+  if (mr != nullptr) recv_mrs_.push_back(mr);
   return mr;
 }
 

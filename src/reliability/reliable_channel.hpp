@@ -8,6 +8,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "common/status.hpp"
 #include "ec/codec.hpp"
@@ -119,9 +120,10 @@ class ReliableChannel {
   std::unique_ptr<SrReceiver> sr_receiver_;
   std::unique_ptr<EcSender> ec_sender_;
   std::unique_ptr<EcReceiver> ec_receiver_;
-  // Registration cache: the collective re-posts the same buffers each step.
-  std::map<std::pair<std::uint8_t*, std::size_t>,
-           const verbs::MemoryRegion*> mr_cache_;
+  // Receive registrations, each reused by every later receive inside it:
+  // the collective re-posts the same buffers each step, and every fleet
+  // receive is a prefix of one sink.
+  std::vector<const verbs::MemoryRegion*> recv_mrs_;
 };
 
 }  // namespace sdr::reliability

@@ -258,7 +258,7 @@ Status SrReceiver::expect(std::uint8_t* buffer, std::size_t length,
   msg.handle = handle;
   msg.chunks = handle->chunk_count();
   msg.done = std::move(done);
-  msg.last_nack_s.assign(msg.chunks, -1.0);
+  if (config_.nack_enabled) msg.last_nack_s.assign(msg.chunks, -1.0);
   msg.cts_retries = 0;
   msg.data_seen = false;
   ++stats_.messages;

@@ -131,7 +131,8 @@ class SrReceiver {
     core::RecvHandle* handle{nullptr};
     std::size_t chunks{0};
     DoneFn done;
-    std::vector<double> last_nack_s;  // per-chunk NACK suppression
+    /// Per-chunk NACK suppression; filled only with NACKs enabled.
+    std::vector<double> last_nack_s;
     /// The CTS retry until the first chunk event, then the ACK tick;
     /// completion cancels it.
     sim::EventId timer{};

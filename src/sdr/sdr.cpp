@@ -238,8 +238,7 @@ Status Qp::send_stream_continue(SendHandle* handle, const std::uint8_t* data,
     inject(handle, data, remote_offset, length);
   } else {
     // Receiver has not posted yet: queue the op; it flushes on CTS.
-    handle->queued_.push_back(SendHandle::PendingOp{data, remote_offset,
-                                                    length});
+    queue_op(handle, data, remote_offset, length);
     ++stats_.sends_queued_waiting_cts;
   }
   return Status::ok();
@@ -285,7 +284,8 @@ Status Qp::send_poll(SendHandle* handle) {
   if (handle == nullptr || !handle->in_use_) {
     return Status(StatusCode::kInvalidArgument, "invalid send handle");
   }
-  if (!handle->ended_ || !handle->cts_ready_ || !handle->queued_.empty() ||
+  if (!handle->ended_ || !handle->cts_ready_ ||
+      handle->queued_head_ != SendHandle::kNoOp ||
       handle->signaled_pending_ != 0) {
     return Status(StatusCode::kNotReady, "");
   }
@@ -303,7 +303,7 @@ Status Qp::send_abort(SendHandle* handle) {
     return Status(StatusCode::kFailedPrecondition,
                   "send already injecting: drain it through send_poll");
   }
-  handle->queued_.clear();
+  drop_queued(handle);
   handle->in_use_ = false;
   --active_send_count_;
   return Status::ok();
@@ -385,10 +385,33 @@ void Qp::inject(SendHandle* handle, const std::uint8_t* data,
   }
 }
 
+void Qp::queue_op(SendHandle* handle, const std::uint8_t* data,
+                  std::size_t remote_offset, std::size_t length) {
+  std::uint32_t i = free_op_;
+  if (i == SendHandle::kNoOp) {
+    // A QP that queues at all queues several: start at 16 nodes, not 1.
+    if (pending_ops_.empty()) pending_ops_.reserve(16);
+    i = static_cast<std::uint32_t>(pending_ops_.size());
+    pending_ops_.emplace_back();
+  } else {
+    free_op_ = pending_ops_[i].next;
+  }
+  pending_ops_[i] = PendingOp{data, remote_offset, length, SendHandle::kNoOp};
+  if (handle->queued_tail_ == SendHandle::kNoOp) {
+    handle->queued_head_ = i;
+  } else {
+    pending_ops_[handle->queued_tail_].next = i;
+  }
+  handle->queued_tail_ = i;
+}
+
 void Qp::flush_queued(SendHandle* handle) {
-  while (!handle->queued_.empty()) {
-    const SendHandle::PendingOp op = handle->queued_.front();
-    handle->queued_.pop_front();
+  while (handle->queued_head_ != SendHandle::kNoOp) {
+    const std::uint32_t i = handle->queued_head_;
+    const PendingOp op = pending_ops_[i];
+    handle->queued_head_ = op.next;
+    pending_ops_[i].next = free_op_;
+    free_op_ = i;
     if (op.offset + op.length <= handle->remote_msg_bytes_) {
       inject(handle, op.data, op.offset, op.length);
     } else {
@@ -396,6 +419,15 @@ void Qp::flush_queued(SendHandle* handle) {
                static_cast<unsigned long long>(handle->msg_number_));
     }
   }
+  handle->queued_tail_ = SendHandle::kNoOp;
+}
+
+void Qp::drop_queued(SendHandle* handle) {
+  if (handle->queued_head_ == SendHandle::kNoOp) return;
+  pending_ops_[handle->queued_tail_].next = free_op_;
+  free_op_ = handle->queued_head_;
+  handle->queued_head_ = SendHandle::kNoOp;
+  handle->queued_tail_ = SendHandle::kNoOp;
 }
 
 // ---------------------------------------------------------------------------
@@ -525,8 +557,7 @@ void Qp::on_cts(const std::uint8_t* data, std::size_t length) {
 
   // Order-based matching: the in-flight send for this msg_number, if
   // started, lives at its slot.
-  const std::size_t slot = slot_of(cts.msg_number);
-  SendHandle* h = &send_handles_[slot];
+  SendHandle* h = send_handle(cts.msg_number);
   if (h->in_use_ && h->msg_number_ == cts.msg_number) {
     // Receiver-side CTS retry can deliver duplicates; the first one
     // already flushed the queue and armed the protocol timers.
@@ -535,7 +566,7 @@ void Qp::on_cts(const std::uint8_t* data, std::size_t length) {
     h->remote_msg_bytes_ = cts.msg_bytes;
     flush_queued(h);
   } else {
-    cts_pending_[slot] = PendingCts{cts, true};
+    cts_pending_[slot_of(cts.msg_number)] = PendingCts{cts, true};
   }
   if (cts_handler_) cts_handler_(cts.msg_number);
 }

@@ -21,7 +21,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/ring_buffer.hpp"
 #include "common/status.hpp"
 #include "sdr/config.hpp"
 #include "sdr/imm_codec.hpp"
@@ -72,19 +71,16 @@ class SendHandle {
   // send CQE has not fired yet.
   std::uint64_t signaled_pending_{0};
   std::size_t remote_msg_bytes_{0};   // from CTS: posted buffer length
-  struct PendingOp {
-    const std::uint8_t* data;
-    std::size_t offset;
-    std::size_t length;
-  };
-  // Ops issued before CTS arrived. Ring (not deque): a deque's cursor
-  // marches through its blocks, freeing and reallocating one every ~21
-  // push/pop cycles even when the queue never holds more than one element.
-  common::RingBuffer<PendingOp> queued_;
+  // Ops issued before the CTS arrived: a first-in first-out chain through
+  // the QP's pending-op pool (Qp::pending_ops_), kNoOp while empty.
+  static constexpr std::uint32_t kNoOp = ~std::uint32_t{0};
+  std::uint32_t queued_head_{kNoOp};
+  std::uint32_t queued_tail_{kNoOp};
   bool in_use_{false};
 
-  /// Recycle for the next message on this slot without rebuilding the
-  /// deque (steady-state message turnover must not touch the allocator).
+  /// Ready the slot's handle for its next message. Its op chain is already
+  /// empty: send_poll waits for the flush, send_abort drops the chain, and
+  /// a refused send_post queued nothing.
   void reset() {
     msg_number_ = 0;
     slot_ = 0;
@@ -96,7 +92,8 @@ class SendHandle {
     packets_injected_ = 0;
     signaled_pending_ = 0;
     remote_msg_bytes_ = 0;
-    queued_.clear();
+    queued_head_ = kNoOp;
+    queued_tail_ = kNoOp;
     in_use_ = false;
   }
 };
@@ -226,6 +223,15 @@ class Qp {
   std::size_t slot_of(std::uint64_t msg_number) const {
     return static_cast<std::size_t>(msg_number % attr_.max_inflight);
   }
+  /// The handle of send or receive message `msg_number`: the one at its
+  /// slot. It names that message from its start or post until the slot's
+  /// next message takes it over.
+  SendHandle* send_handle(std::uint64_t msg_number) {
+    return &send_handles_[slot_of(msg_number)];
+  }
+  RecvHandle* recv_handle(std::uint64_t msg_number) {
+    return &recv_handles_[slot_of(msg_number)];
+  }
 
   /// Stable connection id for flight-recorder records: the QP number of
   /// the CTS link.
@@ -252,7 +258,11 @@ class Qp {
   void on_cqe();
   void inject(SendHandle* handle, const std::uint8_t* data,
               std::size_t remote_offset, std::size_t length);
+  void queue_op(SendHandle* handle, const std::uint8_t* data,
+                std::size_t remote_offset, std::size_t length);
   void flush_queued(SendHandle* handle);
+  /// Hand the handle's whole op chain back to the pool's free list.
+  void drop_queued(SendHandle* handle);
   void register_metrics();
   SimTime sim_now() const;
 
@@ -299,6 +309,20 @@ class Qp {
   std::vector<SendHandle> send_handles_;
   std::vector<RecvHandle> recv_handles_;
   std::size_t active_send_count_{0};
+
+  // Pending-op pool: one node per op issued before its handle's CTS. Each
+  // handle chains its nodes first-in first-out through `next`; free nodes
+  // chain from free_op_. Flushes and send_abort return nodes, so a fresh
+  // slot's ops reuse them and the pool grows only with the QP's peak of
+  // ops queued at once.
+  struct PendingOp {
+    const std::uint8_t* data{nullptr};
+    std::size_t offset{0};
+    std::size_t length{0};
+    std::uint32_t next{SendHandle::kNoOp};
+  };
+  std::vector<PendingOp> pending_ops_;
+  std::uint32_t free_op_{SendHandle::kNoOp};
 
   // UD transport: one staging buffer per data QP, the buffer of QP i at
   // [i * mtu] of one allocation. Never zero-filled: the backend copies out

@@ -18,7 +18,7 @@ Qp::Qp(Nic& nic, QpNumber num, QpConfig config)
     : nic_(nic), num_(num), config_(config) {
   assert(config_.mtu > 0);
   if (nic_.caps().enabled) {
-    injector_ = std::make_unique<Injector>(nic_, *this, nic_.caps());
+    injector_.emplace(nic_, *this, nic_.caps());
   }
   if (telemetry::enabled()) register_metrics();
 }
@@ -119,7 +119,7 @@ void Qp::emit_packets_for_write(const WriteWr& wr) {
   if (config_.type == QpType::kRC) {
     rc_arm_timer();
   } else if (wr.signaled) {
-    if (injector_ != nullptr) {
+    if (injector_) {
       // The packets are parked in the injection pipeline, not on the wire;
       // the completion fires when the last one's wire frontier passes.
       injector_->attach_completion(wr.wr_id,
@@ -167,7 +167,7 @@ Status Qp::post_send(const SendWr& wr) {
 
   send_packet(std::move(pkt));
   if (wr.signaled) {
-    if (injector_ != nullptr) {
+    if (injector_) {
       injector_->attach_completion(wr.wr_id,
                                    static_cast<std::uint32_t>(wr.length));
     } else {
@@ -207,7 +207,7 @@ void Qp::send_packet(WirePacket&& pkt, bool count_retransmission) {
   // NIC-internal (the hardware replays from its own buffers without
   // re-crossing the host posting path) and bypass it, as do ACK/NAK wire
   // messages, which never enter this function.
-  if (injector_ != nullptr && !count_retransmission) {
+  if (injector_ && !count_retransmission) {
     const bool is_send_verb = pkt.opcode == Opcode::kSendOnly ||
                               pkt.opcode == Opcode::kSendOnlyImm;
     injector_->post(std::move(pkt), is_send_verb);

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <unordered_set>
 
@@ -24,11 +23,11 @@
 #include "telemetry/telemetry.hpp"
 #include "verbs/cq.hpp"
 #include "verbs/mr.hpp"
+#include "verbs/nic_model.hpp"
 #include "verbs/types.hpp"
 
 namespace sdr::verbs {
 
-class Injector;
 class Nic;
 
 /// RC retransmission algorithm implemented "in the ASIC" (paper §1/§2.2:
@@ -78,7 +77,7 @@ class Qp {
 
   /// The injection pipeline modeling this QP's posting path; null when the
   /// owning NIC's caps leave the resource model disabled (the default).
-  Injector* injector() { return injector_.get(); }
+  Injector* injector() { return injector_ ? &*injector_ : nullptr; }
 
   /// Connect to a remote QP (no-op requirement for UD, which addresses
   /// per-send; still records a default destination).
@@ -133,8 +132,9 @@ class Qp {
   QpConfig config_;
   QpStats stats_;
   // Injection resource model (nic_model.hpp); built only when the owning
-  // NIC's caps enable it, so the default egress path is unchanged.
-  std::unique_ptr<Injector> injector_;
+  // NIC's caps enable it, so the default egress path is unchanged. Held by
+  // value: the fleet builds thousands of QPs.
+  std::optional<Injector> injector_;
 
   bool connected_{false};
   NicId remote_nic_{0};

@@ -8,14 +8,16 @@
 //    (post -> verbs packetization -> channel -> CQE -> SDR bitmap update ->
 //    completion -> repost) must not touch the allocator once warmed up,
 //    measured with the same global operator-new hook bench_simcore and
-//    bench_datapath use. The same holds per message through the EC
-//    reliability protocol.
+//    bench_datapath use. The same holds per message through the SR and EC
+//    reliability protocols, on fresh message-table slots too.
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,11 +25,10 @@
 #include "common/alloc_counter.hpp"
 #include "common/payload_pool.hpp"
 #include "common/units.hpp"
-#include "ec/reed_solomon.hpp"
-#include "reliability/ec_protocol.hpp"
+#include "reliability/reliable_channel.hpp"
 #include "sdr/sdr.hpp"
+#include "sim/drop_model.hpp"
 #include "sim/simulator.hpp"
-#include "verbs/control_link.hpp"
 #include "verbs/nic.hpp"
 
 namespace sdr {
@@ -326,14 +327,16 @@ TEST(AllocRegressionTest, ZeroAllocsPerPacketSdrCleanSteadyState) {
 }
 
 // ---------------------------------------------------------------------------
-// Zero allocations per message through the EC protocol in steady state:
-// EC(4,2) 16 KiB messages (one submessage of four 4 KiB chunks), several in
-// flight. Write, parity encode, CTS, injection, recoverability checks, final
-// ACK and its repeats, and the recycling of both sides' per-message state
-// (including the receiver's parity scratch and its memory registration) must
-// not touch the allocator once warmed up.
+// Zero allocations per message through the reliability protocols in steady
+// state: 16 KiB messages (EC(4,2): one submessage of four 4 KiB chunks; SR:
+// four chunks), several in flight over one ReliableChannel. Write, parity
+// encode, CTS, injection, recoverability checks, ACKs, and the recycling of
+// both sides' per-message state (including the EC receiver's parity scratch
+// and its memory registration) must not touch the allocator once warmed up,
+// both on a table that wraps every few messages and on one that never wraps
+// (the fleet's sizing: every message takes a fresh slot).
 // ---------------------------------------------------------------------------
-struct EcAllocRun {
+struct ChannelAllocRun {
   static constexpr int kIterations = 160;
   static constexpr int kWarmup = 96;
   static constexpr std::size_t kInflight = 4;
@@ -341,61 +344,38 @@ struct EcAllocRun {
 
   sim::Simulator sim;
   verbs::NicPair nics;
-  std::unique_ptr<core::Context> client, server;
-  std::unique_ptr<verbs::ControlLink> ctrl_a, ctrl_b;
-  std::unique_ptr<ec::ReedSolomon> codec;
-  std::unique_ptr<reliability::EcSender> sender;
-  std::unique_ptr<reliability::EcReceiver> receiver;
+  std::unique_ptr<reliability::ReliableChannel> channel;
   std::vector<std::uint8_t> src, dst;
-  const verbs::MemoryRegion* mr{nullptr};
   int expected{0}, written{0}, received{0}, sent{0}, failures{0};
   // The window: from the kWarmup-th completion to the last write. The drain
   // after it grows the free lists to the whole window, once.
   std::uint64_t allocs_at_steady{0};
   std::uint64_t allocs_at_last_write{0};
 
-  EcAllocRun() {
+  ChannelAllocRun(reliability::ReliableChannel::Kind kind,
+                  std::size_t table_slots) {
     sim::Channel::Config cfg;
     cfg.bandwidth_bps = 100 * Gbps;
     cfg.distance_km = 100.0;
     cfg.seed = 5;
     nics = verbs::make_connected_pair(sim, cfg, 0.0, 0.0);
-    client = std::make_unique<core::Context>(*nics.a, core::DevAttr{});
-    server = std::make_unique<core::Context>(*nics.b, core::DevAttr{});
-    core::QpAttr attr;
-    attr.mtu = 4096;
-    attr.chunk_size = 4096;
-    attr.max_msg_size = kMsgBytes;
-    attr.max_inflight = 2 * kInflight;  // data + parity per message
-    core::Qp* qa = client->create_qp(attr);
-    core::Qp* qb = server->create_qp(attr);
-    qa->connect(qb->info());
-    qb->connect(qa->info());
-    ctrl_a = std::make_unique<verbs::ControlLink>(*nics.a);
-    ctrl_b = std::make_unique<verbs::ControlLink>(*nics.b);
-    ctrl_a->connect(nics.b->id(), ctrl_b->qp_number());
-    ctrl_b->connect(nics.a->id(), ctrl_a->qp_number());
-
-    reliability::LinkProfile profile;
-    profile.bandwidth_bps = cfg.bandwidth_bps;
-    profile.rtt_s = 2.0 * propagation_delay_s(cfg.distance_km);
-    profile.mtu = attr.mtu;
-    profile.chunk_bytes = attr.chunk_size;
-    reliability::EcProtoConfig config;
-    config.k = 4;
-    config.m = 2;
-    reliability::SrProtoConfig sr;
-    sr.rto_s = 3.0 * profile.rtt_s;
-    sr.ack_interval_s = profile.rtt_s / 4.0;
-    codec = std::make_unique<ec::ReedSolomon>(config.k, config.m);
-    sender = std::make_unique<reliability::EcSender>(
-        sim, *qa, *ctrl_a, profile, *codec, config, sr);
-    receiver = std::make_unique<reliability::EcReceiver>(
-        sim, *qb, *ctrl_b, profile, *codec, config);
-
+    reliability::ReliableChannel::Options options;
+    options.kind = kind;
+    options.profile.bandwidth_bps = cfg.bandwidth_bps;
+    options.profile.rtt_s = 2.0 * propagation_delay_s(cfg.distance_km);
+    options.profile.mtu = 4096;
+    options.profile.chunk_bytes = 4096;
+    options.attr.mtu = 4096;
+    options.attr.chunk_size = 4096;
+    options.attr.max_msg_size = kMsgBytes;
+    options.attr.max_inflight = table_slots;
+    options.ec.k = 4;
+    options.ec.m = 2;
+    options.derive_timeouts();
+    channel = std::make_unique<reliability::ReliableChannel>(sim, *nics.a,
+                                                             *nics.b, options);
     src.assign(kMsgBytes, 0x5A);
     dst.assign(kInflight * kMsgBytes, 0);
-    mr = server->mr_reg(dst.data(), dst.size());
   }
 
   // Each done callback captures one pointer, so building the std::function
@@ -403,7 +383,7 @@ struct EcAllocRun {
   void post_recv() {
     if (expected == kIterations) return;
     std::uint8_t* buf = dst.data() + (expected++ % kInflight) * kMsgBytes;
-    if (!receiver->expect(buf, kMsgBytes, mr, [this](const Status& s) {
+    if (!channel->recv(buf, kMsgBytes, [this](const Status& s) {
           if (!s) ++failures;
           ++received;
           post_recv();
@@ -414,7 +394,7 @@ struct EcAllocRun {
   void post_send() {
     if (written == kIterations) return;
     if (++written == kIterations) allocs_at_last_write = common::allocations();
-    if (!sender->write(src.data(), kMsgBytes, [this](const Status& s) {
+    if (!channel->send(src.data(), kMsgBytes, [this](const Status& s) {
           if (!s) ++failures;
           if (++sent == kWarmup) allocs_at_steady = common::allocations();
           post_send();
@@ -424,26 +404,130 @@ struct EcAllocRun {
   }
 };
 
-TEST(AllocRegressionTest, ZeroAllocsPerMessageEcSteadyState) {
-  EcAllocRun run;
-  for (std::size_t w = 0; w < EcAllocRun::kInflight; ++w) {
+void expect_no_steady_state_allocs(reliability::ReliableChannel::Kind kind,
+                                   std::size_t table_slots) {
+  ChannelAllocRun run(kind, table_slots);
+  for (std::size_t w = 0; w < ChannelAllocRun::kInflight; ++w) {
     run.post_recv();
     run.post_send();
   }
   run.sim.run();
 
-  ASSERT_EQ(run.sent, EcAllocRun::kIterations);
-  ASSERT_EQ(run.received, EcAllocRun::kIterations);
+  ASSERT_EQ(run.sent, ChannelAllocRun::kIterations);
+  ASSERT_EQ(run.received, ChannelAllocRun::kIterations);
   EXPECT_EQ(run.failures, 0);
   const std::uint64_t steady_allocs =
       run.allocs_at_last_write - run.allocs_at_steady;
   EXPECT_EQ(steady_allocs, 0u)
       << steady_allocs << " allocations over "
-      << (EcAllocRun::kIterations - EcAllocRun::kWarmup -
-          static_cast<int>(EcAllocRun::kInflight))
-      << " EC messages";
-  EXPECT_EQ(std::memcmp(run.dst.data(), run.src.data(), EcAllocRun::kMsgBytes),
+      << (ChannelAllocRun::kIterations - ChannelAllocRun::kWarmup -
+          static_cast<int>(ChannelAllocRun::kInflight))
+      << " messages on a " << table_slots << "-slot table";
+  EXPECT_EQ(std::memcmp(run.dst.data(), run.src.data(),
+                        ChannelAllocRun::kMsgBytes),
             0);
+}
+
+// EC posts two core messages per 16 KiB message (data + parity), SR one.
+TEST(AllocRegressionTest, ZeroAllocsPerMessageEcSteadyState) {
+  expect_no_steady_state_allocs(reliability::ReliableChannel::Kind::kEcMds,
+                                2 * ChannelAllocRun::kInflight);
+}
+
+TEST(AllocRegressionTest, ZeroAllocsPerMessageEcFreshSlots) {
+  expect_no_steady_state_allocs(reliability::ReliableChannel::Kind::kEcMds,
+                                2 * ChannelAllocRun::kIterations + 4);
+}
+
+TEST(AllocRegressionTest, ZeroAllocsPerMessageSrSteadyState) {
+  expect_no_steady_state_allocs(reliability::ReliableChannel::Kind::kSrRto,
+                                2 * ChannelAllocRun::kInflight);
+}
+
+TEST(AllocRegressionTest, ZeroAllocsPerMessageSrFreshSlots) {
+  expect_no_steady_state_allocs(reliability::ReliableChannel::Kind::kSrRto,
+                                ChannelAllocRun::kIterations + 4);
+}
+
+// ---------------------------------------------------------------------------
+// The core's pre-CTS op queue: ops issued on several handles before their
+// CTSes flush per handle in post order, whatever order the CTSes arrive in,
+// and the QP's one pending-op pool takes them back at send_abort, so
+// repeated post/abort cycles on fresh slots do not grow it.
+// ---------------------------------------------------------------------------
+TEST(AllocRegressionTest, PreCtsOpsFlushPerHandleInPostOrderFromOnePool) {
+  sim::Simulator sim;
+  sim::Channel::Config cfg = test_link();
+  // The backward wire carries only CTSes: lose the first, message 0's.
+  verbs::NicPair nics = verbs::make_connected_pair(
+      sim, cfg, std::make_unique<sim::IidDrop>(0.0),
+      std::make_unique<sim::ScriptedDrop>(std::vector<std::uint64_t>{0}));
+  core::Context client(*nics.a, core::DevAttr{});
+  core::Context server(*nics.b, core::DevAttr{});
+  core::QpAttr attr;
+  attr.mtu = 1024;
+  attr.chunk_size = 1024;  // one packet per chunk: chunk events name packets
+  attr.max_msg_size = 4 * 1024;
+  attr.max_inflight = 64;
+  core::Qp* tx = client.create_qp(attr);
+  core::Qp* rx = server.create_qp(attr);
+  ASSERT_TRUE(tx->connect(rx->info()).is_ok());
+  ASSERT_TRUE(rx->connect(tx->info()).is_ok());
+
+  std::vector<std::uint8_t> src(attr.max_msg_size, 0x3C);
+  std::vector<std::uint8_t> dst(3 * attr.max_msg_size, 0);
+  const auto* mr = server.mr_reg(dst.data(), dst.size());
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> landed;
+  rx->set_recv_event_handler([&](const core::RecvEvent& ev) {
+    if (ev.type == core::RecvEvent::Type::kChunkCompleted) {
+      landed.emplace_back(ev.handle->msg_number(), ev.chunk_index);
+    }
+  });
+
+  // Messages 0..2, each packet at its own offset, interleaved across the
+  // handles and out of offset order within each.
+  core::SendHandle* sh[3] = {};
+  for (core::SendHandle*& h : sh) {
+    ASSERT_TRUE(tx->send_stream_start(0, false, &h).is_ok());
+  }
+  const std::pair<int, std::size_t> ops[] = {{0, 2}, {1, 1}, {0, 0}, {2, 3},
+                                             {1, 0}, {0, 1}, {1, 3}, {2, 0}};
+  for (const auto& [msg, packet] : ops) {
+    ASSERT_TRUE(tx->send_stream_continue(sh[msg], src.data(), packet * 1024,
+                                         1024)
+                    .is_ok());
+  }
+  core::RecvHandle* rh[3] = {};
+  for (std::size_t m = 0; m < 3; ++m) {
+    ASSERT_TRUE(rx->recv_post(dst.data() + m * attr.max_msg_size,
+                              attr.max_msg_size, mr, &rh[m])
+                    .is_ok());
+  }
+  sim.run();  // CTS 0 is lost: messages 1 and 2 flush
+  EXPECT_FALSE(sh[0]->cts_ready());
+  ASSERT_TRUE(rx->resend_cts(rh[0]).is_ok());
+  sim.run();  // message 0's CTS arrives last
+
+  const std::vector<std::pair<std::uint64_t, std::uint32_t>> expected = {
+      {1, 1}, {1, 0}, {1, 3}, {2, 3}, {2, 0}, {0, 2}, {0, 0}, {0, 1}};
+  EXPECT_EQ(landed, expected);
+
+  // Fresh slots 3.., each with eight ops queued and then aborted: every op
+  // must come from the pool the flushes above filled. (That a flush gives
+  // its nodes back is what the fresh-slot protocol runs above pin: their
+  // sends queue before their CTS arrives.)
+  const std::uint64_t before = common::allocations();
+  for (int cycle = 0; cycle < 48; ++cycle) {
+    core::SendHandle* h = nullptr;
+    ASSERT_TRUE(tx->send_stream_start(0, false, &h).is_ok());
+    for (std::size_t op = 0; op < std::size(ops); ++op) {
+      ASSERT_TRUE(tx->send_stream_continue(h, src.data(), (op % 4) * 1024,
+                                           1024)
+                      .is_ok());
+    }
+    ASSERT_TRUE(tx->send_abort(h).is_ok());
+  }
+  EXPECT_EQ(common::allocations() - before, 0u);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "common/status.hpp"
 #include "ec/reed_solomon.hpp"
 #include "reliability/ec_protocol.hpp"
+#include "reliability/reliable_channel.hpp"
 #include "reliability/sr_protocol.hpp"
 #include "sdr/sdr.hpp"
 #include "sim/simulator.hpp"
@@ -250,6 +251,60 @@ TEST(ReliabilityIntegrationTest, InterleavedSrMessagesComplete) {
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(std::memcmp(dsts[i].data(), srcs[i].data(), len), 0) << i;
   }
+}
+
+// Every receive inside a region the channel registered for an earlier one
+// reuses that registration: receives of several lengths into one buffer
+// (the fleet's one sink) register it once.
+TEST(ReliabilityIntegrationTest, ChannelReceivesIntoOneBufferShareAnMr) {
+  sim::Simulator sim;
+  sim::Channel::Config cfg;
+  cfg.bandwidth_bps = 100e9;
+  cfg.distance_km = 100.0;
+  cfg.seed = 17;
+  verbs::NicPair pair = verbs::make_connected_pair(sim, cfg, 0.0, 0.0);
+  reliability::ReliableChannel::Options options;
+  options.kind = reliability::ReliableChannel::Kind::kSrRto;
+  options.attr = small_attr();
+  options.profile.bandwidth_bps = cfg.bandwidth_bps;
+  options.profile.rtt_s = rtt_s(cfg.distance_km);
+  options.profile.mtu = options.attr.mtu;
+  options.profile.chunk_bytes = options.attr.chunk_size;
+  options.derive_timeouts();
+  reliability::ReliableChannel channel(sim, *pair.a, *pair.b, options);
+
+  // A protection domain draws every key from one counter, so two probe
+  // registrations on the receiving NIC count the channel's in between.
+  std::uint8_t probe = 0;
+  verbs::ProtectionDomain& pd = pair.b->pd();
+  const verbs::MemoryKey before = pd.register_mr(&probe, 1)->rkey();
+  const std::size_t lengths[] = {16 * 1024, 4 * 1024, 8 * 1024, 12 * 1024};
+  const auto src = pattern(lengths[0], 21);
+  std::vector<std::uint8_t> sink(lengths[0], 0);
+  int done = 0;
+  for (const std::size_t len : lengths) {
+    ASSERT_TRUE(channel
+                    .recv(sink.data(), len,
+                          [&](const Status& s) {
+                            EXPECT_TRUE(s.is_ok());
+                            ++done;
+                          })
+                    .is_ok());
+  }
+  for (const std::size_t len : lengths) {
+    ASSERT_TRUE(channel
+                    .send(src.data(), len,
+                          [&](const Status& s) {
+                            EXPECT_TRUE(s.is_ok());
+                            ++done;
+                          })
+                    .is_ok());
+  }
+  sim.run();
+  EXPECT_EQ(done, 8);
+  EXPECT_EQ(std::memcmp(sink.data(), src.data(), sink.size()), 0);
+  EXPECT_EQ(pd.register_mr(&probe, 1)->rkey() - before, 2u)
+      << "the four receives should share one registration";
 }
 
 // ---------------------------------------------------------------------------
