@@ -16,14 +16,23 @@
 //  * pooled — one MTU-or-less of bytes copied into a pool slot at post
 //    time (two-sided sends, whose source may be a stack temporary).
 //    Refcounted: duplicating channels and RC retransmit queues bump the
-//    count instead of copying bytes; the slot returns to the free list
+//    count instead of copying bytes; the slot returns to its free list
 //    when the last ref drops.
+//
+// Pooled payloads are mostly SDR's control datagrams (§3.2, §4.1): a CTS
+// is 24 B, a final SR or EC ACK 23 B, a one-word SR ACK 31 B. Slots come
+// in power-of-two size classes from 64 B (one cache line) up to the
+// class that holds an MTU, the largest payload `post_send` accepts, with
+// one LIFO free list per class. A slot is allocated once at its class's
+// size and never changes class, so a control datagram pins 64 B rather
+// than a page (payload_pool.cpp has the fleet numbers).
 //
 // The pool is thread-local (like the telemetry registry): packets never
 // cross threads — each sweep trial owns a simulator on its own thread —
 // so the refcounts stay plain integers.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <cstddef>
 #include <memory>
@@ -35,15 +44,18 @@ class PayloadPool {
  public:
   static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
 
-  /// Copy [src, src+len) into a slot (refcount 1) and return its index.
+  PayloadPool() { free_heads_.fill(kNil); }
+
+  /// Copy [src, src+len) into a slot (refcount 1) of len's size class and
+  /// return its index.
   std::uint32_t acquire(const std::uint8_t* src, std::uint32_t len);
 
   void add_ref(std::uint32_t slot) { ++slots_[slot].refs; }
   void release(std::uint32_t slot) {
     Slot& s = slots_[slot];
     if (--s.refs == 0) {
-      s.next_free = free_head_;
-      free_head_ = slot;
+      s.next_free = free_heads_[s.size_class];
+      free_heads_[s.size_class] = slot;
       --live_;
     }
   }
@@ -58,14 +70,17 @@ class PayloadPool {
   std::size_t total_slots() const { return slots_.size(); }
 
  private:
+  /// Class c holds 64 << c bytes; 27 classes cover every 32-bit length.
+  static constexpr std::size_t kClasses = 27;
+
   struct Slot {
     std::unique_ptr<std::uint8_t[]> bytes;
-    std::uint32_t capacity{0};
     std::uint32_t refs{0};
     std::uint32_t next_free{kNil};
+    std::uint8_t size_class{0};
   };
   std::vector<Slot> slots_;
-  std::uint32_t free_head_{kNil};
+  std::array<std::uint32_t, kClasses> free_heads_;
   std::size_t live_{0};
 };
 

@@ -583,10 +583,11 @@ void Qp::rc_on_timeout() {
   ++rc_retries_;
   if (rc_retries_ > config_.rc_retry_limit) {
     // Give up: flush all outstanding work with an error, like hardware
-    // transitioning the QP to the error state.
+    // transitioning the QP to the error state. A failed WR completes even
+    // when it was posted unsignaled, as with real verbs.
     for (std::size_t i = 0; i < rc_unacked_.size(); ++i) {
       const Unacked& u = rc_unacked_[i];
-      if (u.last_of_wr && u.signaled) {
+      if (u.last_of_wr) {
         complete_send(u.wr_id, 0, WcStatus::kRetryExceeded);
       }
     }

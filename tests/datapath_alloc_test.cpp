@@ -98,22 +98,47 @@ TEST(PayloadPoolTest, AcquireReleaseAndFreeListReuse) {
   pool.release(again);
 }
 
-TEST(PayloadPoolTest, ReusedSlotGrowsForLargerPayload) {
-  // A free-listed slot is sized for the payload it last held (at least
-  // 4 KiB); a larger payload reusing it must regrow the slot, or the copy
-  // overruns the old buffer (ASan reports it).
+TEST(PayloadPoolTest, SlotsComeInPowerOfTwoSizeClasses) {
+  // Each slot is allocated once at its class's size (64 B, 128 B, ...) and
+  // goes back to its own class's LIFO free list. A slot handed to a larger
+  // class's payload overruns its buffer (ASan reports it).
   common::PayloadPool pool;
-  const std::vector<std::uint8_t> small(100, 0x11);
-  pool.release(pool.acquire(small.data(), 100));
+  const std::vector<std::uint8_t> ack(23, 0x11);
+  const std::uint32_t small = pool.acquire(ack.data(), 23);
+  pool.release(small);
+  const std::vector<std::uint8_t> line(64, 0x22);
+  EXPECT_EQ(pool.acquire(line.data(), 64), small);  // 23 B and 64 B share
+  pool.release(small);
+
+  const std::vector<std::uint8_t> over(65, 0x33);
+  const std::uint32_t medium = pool.acquire(over.data(), 65);
+  EXPECT_NE(medium, small);  // the freed 64 B slot is too small
+  EXPECT_EQ(pool.total_slots(), 2u);
+  EXPECT_EQ(std::memcmp(pool.data(medium), over.data(), over.size()), 0);
+  pool.release(medium);
+
   std::vector<std::uint8_t> big(6000);
   for (std::size_t i = 0; i < big.size(); ++i) {
     big[i] = static_cast<std::uint8_t>(i * 7);
   }
-  const std::uint32_t slot = pool.acquire(big.data(), 6000);
-  EXPECT_EQ(pool.total_slots(), 1u);
-  EXPECT_EQ(std::memcmp(pool.data(slot), big.data(), big.size()), 0);
-  pool.release(slot);
-  EXPECT_EQ(pool.live_slots(), 0u);
+  const std::uint32_t large = pool.acquire(big.data(), 6000);
+  EXPECT_EQ(pool.total_slots(), 3u);  // neither free small slot fits
+  EXPECT_EQ(std::memcmp(pool.data(large), big.data(), big.size()), 0);
+
+  // Releases go to their own class, last in first out.
+  const std::uint32_t second = pool.acquire(ack.data(), 23);
+  EXPECT_EQ(second, small);
+  const std::uint32_t third = pool.acquire(ack.data(), 23);
+  EXPECT_EQ(pool.total_slots(), 4u);
+  pool.release(large);
+  pool.release(second);
+  pool.release(third);
+  EXPECT_EQ(pool.acquire(ack.data(), 1), third);
+  EXPECT_EQ(pool.acquire(ack.data(), 23), second);
+  EXPECT_EQ(pool.acquire(big.data(), 100), medium);
+  EXPECT_EQ(pool.acquire(big.data(), 4097), large);
+  EXPECT_EQ(pool.total_slots(), 4u);
+  EXPECT_EQ(pool.live_slots(), 4u);
 }
 
 TEST(PayloadPoolTest, RefCopyMoveRelease) {

@@ -570,16 +570,26 @@ TEST_F(QpFixture, RcGivesUpAfterRetryLimit) {
   std::vector<std::uint8_t> dst(1024);
   const MemoryRegion* mr = pair_.b->pd().register_mr(dst.data(), dst.size());
   WriteWr wr;
-  wr.wr_id = 3;
+  wr.wr_id = 2;
   wr.local_addr = src.data();
   wr.length = src.size();
   wr.rkey = mr->rkey();
+  wr.signaled = false;
+  tx->post_write(wr);
+  wr.wr_id = 3;
   wr.with_imm = true;
+  wr.signaled = true;
   tx->post_write(wr);
   sim_.run();
 
-  ASSERT_EQ(tx_cq.size(), 1u);
-  EXPECT_EQ(tx_cq.poll_one()->status, WcStatus::kRetryExceeded);
+  // A failed WR completes with an error even when posted unsignaled, in
+  // post order, as real verbs flush a QP that moved to the error state.
+  ASSERT_EQ(tx_cq.size(), 2u);
+  for (const std::uint64_t wr_id : {2u, 3u}) {
+    const auto cqe = tx_cq.poll_one();
+    EXPECT_EQ(cqe->wr_id, wr_id);
+    EXPECT_EQ(cqe->status, WcStatus::kRetryExceeded);
+  }
 }
 
 TEST_F(QpFixture, RcManyMessagesUnderLossAllComplete) {
